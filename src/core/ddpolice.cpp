@@ -301,7 +301,7 @@ void DdPolice::detection_phase(double minute) {
     for (std::size_t k = 0; k < spans.size(); ++k) {
       sweep_pool_->submit([this, &g, span = spans[k], &log = flag_scratch_[k]] {
         log.clear();
-        for (PeerId i = span.begin; i < span.end; ++i) {
+        for (auto i = static_cast<PeerId>(span.begin); i < span.end; ++i) {
           if (!g.is_active(i)) continue;
           for (PeerId j : g.neighbors(i)) {
             const double out = port_.sent_last_minute(j, i);

@@ -82,8 +82,9 @@ struct FlowConfig {
   /// so fault-free runs stay bit-identical. Values > 1 model duplication.
   double link_reliability = 1.0;
 
-  /// Worker threads for the sharded tick sweeps. 1 (the default) runs the
-  /// exact serial engine; 0 resolves to one worker per hardware thread.
+  /// Worker threads for the sharded tick sweeps. 1 (the default) runs
+  /// every span on the calling thread, with no pool; 0 resolves to one
+  /// worker per hardware thread.
   /// Output is byte-identical at any value — per-shard contributions are
   /// folded back in canonical peer order, so this is a throughput knob
   /// only and is deliberately excluded from the scenario config digest.

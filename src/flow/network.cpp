@@ -20,6 +20,17 @@ FlowNetwork::FlowNetwork(topology::Graph& graph,
   ticks_per_minute_ =
       static_cast<std::uint64_t>(std::llround(kMinute / config_.tick_seconds));
   if (ticks_per_minute_ == 0) ticks_per_minute_ = 1;
+  for (std::size_t from = 0; from < topology::kBandwidthClasses; ++from) {
+    for (std::size_t to = 0; to < topology::kBandwidthClasses; ++to) {
+      link_cap_tick_[from][to] =
+          config_.bandwidth_limits
+              ? topology::link_queries_per_minute(
+                    static_cast<topology::BandwidthClass>(from),
+                    static_cast<topology::BandwidthClass>(to)) /
+                    static_cast<double>(ticks_per_minute_)
+              : std::numeric_limits<double>::infinity();
+    }
+  }
   const unsigned jobs = util::resolve_jobs(config_.jobs);
   if (jobs > 1) pool_ = std::make_unique<util::ThreadPool>(jobs);
   recalibrate();
@@ -82,7 +93,14 @@ void FlowNetwork::recalibrate() {
             ? std::min(1.0, target_sum[h] / unscaled_sum[h])
             : 0.0;
   }
+  refresh_fresh_fractions();
   last_calibration_minute_ = current_minute();
+}
+
+void FlowNetwork::refresh_fresh_fractions() noexcept {
+  for (std::size_t h = 0; h < kMaxTtl; ++h) {
+    fresh_fraction_[h] = profile_.fresh_fraction(h + 1);
+  }
 }
 
 double FlowNetwork::sent_last_minute(PeerId from, PeerId to) const noexcept {
@@ -158,69 +176,48 @@ void FlowNetwork::on_peer_offline(PeerId p) {
   DDP_TRACE(tracer_, obs::EventType::kPeerOffline, now_, p);
 }
 
-double FlowNetwork::link_capacity_per_tick(PeerId from, PeerId to) const noexcept {
-  if (!config_.bandwidth_limits) return std::numeric_limits<double>::infinity();
-  return bandwidth_.link_queries_per_minute(from, to) /
-         static_cast<double>(ticks_per_minute_);
-}
-
-namespace {
-
-/// Serial-path sink: contributions land straight on the engine's running
-/// accumulators, in the same order the pre-shard engine added them — this
-/// path's arithmetic is byte-for-byte the original.
-struct DirectSink {
-  double& transport_lost;
-  double& dropped;
-  std::array<double, kClasses>& dropped_class;
-  double& good_issued;
-  double& attack_issued;
-  std::array<double, kMaxTtl>& fresh_by_hop;
+/// One-span sink: contributions land straight on the engine's running
+/// accumulators in sweep order — except clamp drops, which are held back
+/// in clamp_drops_ and folded after the pass so acc_dropped_ still adds
+/// every service drop of the tick before any clamp drop.
+struct FlowNetwork::DirectSink {
+  FlowNetwork& net;
   double& tick_util;
   std::size_t& util_nodes;
-  double& delay_weight;
-  double& delay_load;
-  double& traffic;
-  double& attack_traffic;
 
-  void add_transport_lost(double v) { transport_lost += v; }
-  void add_drop(double total, double good, double attack) {
-    dropped += total;
-    dropped_class[static_cast<std::size_t>(TrafficClass::kGood)] += good;
-    dropped_class[static_cast<std::size_t>(TrafficClass::kAttack)] += attack;
+  void add_transport_lost(double v) { net.acc_transport_lost_ += v; }
+  void add_service_drop(double total, double good, double attack) {
+    net.add_drop(total, good, attack);
   }
-  void add_good_issued(double v) { good_issued += v; }
-  void add_attack_issued(double v) { attack_issued += v; }
-  void add_fresh(std::size_t hop_idx, double v) { fresh_by_hop[hop_idx] += v; }
+  void add_good_issued(double v) { net.acc_good_issued_ += v; }
+  void add_attack_issued(double v) { net.acc_attack_issued_ += v; }
+  void add_fresh(std::size_t hop_idx, double v) {
+    net.acc_fresh_good_by_hop_[hop_idx] += v;
+  }
   void add_peer_load(double rho, double dw, double dl) {
     tick_util += rho;
     ++util_nodes;
-    delay_weight += dw;
-    delay_load += dl;
+    net.acc_delay_weight_ += dw;
+    net.acc_delay_load_ += dl;
   }
-  // Phase-3 contributions hit the same accumulators on the serial path;
-  // the buffered sink keeps them in separate logs because the serial fold
-  // adds all phase-2 contributions before any phase-3 ones.
-  void add_p3_drop(double total, double good, double attack) {
-    add_drop(total, good, attack);
+  void add_clamp_drop(double total, double good, double attack) {
+    net.clamp_drops_.push_back({total, good, attack});
   }
-  void add_p3_traffic(double total, double attack) {
-    traffic += total;
-    attack_traffic += attack;
+  void add_traffic(double total, double attack) {
+    net.acc_traffic_ += total;
+    net.acc_attack_traffic_ += attack;
   }
 };
 
-}  // namespace
-
-/// Sharded-path sink: contributions are recorded, not summed — the
-/// coordinator replays the logs in span order after the barrier, which
-/// reproduces the serial accumulation sequence exactly.
+/// Multi-span sink: contributions are recorded, not summed — the
+/// coordinator replays the logs in span order after the pass, which
+/// reproduces the one-span accumulation sequence exactly.
 struct FlowNetwork::SpanLogSink {
   SpanLog& log;
 
   void add_transport_lost(double v) { log.transport_lost.push_back(v); }
-  void add_drop(double total, double good, double attack) {
-    log.p2_drops.push_back({total, good, attack});
+  void add_service_drop(double total, double good, double attack) {
+    log.service_drops.push_back({total, good, attack});
   }
   void add_good_issued(double v) { log.good_issued.push_back(v); }
   void add_attack_issued(double v) { log.attack_issued.push_back(v); }
@@ -230,23 +227,23 @@ struct FlowNetwork::SpanLogSink {
   void add_peer_load(double rho, double dw, double dl) {
     log.peer_load.push_back({rho, dw, dl});
   }
-  void add_p3_drop(double total, double good, double attack) {
-    log.p3_drops.push_back({total, good, attack});
+  void add_clamp_drop(double total, double good, double attack) {
+    log.clamp_drops.push_back({total, good, attack});
   }
-  void add_p3_traffic(double total, double attack) {
-    log.p3_traffic.push_back({total, attack});
+  void add_traffic(double total, double attack) {
+    log.traffic.push_back({total, attack});
   }
 };
 
 void FlowNetwork::SpanLog::clear() noexcept {
   transport_lost.clear();
-  p2_drops.clear();
+  service_drops.clear();
   good_issued.clear();
   attack_issued.clear();
   fresh.clear();
   peer_load.clear();
-  p3_drops.clear();
-  p3_traffic.clear();
+  clamp_drops.clear();
+  traffic.clear();
 }
 
 // ---- Phase 1: gather arrivals per peer. -----------------------------------
@@ -282,8 +279,9 @@ void FlowNetwork::phase1_peer(PeerId to, std::size_t ttl, double rel,
 // reads the socket and discards what it cannot service, Sec. 2.3): the
 // per-link monitors therefore see what senders actually pushed, which is
 // the observable a deployed DD-POLICE works from. Reads arrivals_[v] (own)
-// and, under fair share, in-link cur vectors (cross-shard but read-only in
-// this barrier); writes only arrivals_[v].
+// and, under fair share, in-link cur vectors — which other peers' clamps
+// overwrite, so fair share services every peer in a pass of its own.
+// Writes only arrivals_[v].
 template <typename Sink>
 std::array<double, kClasses> FlowNetwork::phase2_service(
     PeerId v, std::size_t ttl, double cap_tick, double service_time,
@@ -347,7 +345,7 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
       const EdgeFlow* ef = edge_state_.find(vin[e]);
       if (ef == nullptr || ts.edge_totals[e] <= 0.0) continue;
       const double sc = ts.done[e] ? 1.0 : share / ts.edge_totals[e];
-      sink.add_drop(
+      sink.add_service_drop(
           ts.edge_totals[e] * (1.0 - sc),
           ts.edge_class_totals[e][static_cast<std::size_t>(TrafficClass::kGood)] *
               (1.0 - sc),
@@ -383,9 +381,9 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
     survive_c[bad] = sa;
     const double d_good = in_class[good] * (1.0 - sg);
     const double d_bad = in_class[bad] * (1.0 - sa);
-    sink.add_drop(d_good + d_bad, d_good, d_bad);
+    sink.add_service_drop(d_good + d_bad, d_good, d_bad);
   } else {
-    sink.add_drop(
+    sink.add_service_drop(
         in_total * (1.0 - survive),
         in_class[static_cast<std::size_t>(TrafficClass::kGood)] *
             (1.0 - survive),
@@ -404,9 +402,10 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
 }
 
 // ---- Phase 2b: issuance and forwarding. -----------------------------------
-// Writes only this peer's out-link nxt vectors (touch may also reset a
-// recycled slot — still own out-links), so peers are freely parallel once
-// the cross-shard cur reads of phase 2a are behind a barrier.
+// Fills ts with the peer's emission: fresh issuance per out-link, and the
+// forwarded vector, which is the same on every out-link. Issuance fills
+// only remaining TTL ttl-1 and forwarding only TTLs below it, so each
+// out-link's vector is the forwarded one with its issuance slotted in.
 template <typename Sink>
 void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
                               const std::array<double, kClasses>& survive_c,
@@ -415,26 +414,23 @@ void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
   if (nbrs.empty()) return;
   const auto deg = static_cast<double>(nbrs.size());
   const auto& a = arrivals_[v];
-
-  ts.out_edges.clear();
-  for (const std::uint32_t out : graph_.out_slots(v)) {
-    ts.out_edges.push_back(&edge_state_.touch(out));
-  }
+  ts.issued.assign(nbrs.size(), 0.0);
+  ts.forward = {};
+  ts.issue_class = static_cast<std::size_t>(
+      kinds_[v] == PeerKind::kGood ? TrafficClass::kGood
+                                   : TrafficClass::kAttack);
 
   // Issuance. Good peers flood one copy of each fresh query per link;
   // compromised peers send *distinct* queries per link (Sec. 2.1), at
   // Q_d = min(20,000, link capacity) each (Sec. 3.5); the bandwidth and
-  // back-pressure clamps of phase 3 enforce the min().
-  const PeerKind kind = kinds_[v];
-  if (kind == PeerKind::kGood) {
+  // back-pressure clamps of phase 2c enforce the min().
+  if (kinds_[v] == PeerKind::kGood) {
     const double issue = config_.good_issue_per_minute /
                          static_cast<double>(ticks_per_minute_) *
                          issue_scale_[v];
     if (issue > 0.0) {
       sink.add_good_issued(issue);
-      for (EdgeFlow* ef : ts.out_edges) {
-        ef->nxt[static_cast<std::size_t>(TrafficClass::kGood)][ttl - 1] += issue;
-      }
+      std::fill(ts.issued.begin(), ts.issued.end(), issue);
     }
   } else {
     const double target = config_.attack_target_per_minute /
@@ -442,12 +438,10 @@ void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
                           issue_scale_[v];
     if (target > 0.0) {
       double attempted = 0.0;
-      for (std::size_t i = 0; i < ts.out_edges.size(); ++i) {
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
         const double clamp = link_capacity_per_tick(v, nbrs[i]);
-        const double vol = std::min(target, clamp);
-        ts.out_edges[i]->nxt[static_cast<std::size_t>(TrafficClass::kAttack)]
-                            [ttl - 1] += vol;
-        attempted += vol;
+        ts.issued[i] = std::min(target, clamp);
+        attempted += ts.issued[i];
       }
       sink.add_attack_issued(attempted);
     }
@@ -463,14 +457,14 @@ void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
         const std::size_t hop = ttl - k;  // arrival hop of this flow
         if (c == static_cast<std::size_t>(TrafficClass::kGood)) {
           // Reach accounting: the exact fresh-node ratio of this hop.
-          sink.add_fresh(hop - 1, vol * profile_.fresh_fraction(hop));
+          sink.add_fresh(hop - 1, vol * fresh_fraction_[hop - 1]);
         }
         if (k == 0) continue;  // remaining ttl 1 -> no forwarding
         // Forwarding: the closed-loop-calibrated damping (see
         // recalibrate()) keeps aggregate message growth faithful.
         const double per_link = vol * forward_damping_[hop - 1] * fan;
         if (per_link <= 0.0) continue;
-        for (EdgeFlow* ef : ts.out_edges) ef->nxt[c][k - 1] += per_link;
+        ts.forward[c][k - 1] = per_link;
       }
     }
   } else {
@@ -482,86 +476,152 @@ void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
           survive_c[static_cast<std::size_t>(TrafficClass::kGood)];
       if (vol <= 0.0) continue;
       const std::size_t hop = ttl - k;
-      sink.add_fresh(hop - 1, vol * profile_.fresh_fraction(hop));
+      sink.add_fresh(hop - 1, vol * fresh_fraction_[hop - 1]);
     }
   }
 }
 
-// ---- Phase 3: bandwidth clamp at the sender, count, rotate. ---------------
-// Canonical order again (senders in PeerId order, out-links in adjacency
-// order) so the global drop/traffic accumulators sum deterministically.
-// Touches only this sender's out-link state.
+// ---- Phase 2c: bandwidth clamp at the sender, count. ----------------------
+// Writes the clamped emission straight into each out-link's cur: every
+// receiver already gathered its arrivals in phase 1. Senders in PeerId
+// order, out-links in adjacency order, so the traffic accumulators sum
+// deterministically. Touches only this sender's out-link state.
 template <typename Sink>
-void FlowNetwork::phase3_peer(PeerId from, std::size_t ttl, Sink& sink) {
+void FlowNetwork::phase2_clamp(PeerId from, std::size_t ttl,
+                               const TickScratch& ts, Sink& sink) {
   const auto nbrs = graph_.neighbors(from);
   const auto slots = graph_.out_slots(from);
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    EdgeFlow* efp = edge_state_.find(slots[i]);
-    if (efp == nullptr) continue;
-    auto& ef = *efp;
-    const PeerId to = nbrs[i];
+    EdgeFlow& ef = edge_state_.touch(slots[i]);
+    ef.cur = ts.forward;
+    ef.cur[ts.issue_class][ttl - 1] = ts.issued[i];
     double total = 0.0;
     std::array<double, kClasses> cls_tot{};
     for (std::size_t c = 0; c < kClasses; ++c) {
       for (std::size_t k = 0; k < ttl; ++k) {
-        total += ef.nxt[c][k];
-        cls_tot[c] += ef.nxt[c][k];
+        total += ef.cur[c][k];
+        cls_tot[c] += ef.cur[c][k];
       }
     }
-    if (total > 0.0) {
-      const double clamp = link_capacity_per_tick(from, to);
-      double scale = 1.0;
-      if (total > clamp) {
-        scale = clamp / total;
-        sink.add_p3_drop(
-            total - clamp,
-            cls_tot[static_cast<std::size_t>(TrafficClass::kGood)] *
-                (1.0 - scale),
-            cls_tot[static_cast<std::size_t>(TrafficClass::kAttack)] *
-                (1.0 - scale));
-        total = clamp;
-      }
-      double attack_part = 0.0;
-      for (std::size_t c = 0; c < kClasses; ++c) {
-        for (std::size_t k = 0; k < ttl; ++k) {
-          ef.nxt[c][k] *= scale;
-          if (c == static_cast<std::size_t>(TrafficClass::kAttack)) {
-            attack_part += ef.nxt[c][k];
-          }
+    if (total <= 0.0) continue;
+    const double clamp = link_capacity_per_tick(from, nbrs[i]);
+    double scale = 1.0;
+    if (total > clamp) {
+      scale = clamp / total;
+      sink.add_clamp_drop(
+          total - clamp,
+          cls_tot[static_cast<std::size_t>(TrafficClass::kGood)] *
+              (1.0 - scale),
+          cls_tot[static_cast<std::size_t>(TrafficClass::kAttack)] *
+              (1.0 - scale));
+      total = clamp;
+    }
+    double attack_part = 0.0;
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      for (std::size_t k = 0; k < ttl; ++k) {
+        ef.cur[c][k] *= scale;
+        if (c == static_cast<std::size_t>(TrafficClass::kAttack)) {
+          attack_part += ef.cur[c][k];
         }
       }
-      sink.add_p3_traffic(total, attack_part);
-      edge_state_.cold(slots[i]).minute_acc += total;
     }
-    ef.cur = ef.nxt;
-    for (auto& cls : ef.nxt) cls.fill(0.0);
+    sink.add_traffic(total, attack_part);
+    edge_state_.cold(slots[i]).minute_acc += total;
   }
 }
 
-void FlowNetwork::step_serial(std::size_t n, std::size_t ttl, double cap_tick,
-                              double service_time, double rel) {
-  double tick_util = 0.0;
-  std::size_t util_nodes = 0;
-  DirectSink sink{acc_transport_lost_, acc_dropped_,     acc_dropped_class_,
-                  acc_good_issued_,    acc_attack_issued_, acc_fresh_good_by_hop_,
-                  tick_util,           util_nodes,        acc_delay_weight_,
-                  acc_delay_load_,     acc_traffic_,      acc_attack_traffic_};
+template <typename SinkFor>
+void FlowNetwork::sweep_spans(std::span<const util::IndexSpan> spans,
+                              std::size_t ttl, double cap_tick,
+                              double service_time, double rel,
+                              SinkFor&& sink_for) {
+  const auto run = [this, spans](const auto& pass) {
+    if (pool_ && spans.size() > 1) {
+      for (std::size_t s = 0; s < spans.size(); ++s) {
+        pool_->submit([&pass, s] { pass(s); });
+      }
+      pool_->wait_idle();
+    } else {
+      for (std::size_t s = 0; s < spans.size(); ++s) pass(s);
+    }
+  };
 
-  for (PeerId to = 0; to < n; ++to) phase1_peer(to, ttl, rel, sink);
+  // Pass 1: arrivals. Cross-span reads of cur, exclusive writes of
+  // arrivals_[span] — must fully precede any cur write.
+  run([&](std::size_t s) {
+    auto sink = sink_for(s);
+    for (std::size_t to = spans[s].begin; to < spans[s].end; ++to) {
+      phase1_peer(static_cast<PeerId>(to), ttl, rel, sink);
+    }
+  });
 
-  if (span_scratch_.empty()) span_scratch_.resize(1);
-  TickScratch& ts = span_scratch_.front();
-  for (PeerId v = 0; v < n; ++v) {
-    if (!graph_.is_active(v)) continue;
-    const auto survive_c =
-        phase2_service(v, ttl, cap_tick, service_time, rel, ts, sink);
-    phase2_emit(v, ttl, survive_c, ts, sink);
+  const bool fair = config_.discipline == ServiceDiscipline::kFairShare;
+  if (fair) {
+    run([&](std::size_t s) {
+      auto sink = sink_for(s);
+      for (std::size_t v = spans[s].begin; v < spans[s].end; ++v) {
+        if (!graph_.is_active(static_cast<PeerId>(v))) continue;
+        survive_scratch_[v] =
+            phase2_service(static_cast<PeerId>(v), ttl, cap_tick,
+                           service_time, rel, span_scratch_[s], sink);
+      }
+    });
   }
 
-  for (PeerId from = 0; from < n; ++from) phase3_peer(from, ttl, sink);
+  // Pass 2: each peer writes only its own out-links' cur and reads only
+  // its own arrivals, so service, emission and clamping run back to back.
+  // Inactive peers are isolated (Graph::set_active), so they have no
+  // out-links to clear.
+  run([&](std::size_t s) {
+    auto sink = sink_for(s);
+    TickScratch& ts = span_scratch_[s];
+    for (std::size_t v = spans[s].begin; v < spans[s].end; ++v) {
+      const auto p = static_cast<PeerId>(v);
+      if (!graph_.is_active(p)) continue;
+      const auto survive_c =
+          fair ? survive_scratch_[v]
+               : phase2_service(p, ttl, cap_tick, service_time, rel, ts, sink);
+      phase2_emit(p, ttl, survive_c, ts, sink);
+      phase2_clamp(p, ttl, ts, sink);
+    }
+  });
+}
 
-  acc_util_ +=
-      util_nodes > 0 ? tick_util / static_cast<double>(util_nodes) : 0.0;
+void FlowNetwork::add_drop(double total, double good, double attack) noexcept {
+  acc_dropped_ += total;
+  acc_dropped_class_[static_cast<std::size_t>(TrafficClass::kGood)] += good;
+  acc_dropped_class_[static_cast<std::size_t>(TrafficClass::kAttack)] += attack;
+}
+
+// Canonical fold: replay every span's log in span (= peer) order, one
+// accumulator at a time, service drops before clamp drops — the exact
+// sequence of += operations the one-span tick performs, hence
+// bit-identical sums.
+void FlowNetwork::replay_span_logs(double& tick_util, std::size_t& util_nodes) {
+  for (const SpanLog& log : span_logs_) {
+    for (const double v : log.transport_lost) acc_transport_lost_ += v;
+  }
+  for (const SpanLog& log : span_logs_) {
+    for (const auto& d : log.service_drops) add_drop(d[0], d[1], d[2]);
+    for (const double v : log.good_issued) acc_good_issued_ += v;
+    for (const double v : log.attack_issued) acc_attack_issued_ += v;
+    for (const auto& [hop_idx, v] : log.fresh) {
+      acc_fresh_good_by_hop_[hop_idx] += v;
+    }
+    for (const auto& pl : log.peer_load) {
+      tick_util += pl[0];
+      ++util_nodes;
+      acc_delay_weight_ += pl[1];
+      acc_delay_load_ += pl[2];
+    }
+  }
+  for (const SpanLog& log : span_logs_) {
+    for (const auto& d : log.clamp_drops) add_drop(d[0], d[1], d[2]);
+    for (const auto& t : log.traffic) {
+      acc_traffic_ += t[0];
+      acc_attack_traffic_ += t[1];
+    }
+  }
 }
 
 const std::vector<util::IndexSpan>& FlowNetwork::shard_spans() {
@@ -586,134 +646,6 @@ void FlowNetwork::refresh_shard_plan() {
   shard_plan_nodes_ = n;
 }
 
-void FlowNetwork::step_sharded(std::size_t n, std::size_t ttl, double cap_tick,
-                               double service_time, double rel) {
-  refresh_shard_plan();
-  const std::size_t spans = shard_spans_.size();
-  if (spans <= 1) {
-    step_serial(n, ttl, cap_tick, service_time, rel);
-    return;
-  }
-  span_logs_.resize(spans);
-  for (SpanLog& log : span_logs_) log.clear();
-  if (span_scratch_.size() < spans) span_scratch_.resize(spans);
-
-  // Barrier 1: arrivals. Cross-shard reads of cur, exclusive writes of
-  // arrivals_[span] — must fully precede any nxt/cur mutation.
-  for (std::size_t s = 0; s < spans; ++s) {
-    pool_->submit([this, s, ttl, rel] {
-      SpanLogSink sink{span_logs_[s]};
-      const util::IndexSpan span = shard_spans_[s];
-      for (std::size_t to = span.begin; to < span.end; ++to) {
-        phase1_peer(static_cast<PeerId>(to), ttl, rel, sink);
-      }
-    });
-  }
-  pool_->wait_idle();
-
-  if (config_.discipline == ServiceDiscipline::kFairShare) {
-    // Fair share re-reads in-link cur vectors during service (cross-shard),
-    // so the cur-mutating emit/rotate work needs its own barrier.
-    survive_scratch_.resize(n);
-    for (std::size_t s = 0; s < spans; ++s) {
-      pool_->submit([this, s, ttl, cap_tick, service_time, rel] {
-        SpanLogSink sink{span_logs_[s]};
-        const util::IndexSpan span = shard_spans_[s];
-        for (std::size_t v = span.begin; v < span.end; ++v) {
-          if (!graph_.is_active(static_cast<PeerId>(v))) continue;
-          survive_scratch_[v] =
-              phase2_service(static_cast<PeerId>(v), ttl, cap_tick,
-                             service_time, rel, span_scratch_[s], sink);
-        }
-      });
-    }
-    pool_->wait_idle();
-    for (std::size_t s = 0; s < spans; ++s) {
-      pool_->submit([this, s, ttl] {
-        SpanLogSink sink{span_logs_[s]};
-        const util::IndexSpan span = shard_spans_[s];
-        for (std::size_t v = span.begin; v < span.end; ++v) {
-          if (!graph_.is_active(static_cast<PeerId>(v))) continue;
-          phase2_emit(static_cast<PeerId>(v), ttl, survive_scratch_[v],
-                      span_scratch_[s], sink);
-        }
-        for (std::size_t from = span.begin; from < span.end; ++from) {
-          phase3_peer(static_cast<PeerId>(from), ttl, sink);
-        }
-      });
-    }
-    pool_->wait_idle();
-  } else {
-    // Barrier 2 (fused phases 2+3): each peer writes only its own
-    // out-link nxt/cur state and reads only its own arrivals, so service,
-    // emission, clamping and rotation pipeline within one pass per span.
-    for (std::size_t s = 0; s < spans; ++s) {
-      pool_->submit([this, s, ttl, cap_tick, service_time, rel] {
-        SpanLogSink sink{span_logs_[s]};
-        const util::IndexSpan span = shard_spans_[s];
-        for (std::size_t v = span.begin; v < span.end; ++v) {
-          if (!graph_.is_active(static_cast<PeerId>(v))) continue;
-          const auto survive_c =
-              phase2_service(static_cast<PeerId>(v), ttl, cap_tick,
-                             service_time, rel, span_scratch_[s], sink);
-          phase2_emit(static_cast<PeerId>(v), ttl, survive_c,
-                      span_scratch_[s], sink);
-        }
-        for (std::size_t from = span.begin; from < span.end; ++from) {
-          phase3_peer(static_cast<PeerId>(from), ttl, sink);
-        }
-      });
-    }
-    pool_->wait_idle();
-  }
-
-  // Canonical fold: replay every span's log in span (= peer) order, one
-  // accumulator at a time, phase 2 before phase 3 — the exact sequence of
-  // += operations the serial engine performs, hence bit-identical sums.
-  for (std::size_t s = 0; s < spans; ++s) {
-    for (const double v : span_logs_[s].transport_lost) {
-      acc_transport_lost_ += v;
-    }
-  }
-  double tick_util = 0.0;
-  std::size_t util_nodes = 0;
-  for (std::size_t s = 0; s < spans; ++s) {
-    const SpanLog& log = span_logs_[s];
-    for (const auto& d : log.p2_drops) {
-      acc_dropped_ += d[0];
-      acc_dropped_class_[static_cast<std::size_t>(TrafficClass::kGood)] += d[1];
-      acc_dropped_class_[static_cast<std::size_t>(TrafficClass::kAttack)] +=
-          d[2];
-    }
-    for (const double v : log.good_issued) acc_good_issued_ += v;
-    for (const double v : log.attack_issued) acc_attack_issued_ += v;
-    for (const auto& [hop_idx, v] : log.fresh) {
-      acc_fresh_good_by_hop_[hop_idx] += v;
-    }
-    for (const auto& pl : log.peer_load) {
-      tick_util += pl[0];
-      ++util_nodes;
-      acc_delay_weight_ += pl[1];
-      acc_delay_load_ += pl[2];
-    }
-  }
-  for (std::size_t s = 0; s < spans; ++s) {
-    const SpanLog& log = span_logs_[s];
-    for (const auto& d : log.p3_drops) {
-      acc_dropped_ += d[0];
-      acc_dropped_class_[static_cast<std::size_t>(TrafficClass::kGood)] += d[1];
-      acc_dropped_class_[static_cast<std::size_t>(TrafficClass::kAttack)] +=
-          d[2];
-    }
-    for (const auto& t : log.p3_traffic) {
-      acc_traffic_ += t[0];
-      acc_attack_traffic_ += t[1];
-    }
-  }
-  acc_util_ +=
-      util_nodes > 0 ? tick_util / static_cast<double>(util_nodes) : 0.0;
-}
-
 void FlowNetwork::step() {
   const std::size_t n = graph_.node_count();
   const std::size_t ttl = std::min(config_.ttl, kMaxTtl);
@@ -723,12 +655,34 @@ void FlowNetwork::step() {
   const double rel = config_.link_reliability;
   edge_state_.sync();
   arrivals_.resize(n);
-
-  if (pool_) {
-    step_sharded(n, ttl, cap_tick, service_time, rel);
-  } else {
-    step_serial(n, ttl, cap_tick, service_time, rel);
+  if (config_.discipline == ServiceDiscipline::kFairShare) {
+    survive_scratch_.resize(n);
   }
+  refresh_shard_plan();
+  const std::size_t spans = shard_spans_.size();
+  if (span_scratch_.size() < std::max<std::size_t>(spans, 1)) {
+    span_scratch_.resize(std::max<std::size_t>(spans, 1));
+  }
+
+  double tick_util = 0.0;
+  std::size_t util_nodes = 0;
+  if (spans <= 1) {
+    const util::IndexSpan all{0, n};
+    clamp_drops_.clear();
+    sweep_spans({&all, 1}, ttl, cap_tick, service_time, rel,
+                [&](std::size_t) {
+                  return DirectSink{*this, tick_util, util_nodes};
+                });
+    for (const auto& d : clamp_drops_) add_drop(d[0], d[1], d[2]);
+  } else {
+    span_logs_.resize(spans);
+    for (SpanLog& log : span_logs_) log.clear();
+    sweep_spans(shard_spans_, ttl, cap_tick, service_time, rel,
+                [this](std::size_t s) { return SpanLogSink{span_logs_[s]}; });
+    replay_span_logs(tick_util, util_nodes);
+  }
+  acc_util_ +=
+      util_nodes > 0 ? tick_util / static_cast<double>(util_nodes) : 0.0;
 
   now_ += config_.tick_seconds;
   ++tick_count_;
@@ -889,10 +843,11 @@ void FlowNetwork::save(snapshot::Writer& w) const {
   for (const PeerKind k : kinds_) w.u8(static_cast<std::uint8_t>(k));
   snapshot::save_f64_vector(w, issue_scale_);
 
-  // Per-entry layout matches the pre-split engine (cur, nxt, minute_acc,
-  // minute_done interleaved per slot) so snapshots are exchangeable across
-  // the hot/cold storage change — and across any jobs/shards setting,
-  // which never influences this state.
+  // Per-entry layout: slot, cur, a block of kClasses * kMaxTtl zeros,
+  // minute_acc, minute_done. The zero block is where the engine once kept
+  // next tick's vector, which is always empty between ticks; keeping it
+  // lets images load across that change in both directions. No jobs/shards
+  // setting influences this state.
   std::size_t entries = 0;
   edge_state_.for_each(
       [&entries](std::uint32_t, const EdgeFlow&, const EdgeMinute&) {
@@ -905,9 +860,7 @@ void FlowNetwork::save(snapshot::Writer& w) const {
         for (const auto& cls : ef.cur) {
           for (const double v : cls) w.f64(v);
         }
-        for (const auto& cls : ef.nxt) {
-          for (const double v : cls) w.f64(v);
-        }
+        for (std::size_t i = 0; i < kClasses * kMaxTtl; ++i) w.f64(0.0);
         w.f64(em.minute_acc);
         w.f64(em.minute_done);
       });
@@ -965,8 +918,11 @@ void FlowNetwork::load(snapshot::Reader& r) {
     for (auto& cls : ef.cur) {
       for (double& v : cls) v = r.f64();
     }
-    for (auto& cls : ef.nxt) {
-      for (double& v : cls) v = r.f64();
+    for (std::size_t k = 0; k < kClasses * kMaxTtl; ++k) {
+      if (r.f64() != 0.0) {
+        throw snapshot::SnapshotError(
+            "flow state holds volume in the always-empty nxt block");
+      }
     }
     EdgeMinute& em = edge_state_.cold(slot);
     em.minute_acc = r.f64();
@@ -975,6 +931,7 @@ void FlowNetwork::load(snapshot::Reader& r) {
 
   snapshot::load_f64_vector(r, profile_.new_nodes, kMaxTtl);
   snapshot::load_f64_vector(r, profile_.messages, kMaxTtl);
+  refresh_fresh_fractions();
   for (double& d : forward_damping_) d = r.f64();
   last_calibration_minute_ = r.f64();
 

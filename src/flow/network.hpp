@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -196,14 +197,18 @@ class FlowNetwork {
   const std::vector<util::IndexSpan>& shard_spans();
 
  private:
-  /// Hot per-link state: the in-flight flow vectors every tick phase
-  /// streams (256 B). Split from the minute counters so phase sweeps and
-  /// monitor sweeps each touch only the arrays they need.
+  /// One link's in-transit volume by (traffic class, remaining TTL).
+  using FlowVector = std::array<std::array<double, kMaxTtl>, kClasses>;
+
+  /// Hot per-link state: the in-flight flow vector (128 B). Phase 1 reads
+  /// it at the receiver; the sender's clamp overwrites it later in the same
+  /// tick, so no second buffer is needed. Split from the minute counters so
+  /// tick sweeps and monitor sweeps each touch only the arrays they need.
   struct EdgeFlow {
     /// Flow in transit on the directed link, arriving next tick.
-    std::array<std::array<double, kMaxTtl>, kClasses> cur{};
-    std::array<std::array<double, kMaxTtl>, kClasses> nxt{};
+    FlowVector cur{};
   };
+  static_assert(sizeof(EdgeFlow) == 128);
   /// Cold per-link state: the per-minute Out_query counters DD-POLICE
   /// reads (16 B). The minute rotation and every defense counter sweep
   /// walk only this array.
@@ -212,40 +217,45 @@ class FlowNetwork {
     double minute_done = 0.0;  ///< volume sent in the last completed minute
   };
 
-  /// Per-span contribution log for the parallel tick path. Workers sweep
-  /// their contiguous peer span in canonical order and *record* every
-  /// value the serial engine would have added to a global accumulator;
+  /// Per-span contribution log for the multi-span tick. Each span sweeps
+  /// its contiguous peer range in canonical order and *records* every
+  /// value the one-span tick would have added to a global accumulator;
   /// the coordinator then replays the logs span-by-span. Because spans
   /// partition the peer range in order, the concatenated replay is the
-  /// exact serial fold — same values, same order, bit-identical sums.
+  /// exact one-span fold — same values, same order, bit-identical sums.
   struct SpanLog {
     std::vector<double> transport_lost;               ///< phase 1, per lossy in-link
-    std::vector<std::array<double, 3>> p2_drops;      ///< {total, good, attack}
+    std::vector<std::array<double, 3>> service_drops; ///< {total, good, attack}
     std::vector<double> good_issued;
     std::vector<double> attack_issued;
     std::vector<std::pair<std::uint8_t, double>> fresh;  ///< {hop-1, reach mass}
     std::vector<std::array<double, 3>> peer_load;     ///< {rho, delay*load, load}
-    std::vector<std::array<double, 3>> p3_drops;      ///< {total, good, attack}
-    std::vector<std::array<double, 2>> p3_traffic;    ///< {total, attack part}
+    std::vector<std::array<double, 3>> clamp_drops;   ///< {total, good, attack}
+    std::vector<std::array<double, 2>> traffic;       ///< {total, attack part}
     void clear() noexcept;
   };
+  struct DirectSink;
   struct SpanLogSink;
 
-  /// Per-worker scratch for phase 2 (fair-share waterfill buffers, the
-  /// out-edge pointer batch) — reused across ticks, one per shard span so
-  /// concurrent sweeps never share.
+  /// Per-span scratch for phase 2 — the peer's emission, which the clamp
+  /// writes onto its out-links, and the fair-share waterfill buffers —
+  /// reused across ticks, one per span so concurrent sweeps never share.
   struct TickScratch {
-    std::vector<EdgeFlow*> out_edges;
+    FlowVector forward{};         ///< forwarded volume, same on every out-link
+    std::vector<double> issued;   ///< fresh issuance per out-link (adjacency order)
+    std::size_t issue_class = 0;  ///< traffic class of `issued`
     std::vector<double> edge_totals;
     std::vector<std::array<double, kClasses>> edge_class_totals;
     std::vector<char> done;
-    std::array<std::array<double, kMaxTtl>, kClasses> fair_arrivals{};
+    FlowVector fair_arrivals{};
   };
 
-  // The tick is three phases; each body processes one peer and reports
-  // accumulator contributions through a Sink (direct member accumulation
-  // on the serial path, SpanLog recording on the sharded path — the
-  // serial path's arithmetic is untouched by the sharding machinery).
+  // The tick is two passes over the peer spans: phase 1 gathers every
+  // peer's arrivals, then phase 2 runs each peer's service, emission and
+  // bandwidth clamp back to back. Each body processes one peer and reports
+  // accumulator contributions through a Sink: DirectSink adds them to the
+  // running accumulators (one span), SpanLogSink records them for the
+  // canonical replay (several spans).
   template <typename Sink>
   void phase1_peer(PeerId to, std::size_t ttl, double rel, Sink& sink);
   template <typename Sink>
@@ -258,16 +268,26 @@ class FlowNetwork {
                    const std::array<double, kClasses>& survive_c,
                    TickScratch& ts, Sink& sink);
   template <typename Sink>
-  void phase3_peer(PeerId from, std::size_t ttl, Sink& sink);
+  void phase2_clamp(PeerId from, std::size_t ttl, const TickScratch& ts,
+                    Sink& sink);
 
-  void step_serial(std::size_t n, std::size_t ttl, double cap_tick,
-                   double service_time, double rel);
-  void step_sharded(std::size_t n, std::size_t ttl, double cap_tick,
-                    double service_time, double rel);
+  /// Run both passes over `spans` (with the fair-share service pass
+  /// between them when it applies), on the pool when there is one and
+  /// several spans, inline otherwise. `sink_for(s)` yields span s's sink.
+  template <typename SinkFor>
+  void sweep_spans(std::span<const util::IndexSpan> spans, std::size_t ttl,
+                   double cap_tick, double service_time, double rel,
+                   SinkFor&& sink_for);
+  void add_drop(double total, double good, double attack) noexcept;
+  void replay_span_logs(double& tick_util, std::size_t& util_nodes);
   void refresh_shard_plan();
+  void refresh_fresh_fractions() noexcept;
 
   void rotate_minute();
-  double link_capacity_per_tick(PeerId from, PeerId to) const noexcept;
+  double link_capacity_per_tick(PeerId from, PeerId to) const noexcept {
+    return link_cap_tick_[static_cast<std::size_t>(bandwidth_.peer_class(from))]
+                         [static_cast<std::size_t>(bandwidth_.peer_class(to))];
+  }
 
   topology::Graph& graph_;
   const topology::BandwidthMap& bandwidth_;
@@ -285,17 +305,26 @@ class FlowNetwork {
   /// flow-side erase.
   topology::SplitEdgeMap<EdgeFlow, EdgeMinute> edge_state_;
 
-  /// Sharded-sweep machinery (absent on the serial path): the worker
-  /// pool, the degree-weighted contiguous peer spans, per-span logs and
-  /// scratch, and the fair-share survive carry between barriers.
+  /// Span machinery: the worker pool (jobs > 1 only), the degree-weighted
+  /// contiguous peer spans, per-span logs and scratch, the fair-share
+  /// survive carry between passes, and the one-span tick's clamp drops,
+  /// held back so they fold after every service drop.
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<util::IndexSpan> shard_spans_;
   std::vector<std::uint64_t> shard_weights_;
   std::vector<SpanLog> span_logs_;
   std::vector<TickScratch> span_scratch_;
   std::vector<std::array<double, kClasses>> survive_scratch_;
+  std::vector<std::array<double, 3>> clamp_drops_;
   bool shard_plan_dirty_ = true;
   std::size_t shard_plan_nodes_ = 0;
+
+  /// Link capacity per tick by (sender class, receiver class): the
+  /// bottleneck of the sender's upstream and the receiver's downstream,
+  /// infinite when bandwidth limits are off. Fixed at construction.
+  std::array<std::array<double, topology::kBandwidthClasses>,
+             topology::kBandwidthClasses>
+      link_cap_tick_{};
 
   topology::CoverageProfile profile_;  ///< exact reach ratios (per-hop)
   /// Per-hop forwarding damping, calibrated closed-loop: a unit impulse
@@ -303,6 +332,9 @@ class FlowNetwork {
   /// BFS profile's per-hop message counts. This corrects the mean-field
   /// bias at hubs (many arrivals, fresh only once).
   std::array<double, kMaxTtl> forward_damping_{};
+  /// profile_.fresh_fraction(hop) at index hop-1, refreshed whenever
+  /// profile_ changes (recalibrate(), load()).
+  std::array<double, kMaxTtl> fresh_fraction_{};
   double last_calibration_minute_ = 0.0;
 
   /// Monitors remember the last completed minute even after a link is torn
@@ -342,7 +374,7 @@ class FlowNetwork {
   std::vector<MinuteHook> minute_hooks_;
 
   // Scratch buffers reused across ticks (avoid per-tick allocation).
-  std::vector<std::array<std::array<double, kMaxTtl>, kClasses>> arrivals_;
+  std::vector<FlowVector> arrivals_;
 };
 
 }  // namespace ddp::flow

@@ -108,7 +108,7 @@ std::optional<double> TraceRecord::field(std::string_view key) const noexcept {
 
 std::optional<TraceRecord> parse_trace_line(std::string_view line,
                                             std::string* error) {
-  Scanner sc{line};
+  Scanner sc{line, 0, {}};
   TraceRecord r;
   bool have_t = false;
   bool have_type = false;

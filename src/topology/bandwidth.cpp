@@ -43,6 +43,11 @@ double kbps_to_queries_per_minute(double kbps) noexcept {
   return bytes_per_minute / kQueryWireBytes;
 }
 
+double link_queries_per_minute(BandwidthClass from, BandwidthClass to) noexcept {
+  return kbps_to_queries_per_minute(
+      std::min(upstream_kbps(from), downstream_kbps(to)));
+}
+
 BandwidthMap::BandwidthMap(std::size_t peer_count, util::Rng& rng) {
   classes_.reserve(peer_count);
   for (std::size_t i = 0; i < peer_count; ++i) {
@@ -66,9 +71,7 @@ double BandwidthMap::peer_downstream_kbps(PeerId id) const noexcept {
 }
 
 double BandwidthMap::link_queries_per_minute(PeerId from, PeerId to) const noexcept {
-  const double kbps =
-      std::min(peer_upstream_kbps(from), peer_downstream_kbps(to));
-  return kbps_to_queries_per_minute(kbps);
+  return topology::link_queries_per_minute(classes_[from], classes_[to]);
 }
 
 double BandwidthMap::fraction_downstream_at_least(double kbps) const noexcept {

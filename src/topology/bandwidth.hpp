@@ -12,6 +12,7 @@
 /// to queries/minute via the Gnutella query wire size. The attack rate
 /// clamp of Sec. 3.5 — Q_d = min(20000, link capacity) — consumes this.
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,7 @@ enum class BandwidthClass : std::uint8_t {
   kT1,      ///< 1.544 Mbps symmetric
   kT3,      ///< 44.7 Mbps symmetric
 };
+inline constexpr std::size_t kBandwidthClasses = 5;
 
 std::string_view bandwidth_class_name(BandwidthClass c) noexcept;
 
@@ -44,6 +46,11 @@ inline constexpr double kQueryWireBytes = 60.0;
 /// Convert a rate in Kbps to the number of query messages per minute that
 /// rate can carry.
 double kbps_to_queries_per_minute(double kbps) noexcept;
+
+/// Queries/minute capacity of a link from a `from`-class sender to a
+/// `to`-class receiver: the bottleneck of the sender's upstream and the
+/// receiver's downstream.
+double link_queries_per_minute(BandwidthClass from, BandwidthClass to) noexcept;
 
 /// Assignment of bandwidth classes to a peer population.
 class BandwidthMap {

@@ -189,11 +189,11 @@ class EdgeMap {
 
 /// EdgeMap with the value split into a *hot* and a *cold* half stored in
 /// separate parallel arrays under one shared generation array. The flow
-/// engine keys its 256-byte in-flight flow vectors (read/written every
+/// engine keys its 128-byte in-flight flow vectors (read/written every
 /// tick) as Hot and its 16-byte minute counters (read by monitors, swept
 /// once a minute) as Cold: per-tick phases stream the hot array without
 /// dragging minute state through cache, and the minute rotation plus
-/// every DD-POLICE counter sweep touch only the cold array — 17x less
+/// every DD-POLICE counter sweep touch only the cold array — 9x less
 /// memory traffic than sweeping the fused records.
 ///
 /// Incarnation semantics are identical to EdgeMap (one generation guards
@@ -247,7 +247,9 @@ class SplitEdgeMap {
   /// what makes concurrent touches of *distinct* slots safe during the
   /// sharded sweeps.
   void sync() {
-    if (gens_.size() < index_->capacity()) grow(index_->capacity() - 1);
+    if (gens_.size() < index_->capacity()) {
+      grow(static_cast<EdgeIndex::Slot>(index_->capacity() - 1));
+    }
   }
 
   void clear() noexcept {

@@ -14,8 +14,8 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
 
 std::uint64_t hash_tag(std::string_view tag) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : tag) {
-    h ^= c;
+  for (const char c : tag) {
+    h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
   }
   return h;

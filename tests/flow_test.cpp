@@ -1,12 +1,16 @@
 // Flow-level engine tests: conservation and reach against exact coverage
 // profiles (cross-validation with the BFS model), per-link monitors, ghost
 // counters, capacity and bandwidth clamping, fair-share discipline, minute
-// rotation and the churn driver.
+// rotation, the churn driver, and absolute outputs pinned bit-for-bit.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "flow/churn_driver.hpp"
 #include "flow/network.hpp"
@@ -377,6 +381,135 @@ TEST(FlowNetwork, PriorityAdmissionShedsAttackTrafficFirst) {
   EXPECT_LT(prio.dropped_good, blind.dropped_good);
   EXPECT_GT(prio.dropped_attack, 0.0);
   EXPECT_GE(prio.success_rate + 1e-9, blind.success_rate);
+}
+
+// --------------------------------------------- pinned absolute outputs
+
+// Flow modes the golden gate never runs, pinned bit-for-bit. The
+// jobs-invariance tests only compare one-span with multi-span runs, so an
+// engine change that moved both would pass them; these constants would
+// not. A 150-peer overlay with bandwidth limits on and three agents drive
+// both service drops and sender-side clamp drops in every mode.
+struct PinnedOutputs {
+  MinuteReport report;
+  double in_flight = 0.0;
+  std::vector<double> agent_sent;  ///< agent out-links, adjacency order
+};
+
+constexpr std::array<PeerId, 3> kPinnedAgents{40, 90, 140};
+
+PinnedOutputs run_pinned(const FlowConfig& cfg) {
+  util::Rng rng(77);
+  World w(topology::paper_topology(150, rng), cfg, 5);
+  for (const PeerId a : kPinnedAgents) w.net->set_kind(a, PeerKind::kBad);
+  w.net->run_minutes(3.0);
+  PinnedOutputs out;
+  out.report = w.net->last_minute_report();
+  out.in_flight = w.net->total_in_flight();
+  for (const PeerId a : kPinnedAgents) {
+    for (const PeerId q : w.graph.neighbors(a)) {
+      out.agent_sent.push_back(w.net->sent_last_minute(a, q));
+    }
+  }
+  return out;
+}
+
+struct PinnedMode {
+  const char* name;
+  MinuteReport report;  ///< fields in declaration order
+  double in_flight;
+  std::vector<double> agent_sent;
+};
+
+FlowConfig pinned_config(const std::string& mode) {
+  FlowConfig cfg;
+  if (mode == "fair") cfg.discipline = ServiceDiscipline::kFairShare;
+  if (mode == "priority") cfg.admission = AdmissionPolicy::kPriority;
+  if (mode == "lossy") cfg.link_reliability = 0.9;
+  if (mode == "duplicating") cfg.link_reliability = 1.1;
+  return cfg;
+}
+
+TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
+  const std::vector<PinnedMode> modes = {
+    {"pooled",
+     {0x1.8p+1, 0x1.9130acb788209p+20, 0x1.8fb051b35ba6fp+20,
+      0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.205e0983fd1b1p+19,
+      0x1.114bcb2e6def2p+5, 0x1.c61192983bcedp-1, 0x1.16b3b5ba73daep+2,
+      0x1.69bdef79fd866p-1, 0x0p+0, 0x0p+0,
+      0x1.7e9ce0303fa81p+10, 0x1.1f9ebb13e4f71p+19},
+     0x1.abefa72a2b047p+14,
+     {0x1.74eaf325904fbp+14, 0x1.74eaf325904fbp+14, 0x1.b580000000006p+12,
+      0x1.74eaf325904fbp+14, 0x1.74eaf325904fbp+14, 0x1.6e211f9e1f114p+14,
+      0x1.6e211f9e1f114p+14, 0x1.6e211f9e1f114p+14, 0x1.6ae65d9584374p+14,
+      0x1.b580000000006p+12, 0x1.6ae65d9584374p+14}},
+    {"fair",
+     {0x1.8p+1, 0x1.df5cc7b421b68p+19, 0x1.d5a46623b27efp+19,
+      0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.1238e0e3c7758p+18,
+      0x1.7ee9c36b88764p+6, 0x1.f9930690ebd42p-1, 0x1.c07898d1f766dp+1,
+      0x1.e259aef669bb6p-2, 0x0p+0, 0x0p+0,
+      0x1.48901f53e58fcp+10, 0x1.10f050c47390ep+18},
+     0x1.1b4cc67039a55p+14,
+     {0x1.6c8ebe246d33ep+14, 0x1.6c8ebe246d33ep+14, 0x1.b580000000006p+12,
+      0x1.6c8ebe246d33ep+14, 0x1.6c8ebe246d33ep+14, 0x1.5d24fc55cac5ap+14,
+      0x1.5d24fc55cac5ap+14, 0x1.5d24fc55cac5ap+14, 0x1.5c95be07157d8p+14,
+      0x1.b580000000006p+12, 0x1.5c95be07157d8p+14}},
+    {"priority",
+     {0x1.8p+1, 0x1.7b4d5dec161d2p+20, 0x1.7388a1d49a881p+20,
+      0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.12697674e0fedp+19,
+      0x1.16d27209b7c9ep+7, 0x1.fe612ce2326d5p-1, 0x1.06881e774cafcp+2,
+      0x1.5c1d3b8a8b393p-1, 0x0p+0, 0x0p+0,
+      0x1.26a2d9cd6a59dp+3, 0x1.12684fd207311p+19},
+     0x1.9496ca956cd92p+14,
+     {0x1.71c6bbde77befp+14, 0x1.71c6bbde77befp+14, 0x1.b580000000006p+12,
+      0x1.71c6bbde77befp+14, 0x1.71c6bbde77befp+14, 0x1.6b8814f721a26p+14,
+      0x1.6b8814f721a26p+14, 0x1.6b8814f721a26p+14, 0x1.6887c10c6cfd9p+14,
+      0x1.b580000000006p+12, 0x1.6887c10c6cfd9p+14}},
+    {"lossy",
+     {0x1.8p+1, 0x1.8d62f5c845692p+20, 0x1.8bf9f5b19e91cp+20,
+      0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.d40b9fbeb1829p+18,
+      0x1.eade14bb50b5ap+4, 0x1.bd0328c334aa1p-1, 0x1.0e40b7914b91fp+2,
+      0x1.52dbc06d0f245p-1, 0x0p+0, 0x1.3de8c4a037576p+17,
+      0x1.1fafdf156ff18p+10, 0x1.d2ebefdf9c11bp+18},
+     0x1.a7e1062af487p+14,
+     {0x1.74ec1901644bfp+14, 0x1.74ec1901644bfp+14, 0x1.b580000000006p+12,
+      0x1.74ec1901644bfp+14, 0x1.74ec1901644bfp+14, 0x1.6e197b3469b96p+14,
+      0x1.6e197b3469b96p+14, 0x1.6e197b3469b96p+14, 0x1.6b0b84aa74404p+14,
+      0x1.b580000000006p+12, 0x1.6b0b84aa74404p+14}},
+    {"duplicating",
+     {0x1.8p+1, 0x1.94c9b10c26dd4p+20, 0x1.9331eab372732p+20,
+      0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.590390c754289p+19,
+      0x1.2dd185299681fp+5, 0x1.cdeccb3c03958p-1, 0x1.25f900117df94p+2,
+      0x1.7fc39c533a245p-1, 0x0p+0, 0x0p+0,
+      0x1.e8dc76d6adb67p+10, 0x1.580f228be8d61p+19},
+     0x1.afc6122f185a3p+14,
+     {0x1.74ecc209f990dp+14, 0x1.74ecc209f990dp+14, 0x1.b580000000006p+12,
+      0x1.74ecc209f990dp+14, 0x1.74ecc209f990dp+14, 0x1.6e27535b67d5p+14,
+      0x1.6e27535b67d5p+14, 0x1.6e27535b67d5p+14, 0x1.6ac83efb1b459p+14,
+      0x1.b580000000006p+12, 0x1.6ac83efb1b459p+14}},
+  };
+  for (const PinnedMode& m : modes) {
+    SCOPED_TRACE(m.name);
+    const PinnedOutputs o = run_pinned(pinned_config(m.name));
+    const MinuteReport& r = o.report;
+    const MinuteReport& e = m.report;
+    EXPECT_EQ(r.minute, e.minute);
+    EXPECT_EQ(r.traffic_messages, e.traffic_messages);
+    EXPECT_EQ(r.attack_messages, e.attack_messages);
+    EXPECT_EQ(r.good_issued, e.good_issued);
+    EXPECT_EQ(r.attack_issued, e.attack_issued);
+    EXPECT_EQ(r.dropped, e.dropped);
+    EXPECT_EQ(r.reach_per_query, e.reach_per_query);
+    EXPECT_EQ(r.success_rate, e.success_rate);
+    EXPECT_EQ(r.response_time, e.response_time);
+    EXPECT_EQ(r.mean_utilization, e.mean_utilization);
+    EXPECT_EQ(r.overhead_messages, e.overhead_messages);
+    EXPECT_EQ(r.transport_lost, e.transport_lost);
+    EXPECT_EQ(r.dropped_good, e.dropped_good);
+    EXPECT_EQ(r.dropped_attack, e.dropped_attack);
+    EXPECT_EQ(o.in_flight, m.in_flight);
+    EXPECT_EQ(o.agent_sent, m.agent_sent);
+  }
 }
 
 }  // namespace

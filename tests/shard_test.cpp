@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "experiments/scenario.hpp"
@@ -318,22 +319,22 @@ void run_jobs_invariance(flow::FlowConfig base) {
   const auto ref_report = ref.net->last_minute_report();
   const double ref_flight = ref.net->total_in_flight();
 
-  for (const unsigned jobs : {2u, 4u}) {
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{3},
-                                     std::size_t{8}}) {
-      flow::FlowConfig cfg = base;
-      cfg.jobs = jobs;
-      cfg.shards = shards;
-      FlowWorld w(31, cfg);
-      w.net->run_minutes(3.0);
-      expect_identical_reports(w.net->last_minute_report(), ref_report);
-      EXPECT_EQ(w.net->total_in_flight(), ref_flight)
-          << "jobs=" << jobs << " shards=" << shards;
-      for (PeerId p = 0; p < 8; ++p) {
-        for (PeerId q : w.graph.neighbors(p)) {
-          EXPECT_EQ(w.net->sent_last_minute(p, q),
-                    ref.net->sent_last_minute(p, q));
-        }
+  // jobs=1 with shards=3 runs several spans inline, without a pool.
+  const std::pair<unsigned, std::size_t> combos[] = {
+      {1, 3}, {2, 0}, {2, 3}, {2, 8}, {4, 0}, {4, 3}, {4, 8}};
+  for (const auto& [jobs, shards] : combos) {
+    flow::FlowConfig cfg = base;
+    cfg.jobs = jobs;
+    cfg.shards = shards;
+    FlowWorld w(31, cfg);
+    w.net->run_minutes(3.0);
+    expect_identical_reports(w.net->last_minute_report(), ref_report);
+    EXPECT_EQ(w.net->total_in_flight(), ref_flight)
+        << "jobs=" << jobs << " shards=" << shards;
+    for (PeerId p = 0; p < 8; ++p) {
+      for (PeerId q : w.graph.neighbors(p)) {
+        EXPECT_EQ(w.net->sent_last_minute(p, q),
+                  ref.net->sent_last_minute(p, q));
       }
     }
   }
@@ -350,6 +351,22 @@ TEST(ShardMerge, FairShareDisciplineInvariant) {
   flow::FlowConfig cfg;
   cfg.discipline = flow::ServiceDiscipline::kFairShare;
   run_jobs_invariance(cfg);
+}
+
+TEST(ShardMerge, PriorityAdmissionInvariant) {
+  flow::FlowConfig cfg;
+  cfg.admission = flow::AdmissionPolicy::kPriority;
+  run_jobs_invariance(cfg);
+}
+
+TEST(ShardMerge, UnreliableLinksInvariant) {
+  // Lossy links log a transport-loss contribution per in-link in phase 1;
+  // duplicating links (> 1) skip it but scale every arrival.
+  for (const double rel : {0.9, 1.1}) {
+    flow::FlowConfig cfg;
+    cfg.link_reliability = rel;
+    run_jobs_invariance(cfg);
+  }
 }
 
 TEST(ShardMerge, ScenarioRunIdenticalIncludingDecisions) {

@@ -20,7 +20,10 @@
 #include "p2p/guid_table.hpp"
 #include "sim/engine.hpp"
 #include "snapshot/snapshot.hpp"
+#include "topology/bandwidth.hpp"
+#include "topology/generators.hpp"
 #include "util/rng.hpp"
+#include "workload/content.hpp"
 
 namespace ddp {
 namespace {
@@ -221,6 +224,108 @@ TEST(GuidTableSnapshot, RejectsInvalidLayouts) {
   const std::size_t home = net::GuidHash{}(g) & 7u;
   broken[(home + 2) & 7u] = {g, 1.0, 0, true};  // (home+1) left empty
   EXPECT_FALSE(t.restore_raw(broken));
+}
+
+// ---------------------------------------------------------------------------
+// Flow section: round trip and the always-zero nxt block
+
+struct FlowFixture {
+  topology::Graph graph;
+  topology::BandwidthMap bandwidth;
+  workload::ContentModel content;
+  flow::FlowNetwork net;
+
+  explicit FlowFixture(util::Rng topo_rng)
+      : graph(topology::paper_topology(120, topo_rng)),
+        bandwidth(graph.node_count(), topo_rng),
+        content(workload::ContentConfig{}, graph.node_count()),
+        net(graph, bandwidth, content, flow::FlowConfig{}, util::Rng(5)) {
+    for (PeerId a = 0; a < 4; ++a) net.set_kind(a, PeerKind::kBad);
+  }
+};
+
+std::vector<std::uint8_t> flow_image(const flow::FlowNetwork& net) {
+  Writer w;
+  w.begin_section(snapshot::section_id("FLOW"));
+  net.save(w);
+  w.end_section();
+  return w.finish(0);
+}
+
+// Header (24 bytes) plus one section header (16 bytes) precede the payload
+// of a single-section image.
+constexpr std::size_t kFlowPayloadOffset = 40;
+
+std::vector<std::uint8_t> reframe_flow_payload(
+    const std::vector<std::uint8_t>& payload) {
+  Writer w;
+  w.begin_section(snapshot::section_id("FLOW"));
+  for (const std::uint8_t b : payload) w.u8(b);
+  w.end_section();
+  return w.finish(0);
+}
+
+void load_flow_image(flow::FlowNetwork& net,
+                     const std::vector<std::uint8_t>& image) {
+  Reader r = Reader::from_bytes(image);
+  r.begin_section(snapshot::section_id("FLOW"));
+  net.load(r);
+  r.end_section();
+}
+
+TEST(FlowSnapshot, MidRunSectionRoundTripsByteIdentically) {
+  FlowFixture a(util::Rng(3));
+  a.net.run_minutes(1.5);  // mid-minute: running counters are non-zero
+  const auto image = flow_image(a.net);
+
+  flow::FlowNetwork b(a.graph, a.bandwidth, a.content, flow::FlowConfig{},
+                      util::Rng(99));
+  load_flow_image(b, image);
+  EXPECT_EQ(flow_image(b), image);
+
+  // The restored engine carries on exactly like the original.
+  a.net.run_minutes(1.0);
+  b.run_minutes(1.0);
+  EXPECT_EQ(flow_image(b), flow_image(a.net));
+}
+
+TEST(FlowSnapshot, RejectsNonZeroNxtBlock) {
+  FlowFixture a(util::Rng(4));
+  a.net.run_minutes(1.5);
+  const auto image = flow_image(a.net);
+  std::vector<std::uint8_t> payload(
+      image.begin() + static_cast<long>(kFlowPayloadOffset), image.end());
+
+  // Payload layout: peer count + one role byte per peer, the issue-scale
+  // vector (count + doubles), the entry count, then per entry the slot,
+  // 16 cur doubles and 16 nxt doubles.
+  const std::size_t n = a.graph.node_count();
+  const std::size_t entries_at = 8 + n + 8 + 8 * n;
+  std::uint64_t entries = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    entries |= static_cast<std::uint64_t>(payload[entries_at + i]) << (8 * i);
+  }
+  ASSERT_GT(entries, 0u);
+  const std::size_t nxt_at = entries_at + 8 + 4 + 16 * 8;
+  for (std::size_t i = 0; i < 16 * 8; ++i) ASSERT_EQ(payload[nxt_at + i], 0);
+
+  // Re-framing the untouched payload loads: the guard is the nxt check,
+  // not the framing.
+  flow::FlowNetwork ok(a.graph, a.bandwidth, a.content, flow::FlowConfig{},
+                       util::Rng(1));
+  EXPECT_NO_THROW(load_flow_image(ok, reframe_flow_payload(payload)));
+
+  // 1.0 as a little-endian double in the first nxt slot of entry 0.
+  payload[nxt_at + 6] = 0xf0;
+  payload[nxt_at + 7] = 0x3f;
+  flow::FlowNetwork victim(a.graph, a.bandwidth, a.content,
+                           flow::FlowConfig{}, util::Rng(1));
+  try {
+    load_flow_image(victim, reframe_flow_payload(payload));
+    FAIL() << "a non-zero nxt block was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("nxt"), std::string::npos) << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------
