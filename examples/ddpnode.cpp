@@ -15,11 +15,13 @@
 ///       stats=results/node0.jsonl seed=1
 ///
 /// duration_min=0 runs until SIGTERM/SIGINT; either way shutdown is
-/// orderly (final stats line, every fd closed).
+/// orderly (final stats line, every fd closed). Out-of-range DD-POLICE
+/// settings (ct=0, confirmations=0, ...) exit 2 before anything starts.
 
 #include <cstdio>
 #include <string>
 
+#include "core/config.hpp"
 #include "netengine/node.hpp"
 #include "util/config.hpp"
 
@@ -78,6 +80,11 @@ int main(int argc, char** argv) {
       static_cast<int>(opt.get("confirmations", std::int64_t{2}));
   cfg.stats_path = opt.get("stats", std::string{});
   cfg.seed = static_cast<std::uint64_t>(opt.get("seed", std::int64_t{1}));
+
+  if (const std::string err = core::validate(cfg.ddp); !err.empty()) {
+    std::fprintf(stderr, "ddpnode: invalid configuration: %s\n", err.c_str());
+    return 2;
+  }
 
   netengine::Node node(cfg);
   if (!node.start()) {

@@ -24,11 +24,13 @@
 #                             # byte-identical, and adaptive=0 must leave
 #                             # ddpsim output byte-identical to the default
 #   scripts/check.sh --net    # tier-1 plus the socket-engine gate:
-#                             # build ddpnode/ddptestbed, run the loopback
-#                             # engine suite (plain and under ASan+UBSan),
-#                             # then a 10-process localhost mini-testbed
-#                             # that must cut the attacker and no honest
-#                             # peer from real TCP traffic
+#                             # invalid ddpnode DD-POLICE settings must
+#                             # exit 2, the loopback engine suite runs
+#                             # plain and (with the LocalPolice suite)
+#                             # under ASan+UBSan, then a 10-process
+#                             # localhost mini-testbed must cut the
+#                             # attacker and no honest peer from real TCP
+#                             # traffic
 #   scripts/check.sh --shard  # tier-1 plus the sharded-engine gate:
 #                             # ddpsim trace/CSV byte-identity across
 #                             # flow_jobs/flow_shards combinations, then a
@@ -304,6 +306,27 @@ if [ "$run_shard" -eq 1 ]; then
 fi
 
 if [ "$run_net" -eq 1 ]; then
+  echo "== socket engine: ddpnode DD-POLICE validation =="
+  # Settings the per-node judge cannot honour must die with exit 2 and a
+  # message naming the knob before the node listens, like ddpsim's
+  # validation (see --adaptive). The short duration bounds the run if a
+  # regression lets one start.
+  for bad in "ct=0" "confirmations=0"; do
+    # shellcheck disable=SC2086
+    if ./build/examples/ddpnode port=0 minute_seconds=0.2 duration_min=1 \
+        $bad > /dev/null 2>&1; then
+      echo "FAIL: invalid ddpnode setting ($bad) was accepted" >&2
+      exit 1
+    else
+      rc=$?
+      if [ "$rc" -ne 2 ]; then
+        echo "FAIL: invalid ddpnode setting ($bad) exited $rc, expected 2" >&2
+        exit 1
+      fi
+    fi
+  done
+  echo "ddpnode validation: OK (invalid DD-POLICE settings exit 2)"
+
   echo "== socket engine: loopback suite (release build) =="
   # ddpnode/ddptestbed are part of the default build above; the loopback
   # suite drives the real epoll engine over 127.0.0.1 sockets — framing
@@ -311,19 +334,21 @@ if [ "$run_net" -eq 1 ]; then
   # SIGTERM shutdown with no leaked fds, and the echo-corrected credit.
   ./build/tests/netengine_test
 
-  echo "== socket engine: loopback suite under ASan + UBSan =="
+  echo "== socket engine: loopback + LocalPolice suites under ASan + UBSan =="
   cmake --preset asan-ubsan
-  cmake --build --preset asan-ubsan -j "$jobs" --target netengine_test
-  ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}" \
-  UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
-      ./build-asan/tests/netengine_test
+  cmake --build --preset asan-ubsan -j "$jobs" --target netengine_test police_test
+  for suite in netengine_test police_test; do
+    ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}" \
+    UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
+        "./build-asan/tests/$suite"
+  done
 
   echo "== socket engine: 10-process localhost mini-testbed =="
   # One attacker among ten real ddpnode processes; STRICT aggregation
   # fails the gate unless the attacker is cut and no honest peer is.
   BUILD_DIR="$repo/build" OUT_DIR="$tmp/net_testbed" STRICT=1 \
       scripts/testbed.sh 10 1
-  echo "socket engine gate: OK (loopback suite x2 + mini-testbed STRICT)"
+  echo "socket engine gate: OK (validation + loopback suite x2 + LocalPolice under ASan + mini-testbed STRICT)"
 fi
 
 if [ "$run_asan" -eq 1 ]; then

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/ddpolice.hpp"
 #include "core/overlay_port.hpp"
 #include "core/quarantine.hpp"
 #include "obs/trace.hpp"
@@ -51,7 +50,7 @@ class Reader;
 
 namespace ddp::core {
 
-class AdaptiveThresholds final : public ThresholdPolicy {
+class AdaptiveThresholds final {
  public:
   /// A learned normal band for one directed link (sender -> monitor).
   struct Band {
@@ -76,13 +75,15 @@ class AdaptiveThresholds final : public ThresholdPolicy {
   /// before the detection phase consults the rails.
   void on_minute(double minute);
 
-  // -- ThresholdPolicy ------------------------------------------------------
+  // -- Thresholds DdPolice judges against ----------------------------------
+  /// Queries/minute above which `judge` flags its neighbour `suspect`:
   /// min(static warning, r1) on a mature suspect->judge band; the static
   /// warning threshold while the band is still immature.
-  double warning_threshold(PeerId judge, PeerId suspect) const override;
-  /// malicious_ct (clamped to the static CT) when the suspect's current
-  /// rate into the judge exceeds r2; the static CT otherwise.
-  double cut_threshold(PeerId judge, PeerId suspect) const override;
+  double warning_threshold(PeerId judge, PeerId suspect) const;
+  /// The CT `judge` applies to `suspect` this round: malicious_ct (clamped
+  /// to the static CT) when the suspect's current rate into the judge
+  /// exceeds r2; the static CT otherwise.
+  double cut_threshold(PeerId judge, PeerId suspect) const;
 
   // -- Introspection (tests, metrics, the ablation) -------------------------
   /// The learned band on the directed link from -> to (default-constructed,

@@ -130,7 +130,9 @@ struct DdPoliceConfig {
   /// spike while a flooder, which trips every round, merely waits one
   /// more round for its verdict. Trips older than two protocol minutes,
   /// or closer together than half a minute (a starved judge's catch-up
-  /// rounds), don't chain. The simulation judge ignores this field.
+  /// rounds), don't chain. The simulation judge (DdPolice) has no
+  /// confirmation gate, so experiments::validate_config refuses any value
+  /// but 1 for a simulated scenario.
   int cut_confirmations = 1;
 
   // ---- Control-plane robustness under unreliable transport (src/fault) ----

@@ -37,7 +37,6 @@ DdPolice::DdPolice(OverlayPort& port, const DdPoliceConfig& config, util::Rng rn
   if (config_.adaptive.enabled) {
     adaptive_ = std::make_unique<AdaptiveThresholds>(port_, config_);
     if (ledger_) adaptive_->set_ledger(&*ledger_);
-    policy_ = adaptive_.get();
   }
   const std::size_t n = port_.graph().node_count();
   next_exchange_minute_.resize(n);
@@ -288,59 +287,51 @@ void DdPolice::detection_phase(double minute) {
   // Scratch buffers persist across minutes: the per-suspect judge vectors
   // keep their capacity, so steady-state detection allocates nothing.
   flagged_.clear();
+  // Each span of judges logs its over-threshold observations; the replay
+  // below walks the logs in span order, which is judge PeerId order, so
+  // counters, first-flag round order and trace emission are bit-identical
+  // at any span count. Without a pool (or on small overlays) the whole
+  // range is one span scanned inline; with one, each worker scans a span.
+  // The scan only does const reads (counters, thresholds, topology); see
+  // set_sweep_pool.
   const std::size_t n = g.node_count();
-  if (sweep_pool_ != nullptr && sweep_pool_->size() > 1 && n >= 256) {
-    // Sharded sweep: each worker scans a contiguous judge span and logs
-    // every over-threshold observation; the replay below walks the logs
-    // in span order, which is judge PeerId order — exactly the inline
-    // loop's sequence, so counters, first-flag round order and trace
-    // emission are bit-identical at any worker count. The scan only does
-    // const reads (counters, thresholds, topology); see set_sweep_pool.
-    const auto spans = util::make_spans(n, sweep_pool_->size());
-    if (flag_scratch_.size() < spans.size()) flag_scratch_.resize(spans.size());
-    for (std::size_t k = 0; k < spans.size(); ++k) {
-      sweep_pool_->submit([this, &g, span = spans[k], &log = flag_scratch_[k]] {
-        log.clear();
-        for (auto i = static_cast<PeerId>(span.begin); i < span.end; ++i) {
-          if (!g.is_active(i)) continue;
-          for (PeerId j : g.neighbors(i)) {
-            const double out = port_.sent_last_minute(j, i);
-            const double warn = policy_ != nullptr
-                                    ? policy_->warning_threshold(i, j)
-                                    : config_.warning_threshold;
-            if (out > warn) log.push_back({i, j, out});
-          }
-        }
-      });
-    }
-    sweep_pool_->wait_idle();
-    for (std::size_t k = 0; k < spans.size(); ++k) {
-      for (const FlagHit& hit : flag_scratch_[k]) {
-        ++suspicions_;
-        auto& judges = judges_scratch_[hit.suspect];
-        if (judges.empty()) flagged_.push_back(hit.suspect);
-        judges.push_back(hit.judge);
-        DDP_TRACE(tracer_, obs::EventType::kSuspectFlagged, minute * kMinute,
-                  hit.suspect, hit.judge, {{"out", hit.out}});
-      }
-    }
-  } else {
-    for (PeerId i = 0; i < n; ++i) {
+  const bool pooled =
+      sweep_pool_ != nullptr && sweep_pool_->size() > 1 && n >= 256;
+  const auto spans = util::make_spans(n, pooled ? sweep_pool_->size() : 1);
+  if (flag_scratch_.size() < spans.size()) flag_scratch_.resize(spans.size());
+  const auto scan = [this, &g](util::IndexSpan span,
+                               std::vector<FlagHit>& log) {
+    log.clear();
+    for (auto i = static_cast<PeerId>(span.begin); i < span.end; ++i) {
       if (!g.is_active(i)) continue;
       for (PeerId j : g.neighbors(i)) {
         const double out = port_.sent_last_minute(j, i);
-        const double warn = policy_ != nullptr
-                                ? policy_->warning_threshold(i, j)
-                                : config_.warning_threshold;
-        if (out > warn) {
-          ++suspicions_;
-          auto& judges = judges_scratch_[j];
-          if (judges.empty()) flagged_.push_back(j);
-          judges.push_back(i);
-          DDP_TRACE(tracer_, obs::EventType::kSuspectFlagged, minute * kMinute,
-                    j, i, {{"out", out}});
-        }
+        const double warn = adaptive_ ? adaptive_->warning_threshold(i, j)
+                                      : config_.warning_threshold;
+        if (out > warn) log.push_back({i, j, out});
       }
+    }
+  };
+  if (pooled) {
+    for (std::size_t k = 0; k < spans.size(); ++k) {
+      sweep_pool_->submit([&scan, span = spans[k], &log = flag_scratch_[k]] {
+        scan(span, log);
+      });
+    }
+    sweep_pool_->wait_idle();
+  } else {
+    for (std::size_t k = 0; k < spans.size(); ++k) {
+      scan(spans[k], flag_scratch_[k]);
+    }
+  }
+  for (std::size_t k = 0; k < spans.size(); ++k) {
+    for (const FlagHit& hit : flag_scratch_[k]) {
+      ++suspicions_;
+      auto& judges = judges_scratch_[hit.suspect];
+      if (judges.empty()) flagged_.push_back(hit.suspect);
+      judges.push_back(hit.judge);
+      DDP_TRACE(tracer_, obs::EventType::kSuspectFlagged, minute * kMinute,
+                hit.suspect, hit.judge, {{"out", hit.out}});
     }
   }
   // All rounds of this minute evaluate against the same completed-minute
@@ -572,52 +563,55 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
       }
     }
 
-    const double gval = general_indicator(reports, config_.good_issue_bound,
-                                          config_.capacity_bound_per_minute);
-    const double sval = single_indicator(reports, judge,
-                                         config_.good_issue_bound,
-                                         config_.capacity_bound_per_minute);
     // A buddy group needs buddies: a judge with no other believed member
     // has nobody to corroborate with, so the protocol cannot conclude
     // (the suspect may simply be forwarding for peers unknown to us).
     if (reports.size() < 2) continue;
-    if (tracer_.on()) {
-      double responders = 0.0;
-      for (const auto& r : reports) {
-        if (r.responded) responders += 1.0;
-      }
-      tracer_.emit(obs::EventType::kIndicatorComputed, minute * kMinute,
-                   suspect, judge,
-                   {{"g", gval},
-                    {"s", sval},
-                    {"k", static_cast<double>(reports.size())},
-                    {"responders", responders}});
-    }
-    const double ct = policy_ != nullptr
-                          ? policy_->cut_threshold(judge, suspect)
-                          : config_.cut_threshold;
-    if (is_bad(gval, sval, ct)) {
-      Decision d;
-      d.minute = minute;
-      d.judge = judge;
-      d.suspect = suspect;
-      d.g = gval;
-      d.s = sval;
-      d.via_single = !(gval > ct);
-      d.believed_k = static_cast<std::uint32_t>(reports.size());
-      for (const auto& r : reports) {
-        if (r.responded) ++d.responders;
-      }
-      d.true_degree = static_cast<std::uint32_t>(g.degree(suspect));
-      decisions_.push_back(d);
+    const double ct = adaptive_ ? adaptive_->cut_threshold(judge, suspect)
+                                : config_.cut_threshold;
+    if (std::optional<Decision> d =
+            verdict(reports, judge, suspect, ct, config_, minute, tracer_)) {
+      d->true_degree = static_cast<std::uint32_t>(g.degree(suspect));
+      record_cut(*d, decisions_, tracer_);
       pending_disconnects_.emplace_back(judge, suspect);
-      DDP_TRACE(tracer_, obs::EventType::kSuspectCut, minute * kMinute,
-                suspect, judge,
-                {{"g", gval},
-                 {"s", sval},
-                 {"via_single", d.via_single ? 1.0 : 0.0}});
     }
   }
+}
+
+std::optional<Decision> verdict(const std::vector<MemberReport>& reports,
+                                PeerId judge, PeerId suspect, double ct,
+                                const DdPoliceConfig& config, double minute,
+                                const obs::Tracer& tracer) {
+  const double q = config.good_issue_bound;
+  const double cap = config.capacity_bound_per_minute;
+  Decision d;
+  d.minute = minute;
+  d.judge = judge;
+  d.suspect = suspect;
+  d.g = general_indicator(reports, q, cap);
+  d.s = single_indicator(reports, judge, q, cap);
+  d.believed_k = static_cast<std::uint32_t>(reports.size());
+  for (const MemberReport& r : reports) {
+    if (r.responded) ++d.responders;
+  }
+  DDP_TRACE(tracer, obs::EventType::kIndicatorComputed, minute * kMinute,
+            suspect, judge,
+            {{"g", d.g},
+             {"s", d.s},
+             {"k", static_cast<double>(d.believed_k)},
+             {"responders", static_cast<double>(d.responders)}});
+  const bool g_trips = d.g > ct;
+  if (!g_trips && !(d.s > ct)) return std::nullopt;
+  d.via_single = !g_trips;
+  return d;
+}
+
+void record_cut(const Decision& d, std::vector<Decision>& decisions,
+                const obs::Tracer& tracer) {
+  decisions.push_back(d);
+  DDP_TRACE(tracer, obs::EventType::kSuspectCut, d.minute * kMinute, d.suspect,
+            d.judge,
+            {{"g", d.g}, {"s", d.s}, {"via_single", d.via_single ? 1.0 : 0.0}});
 }
 
 namespace {

@@ -63,23 +63,6 @@ using ReportPolicy = std::function<std::optional<TrafficTruth>(
 using ListPolicy =
     std::function<std::vector<PeerId>(PeerId owner, std::vector<PeerId> truth)>;
 
-/// Per-decision threshold source. DD-POLICE consults the installed policy
-/// for both the per-link warning threshold (what makes a neighbour
-/// suspicious at the monitor) and the per-pair cut threshold CT (what a
-/// buddy round judges the indicators against). A null policy reproduces
-/// the paper's static constants bit-for-bit; AdaptiveThresholds
-/// (core/adaptive.hpp) learns both from per-link history bands.
-class ThresholdPolicy {
- public:
-  virtual ~ThresholdPolicy() = default;
-
-  /// Queries/minute above which `judge` flags its neighbour `suspect`.
-  virtual double warning_threshold(PeerId judge, PeerId suspect) const = 0;
-
-  /// The CT `judge` applies to the indicators of `suspect` this round.
-  virtual double cut_threshold(PeerId judge, PeerId suspect) const = 0;
-};
-
 class AdaptiveThresholds;
 
 /// One disconnect decision, for the metrics pipeline.
@@ -100,6 +83,21 @@ struct Decision {
 void save_decision(snapshot::Writer& w, const Decision& d);
 void load_decision(snapshot::Reader& r, Decision& d);
 
+/// Definition 2.3 at cut threshold `ct` (Sec. 3.7.2): the one verdict
+/// step both judges (DdPolice, LocalPolice) run once `judge`'s report set
+/// on `suspect` is assembled. Computes g and s with the config's q and
+/// capacity cap, emits indicator_computed (k = reports judged, responders
+/// = members that answered) and returns the cut Decision when g > ct or
+/// s > ct. true_degree is left to the driver; record_cut enacts the rest.
+std::optional<Decision> verdict(const std::vector<MemberReport>& reports,
+                                PeerId judge, PeerId suspect, double ct,
+                                const DdPoliceConfig& config, double minute,
+                                const obs::Tracer& tracer);
+
+/// Record a cut verdict: append it to `decisions` and emit suspect_cut.
+void record_cut(const Decision& d, std::vector<Decision>& decisions,
+                const obs::Tracer& tracer);
+
 class DdPolice {
  public:
   DdPolice(OverlayPort& port, const DdPoliceConfig& config, util::Rng rng);
@@ -109,15 +107,8 @@ class DdPolice {
   void set_report_policy(ReportPolicy policy) { report_policy_ = std::move(policy); }
   void set_list_policy(ListPolicy policy) { list_policy_ = std::move(policy); }
 
-  /// Override the threshold source (null restores the static constants).
-  /// Constructing with config.adaptive.enabled installs the built-in
-  /// AdaptiveThresholds automatically; this seam exists for tests and
-  /// future policies.
-  void set_threshold_policy(ThresholdPolicy* policy) noexcept {
-    policy_ = policy;
-  }
-
-  /// The built-in adaptive policy, or null when adaptive.enabled is off.
+  /// The learned per-link warning threshold and CT source (built when
+  /// config.adaptive.enabled), or null: the paper's static constants.
   AdaptiveThresholds* adaptive() noexcept { return adaptive_.get(); }
   const AdaptiveThresholds* adaptive() const noexcept { return adaptive_.get(); }
 
@@ -140,8 +131,8 @@ class DdPolice {
   /// NOT of the packet engine's advance-on-read sliding windows, so only
   /// flow-backed runs should attach a pool. The merge replays per-span hits
   /// in span (= PeerId) order, so flags, traces, counters and round order
-  /// are bit-identical at any worker count. Null (the default) keeps the
-  /// inline serial scan.
+  /// are bit-identical at any worker count. Null (the default) scans the
+  /// whole range as one span on the calling thread.
   void set_sweep_pool(util::ThreadPool* pool) noexcept { sweep_pool_ = pool; }
 
   /// Attach a trace sink (null detaches). Emits the control-plane
@@ -228,8 +219,7 @@ class DdPolice {
   ReportPolicy report_policy_;
   ListPolicy list_policy_;
   fault::FaultPlane* fault_ = nullptr;
-  std::unique_ptr<AdaptiveThresholds> adaptive_;  ///< when adaptive.enabled
-  ThresholdPolicy* policy_ = nullptr;  ///< null => static paper thresholds
+  std::unique_ptr<AdaptiveThresholds> adaptive_;  ///< null => paper constants
 
   topology::PeerMap<std::vector<Snapshot>> snapshots_;  ///< by holder
   std::size_t snapshot_count_ = 0;  ///< total held snapshots (ping costing)
@@ -241,9 +231,9 @@ class DdPolice {
   /// order — the canonical round order.
   topology::PeerMap<std::vector<PeerId>> judges_scratch_;
   std::vector<PeerId> flagged_;
-  /// One over-threshold observation from the sharded flag scan. Workers
-  /// record hits in judge-scan order within their span; the serial replay
-  /// walks spans in order, reproducing the inline loop's exact sequence.
+  /// One over-threshold observation from the flag scan. Each span records
+  /// hits in judge-scan order; the serial replay walks spans in order, so
+  /// the sequence is judge PeerId order at any span count.
   struct FlagHit {
     PeerId judge = kInvalidPeer;
     PeerId suspect = kInvalidPeer;

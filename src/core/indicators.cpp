@@ -38,8 +38,4 @@ double single_indicator(const std::vector<MemberReport>& reports, PeerId judge,
   return (q_ji - others_into_suspect) / q;
 }
 
-bool is_bad(double g, double s, double cut_threshold) {
-  return g > cut_threshold || s > cut_threshold;
-}
-
 }  // namespace ddp::core

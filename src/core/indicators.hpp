@@ -12,7 +12,8 @@
 ///
 /// Under the no-duplication forwarding assumption both equal
 /// (queries issued by j per minute) / q; Definition 2.3 calls j bad when
-/// either exceeds 1 (generalized to the cut threshold CT in Sec. 3.7.2).
+/// either exceeds 1 (generalized to the cut threshold CT in Sec. 3.7.2) —
+/// that decision is core::verdict (ddpolice.hpp), shared by both judges.
 ///
 /// Missing members (offline, never exchanged, or refusing to answer) are
 /// included in k with zero counters — the paper's timeout rule (Sec. 3.4).
@@ -62,8 +63,5 @@ double single_indicator(const std::vector<MemberReport>& reports, PeerId judge,
                         double q,
                         double input_credit_cap =
                             std::numeric_limits<double>::infinity());
-
-/// Definition 2.3 / Sec. 3.7.2 decision: is j a bad peer at threshold CT?
-bool is_bad(double g, double s, double cut_threshold);
 
 }  // namespace ddp::core

@@ -160,7 +160,6 @@ LocalPolice::SuspectClock& LocalPolice::clock_for(std::uint32_t suspect) {
 }
 
 bool LocalPolice::record_trip(std::uint32_t suspect, double now_minutes) {
-  const int needed = config_.cut_confirmations < 1 ? 1 : config_.cut_confirmations;
   TripStreak* streak = nullptr;
   for (TripStreak& t : streaks_) {
     if (t.suspect == suspect) { streak = &t; break; }
@@ -182,7 +181,7 @@ bool LocalPolice::record_trip(std::uint32_t suspect, double now_minutes) {
   }
   streak->last_trip = now_minutes;
   ++streak->trips;
-  if (streak->trips < needed) return false;
+  if (streak->trips < config_.cut_confirmations) return false;
   clear_streak(suspect);
   return true;
 }
@@ -482,14 +481,12 @@ void LocalPolice::close_round(Round& round, double now_minutes) {
   self.in_from_suspect = round.my_in;
   self.responded = true;
   reports.push_back(self);
-  std::uint32_t responders = 1;
   for (const std::uint32_t m : round.members) {
     const auto it =
         std::find_if(round.received.begin(), round.received.end(),
                      [m](const MemberReport& mr) { return mr.member == m; });
     if (it != round.received.end()) {
       reports.push_back(*it);
-      ++responders;
     } else {
       MemberReport silent;
       silent.member = m;
@@ -498,41 +495,22 @@ void LocalPolice::close_round(Round& round, double now_minutes) {
     }
   }
 
-  const double q = config_.good_issue_bound;
-  const double cap = config_.capacity_bound_per_minute;
-  const double g = general_indicator(reports, q, cap);
-  const double s = single_indicator(reports, self_, q, cap);
-  DDP_TRACE(tracer_, obs::EventType::kIndicatorComputed, minutes(now_minutes),
-            round.suspect, self_,
-            {{"g", g}, {"s", s}, {"k", double(reports.size())},
-             {"responders", double(responders)}});
-
-  if (!is_bad(g, s, config_.cut_threshold)) {
+  std::optional<Decision> d = verdict(reports, self_, round.suspect,
+                                      config_.cut_threshold, config_,
+                                      now_minutes, tracer_);
+  if (!d) {
     clear_streak(round.suspect);
     return;
   }
   if (!record_trip(round.suspect, now_minutes)) {
     DDP_TRACE(tracer_, obs::EventType::kIndicatorComputed, minutes(now_minutes),
               round.suspect, self_,
-              {{"g", g}, {"s", s}, {"pending_confirmation", 1.0}});
+              {{"g", d->g}, {"s", d->s}, {"pending_confirmation", 1.0}});
     return;
   }
-
-  Decision d;
-  d.minute = now_minutes;
-  d.judge = self_;
-  d.suspect = round.suspect;
-  d.g = g;
-  d.s = s;
-  d.via_single = !(g > config_.cut_threshold);
-  d.believed_k = static_cast<std::uint32_t>(reports.size());
-  d.responders = responders;
-  d.true_degree = static_cast<std::uint32_t>(round.members.size() + 1);
-  decisions_.push_back(d);
-  DDP_TRACE(tracer_, obs::EventType::kSuspectCut, minutes(now_minutes),
-            round.suspect, self_,
-            {{"g", g}, {"s", s}, {"via_single", d.via_single ? 1.0 : 0.0}});
-  if (cut_handler_) cut_handler_(round.suspect, d);
+  d->true_degree = static_cast<std::uint32_t>(round.members.size() + 1);
+  record_cut(*d, decisions_, tracer_);
+  if (cut_handler_) cut_handler_(round.suspect, *d);
 }
 
 }  // namespace ddp::core

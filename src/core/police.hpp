@@ -9,11 +9,12 @@
 /// every report synchronously, which is exactly right for the simulation
 /// engines and exactly wrong for a real socket deployment where each peer
 /// only sees its own links and control messages arrive asynchronously.
-/// LocalPolice is the per-node half: the same indicators (Definitions
-/// 2.1-2.3), the same DdPoliceConfig thresholds, and the same phase
-/// structure (Sec. 3.1 list exchange, Sec. 3.2 monitors, Sec. 3.3 buddy
-/// rounds, Sec. 3.4 silent-members-count-as-zero), but driven by inbound
-/// messages and an owner-supplied minute cadence instead of a global sweep.
+/// LocalPolice is the per-node half: the same verdict step (core::verdict,
+/// Definitions 2.1-2.3, shared with DdPolice), the same DdPoliceConfig
+/// thresholds, and the same phase structure (Sec. 3.1 list exchange,
+/// Sec. 3.2 monitors, Sec. 3.3 buddy rounds, Sec. 3.4 silent-members-
+/// count-as-zero), but driven by inbound messages and an owner-supplied
+/// minute cadence instead of a global sweep.
 ///
 /// Peers are identified by their 32-bit overlay address (the virtual IPv4
 /// carried in Pong/Neighbor_Traffic/Neighbor_List bodies), not by dense
@@ -32,13 +33,16 @@
 ///     with our own counters (once per suspect per suppression window) and
 ///     recorded into the matching open round, if any;
 ///   - a round closes when every member answered or the collect timeout
-///     expires (on_tick); silent members count as zero (Sec. 3.4), then
-///     g/s are computed and the cut handler fires when Definition 2.3
-///     trips at CT.
+///     expires (on_tick); silent members count as zero (Sec. 3.4), the
+///     report set goes through core::verdict, and the cut handler fires
+///     once the verdict has tripped cut_confirmations rounds in a row.
 ///
-/// The sim-side extras (list-consistency verification, fault-plane retry
-/// loops, quarantine ladder, adaptive bands) stay in DdPolice; a socket
-/// node enforces its verdicts by dropping the connection and banning the
+/// Only the gates around the verdict are this driver's own: the snapshot,
+/// shrink and ban admission of a round, the k = 1 self-judgment DdPolice
+/// refuses, and cut confirmation (DESIGN.md §9 lists them). The sim-side
+/// extras (list-consistency verification, fault-plane retry loops,
+/// quarantine ladder, adaptive bands) stay in DdPolice; a socket node
+/// enforces its verdicts by dropping the connection and banning the
 /// address, which is the paper's terminal cut.
 
 #include <algorithm>

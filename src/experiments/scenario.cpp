@@ -59,6 +59,10 @@ std::string validate_config(const ScenarioConfig& config) {
   if (const std::string err = core::validate(config.ddpolice); !err.empty()) {
     return err;
   }
+  if (config.ddpolice.cut_confirmations != 1) {
+    return "ddpolice.cut_confirmations must be 1 in the simulator (only the "
+           "per-node LocalPolice judge confirms cuts)";
+  }
   if (config.ddpolice.adaptive.enabled &&
       config.defense != defense::Kind::kDdPolice) {
     return "ddpolice.adaptive.enabled requires defense=ddpolice (the bands "

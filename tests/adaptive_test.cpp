@@ -8,18 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <map>
 #include <set>
-#include <utility>
 
 #include "core/adaptive.hpp"
 #include "core/config.hpp"
 #include "experiments/scenario.hpp"
+#include "fake_overlay.hpp"
 #include "snapshot/snapshot.hpp"
 #include "topology/graph.hpp"
 
 namespace ddp::core {
 namespace {
+
+using test::FakeOverlay;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -111,38 +112,6 @@ TEST(AdaptiveValidate, ScenarioRequiresMonitors) {
 }
 
 // ------------------------------------------------- bands on a fake port
-
-// Hand-driven OverlayPort: a fixed graph plus a writable rate matrix, so
-// tests control exactly what every monitor observes each minute.
-class FakeOverlay final : public OverlayPort {
- public:
-  explicit FakeOverlay(std::size_t peers) : graph_(peers) {}
-
-  topology::Graph& mutable_graph() { return graph_; }
-  void set_rate(PeerId from, PeerId to, double rate) {
-    rate_[{from, to}] = rate;
-  }
-  double budget(PeerId p) const {
-    auto it = budget_.find(p);
-    return it != budget_.end() ? it->second : 1.0;
-  }
-
-  const topology::Graph& graph() const override { return graph_; }
-  double sent_last_minute(PeerId from, PeerId to) const override {
-    auto it = rate_.find({from, to});
-    return it != rate_.end() ? it->second : 0.0;
-  }
-  void disconnect(PeerId a, PeerId b) override { graph_.remove_edge(a, b); }
-  void set_query_budget(PeerId p, double scale) override {
-    budget_[p] = scale;
-  }
-  void report_overhead(double) override {}
-
- private:
-  topology::Graph graph_;
-  std::map<std::pair<PeerId, PeerId>, double> rate_;
-  std::map<PeerId, double> budget_;
-};
 
 // Tight knobs so tests mature quickly: window 6, estimate every 2 min,
 // mature at 4 samples, rails at 2x / 4x band.max with a 50 q/min floor.

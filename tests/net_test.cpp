@@ -197,12 +197,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PayloadType::kPing, PayloadType::kPong,
                       PayloadType::kQuery, PayloadType::kQueryHit,
                       PayloadType::kNeighborTraffic, PayloadType::kNeighborList),
-    [](const auto& info) {
-      return std::string(payload_type_name(info.param)) == "Neighbor_Traffic"
-                 ? "NeighborTraffic"
-             : std::string(payload_type_name(info.param)) == "Neighbor_List"
-                 ? "NeighborList"
-                 : std::string(payload_type_name(info.param));
+    [](const auto& case_info) {
+      const std::string name(payload_type_name(case_info.param));
+      return name == "Neighbor_Traffic" ? "NeighborTraffic"
+             : name == "Neighbor_List"  ? "NeighborList"
+                                        : name;
     });
 
 TEST(Message, HeaderLayoutIs23Bytes) {

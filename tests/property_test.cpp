@@ -111,7 +111,9 @@ TEST(Property, GraphInvariantsUnderRandomMutation) {
   EXPECT_EQ(degree_sum, 2 * g.edge_count());
   // Invariant 3: inactive nodes have no edges.
   for (PeerId u = 0; u < g.node_count(); ++u) {
-    if (!g.is_active(u)) EXPECT_EQ(g.degree(u), 0u);
+    if (!g.is_active(u)) {
+      EXPECT_EQ(g.degree(u), 0u);
+    }
   }
 }
 

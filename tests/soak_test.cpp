@@ -87,6 +87,12 @@ TEST(ScenarioValidate, RejectsOutOfRangeKnobs) {
   cfg = base;
   cfg.attack.agents = cfg.topo.nodes;
   EXPECT_NE(validate_config(cfg), "");
+
+  // The simulated judge cuts on the first tripping round; a confirmation
+  // count it would silently ignore is refused instead.
+  cfg = base;
+  cfg.ddpolice.cut_confirmations = 2;
+  EXPECT_NE(validate_config(cfg).find("cut_confirmations"), std::string::npos);
 }
 
 TEST(ScenarioValidate, MessagesNameTheOffendingKnob) {

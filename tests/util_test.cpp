@@ -379,7 +379,9 @@ TEST(Zipf, PmfSumsToOneAndDecreases) {
   double sum = 0.0;
   for (std::size_t i = 0; i < 1000; ++i) {
     sum += z.pmf(i);
-    if (i > 0) EXPECT_LE(z.pmf(i), z.pmf(i - 1) + 1e-15);
+    if (i > 0) {
+      EXPECT_LE(z.pmf(i), z.pmf(i - 1) + 1e-15);
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }
