@@ -114,13 +114,16 @@ if ! cmp -s "$tmp/fa.csv" "$tmp/fa_offline.csv"; then
 fi
 echo "forensics determinism: OK (live == offline, byte-identical)"
 
-echo "== golden byte-identity gate (figure CSVs + short trace) =="
+echo "== golden byte-identity gate (figure CSVs + short trace + control plane) =="
 # Laptop-scale runs of the figure benches plus a short traced ddpsim
 # scenario, hashed against the committed manifest. Catches any change to
 # the simulation arithmetic, iteration order or output formatting: a
 # refactor that claims bit-exactness must leave every hash untouched
 # (regenerate with scripts/regen_golden.sh when a change is *meant* to
-# shift results, and say so in the PR).
+# shift results, and say so in the PR). The control-plane run covers
+# DD-POLICE-r at r = 2, Neighbor_Traffic over a lossy, corrupting
+# channel, cheating reporters and liars, and the checkpoint bytes
+# (section CRCs included).
 mkdir -p "$tmp/golden"
 env -u DDP_FULL -u DDP_SEED ./build/bench/bench_fig5_capacity \
     --out-dir "$tmp/golden" > /dev/null
@@ -131,6 +134,12 @@ env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_attack_rate \
 ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
     trace="$tmp/golden/ddpsim_short.jsonl" \
     csv="$tmp/golden/ddpsim_short.csv" > /dev/null
+./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 radius=2 \
+    event_driven=1 adaptive=1 cut_policy=quarantine repair=1 loss=0.1 \
+    corrupt=0.02 jitter=2 crash=0.002 cheat=collude lists=fabricate \
+    checkpoint_every=4 csv="$tmp/golden/ddpsim_control.csv" \
+    trace="$tmp/golden/ddpsim_control.jsonl" \
+    checkpoint="$tmp/golden/ddpsim_control.ckpt" > /dev/null
 if (cd "$tmp/golden" && sha256sum -c "$repo/tests/golden/sha256sums.txt"); then
   echo "golden byte-identity: OK"
 else

@@ -20,10 +20,17 @@ env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_attack_rate \
     --out-dir "$tmp" > /dev/null
 ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
     trace="$tmp/ddpsim_short.jsonl" csv="$tmp/ddpsim_short.csv" > /dev/null
+./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 radius=2 \
+    event_driven=1 adaptive=1 cut_policy=quarantine repair=1 loss=0.1 \
+    corrupt=0.02 jitter=2 crash=0.002 cheat=collude lists=fabricate \
+    checkpoint_every=4 csv="$tmp/ddpsim_control.csv" \
+    trace="$tmp/ddpsim_control.jsonl" \
+    checkpoint="$tmp/ddpsim_control.ckpt" > /dev/null
 
 mkdir -p tests/golden
 (cd "$tmp" && sha256sum fig5_capacity.csv fig11_success.csv \
-    attack_rate.csv ddpsim_short.csv ddpsim_short.jsonl) \
+    attack_rate.csv ddpsim_short.csv ddpsim_short.jsonl \
+    ddpsim_control.csv ddpsim_control.jsonl ddpsim_control.ckpt) \
     > tests/golden/sha256sums.txt
 echo "wrote tests/golden/sha256sums.txt:"
 cat tests/golden/sha256sums.txt

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "core/adaptive.hpp"
 #include "net/message.hpp"
@@ -340,6 +339,7 @@ void DdPolice::detection_phase(double minute) {
   // the same suppression window). This also makes the outcome independent
   // of round processing order.
   pending_disconnects_.clear();
+  if (config_.buddy_radius >= 2 && !flagged_.empty()) build_send_peaks();
   for (PeerId suspect : flagged_) {
     run_round(suspect, judges_scratch_[suspect], minute);
   }
@@ -363,25 +363,43 @@ void DdPolice::detection_phase(double minute) {
   }
 }
 
-std::vector<PeerId> DdPolice::believed_group(PeerId judge, PeerId suspect) const {
+void DdPolice::build_send_peaks() {
+  const auto& g = port_.graph();
+  send_peaks_.assign(g.node_count(), SendPeak{});
+  for (PeerId p = 0; p < g.node_count(); ++p) {
+    if (!g.is_active(p)) continue;
+    SendPeak& peak = send_peaks_[p];
+    for (PeerId x : g.neighbors(p)) {
+      const double sent = port_.sent_last_minute(p, x);
+      if (sent > peak.top) {
+        peak.second = peak.top;
+        peak.top = sent;
+        peak.top_to = x;
+      } else if (sent > peak.second) {
+        peak.second = sent;
+      }
+    }
+  }
+}
+
+void DdPolice::append_believed_group(PeerId judge, PeerId suspect,
+                                     std::vector<PeerId>& out) const {
   // Union of the current and previous advertised lists: a feeder that
   // disappeared from the suspect's latest advertisement still carried
   // traffic during the counted minute, so the judge keeps consulting it
   // for one more generation (its monitors remember that minute too).
-  std::vector<PeerId> group;
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
+  const auto listed = [&out, first](PeerId m) {
+    return std::find(out.begin() + first, out.end(), m) != out.end();
+  };
   if (const Snapshot* snap = find_snapshot(judge, suspect)) {
-    group = snap->members;
+    out.insert(out.end(), snap->members.begin(), snap->members.end());
     for (PeerId m : snap->prev_members) {
-      if (std::find(group.begin(), group.end(), m) == group.end()) {
-        group.push_back(m);
-      }
+      if (!listed(m)) out.push_back(m);
     }
   }
-  if (std::find(group.begin(), group.end(), judge) == group.end()) {
-    // The judge always knows its own membership, snapshot or not.
-    group.push_back(judge);
-  }
-  return group;
+  // The judge always knows its own membership, snapshot or not.
+  if (!listed(judge)) out.push_back(judge);
 }
 
 MemberReport DdPolice::collect_report(PeerId member, PeerId suspect,
@@ -504,31 +522,54 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
   ++rounds_;
   const auto& g = port_.graph();
 
+  // Each judge's believed group, built once: the message accounting and
+  // the judge's own report set both read it. The judges of one suspect
+  // usually hold the same advertisement, so a group equal to the previous
+  // judge's is kept once; a hub's round then stores one copy, not one per
+  // judge.
+  groups_.clear();
+  group_spans_.clear();
+  for (PeerId judge : judges) {
+    util::IndexSpan span{groups_.size(), 0};
+    append_believed_group(judge, suspect, groups_);
+    span.end = groups_.size();
+    const std::span<const PeerId> all(groups_);
+    if (!group_spans_.empty()) {
+      const util::IndexSpan prev = group_spans_.back();
+      if (std::ranges::equal(all.subspan(prev.begin, prev.size()),
+                             all.subspan(span.begin, span.size()))) {
+        groups_.resize(span.begin);
+        span = prev;
+      }
+    }
+    group_spans_.push_back(span);
+  }
+
   // Message accounting: the union of believed members exchange
   // Neighbor_Traffic once each (suppression collapses duplicates).
-  std::unordered_set<PeerId> union_members;
-  for (PeerId i : judges) {
-    for (PeerId m : believed_group(i, suspect)) union_members.insert(m);
-  }
-  const double u = static_cast<double>(union_members.size());
+  union_scratch_.assign(groups_.begin(), groups_.end());
+  std::sort(union_scratch_.begin(), union_scratch_.end());
+  const double u = static_cast<double>(
+      std::unique(union_scratch_.begin(), union_scratch_.end()) -
+      union_scratch_.begin());
   const double msgs = u > 1.0 ? u * (u - 1.0) : 0.0;
   traffic_messages_ += static_cast<std::uint64_t>(msgs);
   port_.report_overhead(msgs);
 
-  for (PeerId judge : judges) {
+  for (std::size_t k = 0; k < judges.size(); ++k) {
+    const PeerId judge = judges[k];
     if (!g.is_active(judge) || !g.has_edge(judge, suspect)) continue;
 
-    const std::vector<PeerId> group = believed_group(judge, suspect);
-    std::vector<MemberReport> reports;
-    reports.reserve(group.size());
-    for (PeerId m : group) {
-      MemberReport r = m == judge
-                           ? MemberReport{judge,
-                                          port_.sent_last_minute(judge, suspect),
-                                          port_.sent_last_minute(suspect, judge),
-                                          true}
-                           : collect_report(m, suspect, minute);
-      reports.push_back(r);
+    reports_.clear();
+    const util::IndexSpan span = group_spans_[k];
+    for (std::size_t i = span.begin; i < span.end; ++i) {
+      const PeerId m = groups_[i];
+      reports_.push_back(
+          m == judge ? MemberReport{judge,
+                                    port_.sent_last_minute(judge, suspect),
+                                    port_.sent_last_minute(suspect, judge),
+                                    true}
+                     : collect_report(m, suspect, minute));
     }
 
     if (config_.buddy_radius >= 2) {
@@ -539,25 +580,24 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
       // paper's attack model are both per-link uniform, so a member whose
       // other links carry X queries/min cannot plausibly have sent the
       // suspect a tiny fraction of X. A colluding deflater (Sec. 3.4,
-      // Case 2) is therefore overridden by its own traffic.
-      for (auto& r : reports) {
+      // Case 2) is therefore overridden by its own traffic. X comes from
+      // this minute's send-peak table (build_send_peaks).
+      for (auto& r : reports_) {
         if (r.member == judge || r.member >= g.node_count()) continue;
-        // No has_edge requirement: the member may have been disconnected
-        // moments ago in this same detection pass; its monitors (and our
-        // ghost counters) still cover the counted minute.
+        // A member no longer adjacent to the suspect (a stale list, or a
+        // list-violation cut earlier this minute) is still cross-checked:
+        // its monitors (and our ghost counters) cover the counted minute,
+        // and every one of its links is asked.
         if (!g.is_active(r.member)) continue;
-        double max_other_link = 0.0;
-        std::size_t asked = 0;
-        for (PeerId x : g.neighbors(r.member)) {
-          if (x == suspect) continue;
-          max_other_link =
-              std::max(max_other_link, port_.sent_last_minute(r.member, x));
-          ++asked;
-        }
+        const std::size_t asked =
+            g.degree(r.member) - (g.has_edge(r.member, suspect) ? 1 : 0);
         if (asked == 0) continue;
         const double overhead = static_cast<double>(asked);
         traffic_messages_ += static_cast<std::uint64_t>(overhead);
         port_.report_overhead(overhead);
+        const SendPeak& peak = send_peaks_[r.member];
+        const double max_other_link =
+            peak.top_to == suspect ? peak.second : peak.top;
         // 0.9: slack for per-link bandwidth differences.
         r.out_to_suspect = std::max(r.out_to_suspect, 0.9 * max_other_link);
       }
@@ -566,11 +606,11 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
     // A buddy group needs buddies: a judge with no other believed member
     // has nobody to corroborate with, so the protocol cannot conclude
     // (the suspect may simply be forwarding for peers unknown to us).
-    if (reports.size() < 2) continue;
+    if (reports_.size() < 2) continue;
     const double ct = adaptive_ ? adaptive_->cut_threshold(judge, suspect)
                                 : config_.cut_threshold;
     if (std::optional<Decision> d =
-            verdict(reports, judge, suspect, ct, config_, minute, tracer_)) {
+            verdict(reports_, judge, suspect, ct, config_, minute, tracer_)) {
       d->true_degree = static_cast<std::uint32_t>(g.degree(suspect));
       record_cut(*d, decisions_, tracer_);
       pending_disconnects_.emplace_back(judge, suspect);

@@ -37,6 +37,7 @@
 #include "obs/trace.hpp"
 #include "topology/edge_index.hpp"
 #include "util/rng.hpp"
+#include "util/spans.hpp"
 #include "util/thread_pool.hpp"
 #include "util/types.hpp"
 
@@ -167,9 +168,10 @@ class DdPolice {
 
   /// Serialize durable protocol state (neighbour-list snapshots, exchange
   /// schedule, decisions, counters, ledger, rng) into the writer's open
-  /// section. Per-minute scratch (flagged set, judge lists, pending
-  /// disconnects) is minute-local and excluded — checkpoints are taken at
-  /// minute boundaries where it is empty by construction.
+  /// section. Per-minute scratch (flagged set, judge lists, send-peak
+  /// table, pending disconnects) is minute-local and excluded —
+  /// checkpoints are taken at minute boundaries where it is empty by
+  /// construction.
   void save(snapshot::Writer& w) const;
 
   /// Restore state saved by save(). The ledger presence (cut policy) must
@@ -197,9 +199,12 @@ class DdPolice {
   void advertise_to(PeerId p, PeerId receiver, double minute);
   void advertise(PeerId p, double minute);
   void detection_phase(double minute);
+  void build_send_peaks();
   void run_round(PeerId suspect, const std::vector<PeerId>& judges,
                  double minute);
-  std::vector<PeerId> believed_group(PeerId judge, PeerId suspect) const;
+  /// Append `judge`'s believed buddy group of `suspect` to `out`.
+  void append_believed_group(PeerId judge, PeerId suspect,
+                             std::vector<PeerId>& out) const;
   MemberReport collect_report(PeerId member, PeerId suspect, double minute);
   /// True when a fault plane with non-zero fault rates is attached.
   bool transport_faulty() const noexcept {
@@ -241,6 +246,26 @@ class DdPolice {
   };
   util::ThreadPool* sweep_pool_ = nullptr;
   std::vector<std::vector<FlagHit>> flag_scratch_;  ///< per-span hit logs
+  /// A peer's largest and second-largest completed-minute send to one
+  /// neighbour, and the neighbour receiving the largest: the DD-POLICE-r
+  /// (r = 2) floor of a member asked about any suspect is `top` unless
+  /// `top_to` is that suspect, then `second`. Counters and topology hold
+  /// still through the detection phase, so one table per minute serves
+  /// every judge and round.
+  struct SendPeak {
+    double top = 0.0;
+    double second = 0.0;
+    PeerId top_to = kInvalidPeer;
+  };
+  std::vector<SendPeak> send_peaks_;  ///< by PeerId, active peers only
+  /// Round scratch: every judge's believed group, flattened in judge order
+  /// (judge k's members are the group_spans_[k] range of groups_; a group
+  /// equal to the previous judge's is stored once and shared), a buffer
+  /// for their union and the report set being judged.
+  std::vector<PeerId> groups_;
+  std::vector<util::IndexSpan> group_spans_;
+  std::vector<PeerId> union_scratch_;
+  std::vector<MemberReport> reports_;
 
   std::vector<Decision> decisions_;
   std::uint64_t exchange_messages_ = 0;

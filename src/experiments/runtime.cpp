@@ -862,8 +862,8 @@ std::vector<std::uint8_t> ScenarioRuntime::save() const {
 
 void ScenarioRuntime::save_file(const std::string& path) const {
   const std::vector<std::uint8_t> image = save();
-  // save() already framed everything; write it out atomically through the
-  // same tmp+rename path Writer uses.
+  // save() already framed everything; write it out atomically: tmp file,
+  // then rename over the target.
   const std::string tmp = path + ".tmp";
   {
     std::FILE* f = std::fopen(tmp.c_str(), "wb");

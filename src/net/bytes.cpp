@@ -1,5 +1,6 @@
 #include "net/bytes.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ddp::net {
@@ -86,12 +87,11 @@ std::uint64_t ByteReader::u64() noexcept {
   return v;
 }
 
-std::vector<std::uint8_t> ByteReader::bytes(std::size_t n) {
-  if (!ensure(n)) return {};
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
+void ByteReader::read_into(std::span<std::uint8_t> out) noexcept {
+  if (!ensure(out.size())) return;
+  std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(pos_), out.size(),
+              out.begin());
+  pos_ += out.size();
 }
 
 std::string ByteReader::cstring() {

@@ -27,6 +27,9 @@ class ByteWriter {
   /// query strings are C-strings on the wire).
   void cstring(std::string_view s);
 
+  /// Make room for `n` more bytes, so a frame of known size allocates once.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
   std::size_t size() const noexcept { return buf_.size(); }
@@ -51,8 +54,9 @@ class ByteReader {
   std::uint16_t u16() noexcept;
   std::uint32_t u32() noexcept;
   std::uint64_t u64() noexcept;
-  /// Copy exactly n bytes; returns empty vector (and fails) if short.
-  std::vector<std::uint8_t> bytes(std::size_t n);
+  /// Copy exactly out.size() bytes into `out`; fails (leaving `out`
+  /// untouched) if short.
+  void read_into(std::span<std::uint8_t> out) noexcept;
   /// Read up to the next NUL (consuming it). Fails if no NUL remains.
   std::string cstring();
 

@@ -54,6 +54,22 @@ void encode_payload(const NeighborList& nl, ByteWriter& w) {
   }
 }
 
+// Body sizes of the encoders above, so encode() sizes its frame once.
+std::size_t body_size(const Ping&) { return 0; }
+std::size_t body_size(const Pong&) { return 2 + 4 + 4 + 4; }
+std::size_t body_size(const Query& q) { return 2 + q.search.size() + 1; }
+std::size_t body_size(const QueryHit& qh) {
+  std::size_t n = 1 + 2 + 4 + 4 + 16;
+  for (const auto& r : qh.records) n += 4 + 4 + r.file_name.size() + 1 + 1;
+  return n;
+}
+std::size_t body_size(const NeighborTraffic&) {
+  return kNeighborTrafficBodySize;
+}
+std::size_t body_size(const NeighborList& nl) {
+  return 2 + (4 + 2) * nl.entries.size();
+}
+
 std::optional<Payload> decode_payload(PayloadType type, ByteReader& r,
                                       std::string* error) {
   switch (type) {
@@ -101,12 +117,11 @@ std::optional<Payload> decode_payload(PayloadType type, ByteReader& r,
         if (!r.ok()) break;
         qh.records.push_back(std::move(rec));
       }
-      const auto id = r.bytes(16);
-      if (!r.exhausted() || id.size() != 16) {
+      r.read_into(qh.servent_id.bytes);
+      if (!r.exhausted()) {
         set_error(error, "malformed query-hit body");
         return std::nullopt;
       }
-      std::copy(id.begin(), id.end(), qh.servent_id.bytes.begin());
       return Payload{std::move(qh)};
     }
     case PayloadType::kNeighborTraffic: {
@@ -175,6 +190,8 @@ PayloadType Message::type() const noexcept {
 
 std::vector<std::uint8_t> encode(const Message& msg) {
   ByteWriter w;
+  w.reserve(kHeaderSize + std::visit([](const auto& p) { return body_size(p); },
+                                     msg.payload));
   w.bytes(std::span<const std::uint8_t>(msg.header.guid.bytes.data(), 16));
   w.u8(static_cast<std::uint8_t>(msg.type()));
   w.u8(msg.header.ttl);
@@ -208,8 +225,7 @@ DecodeResult decode_ex(std::span<const std::uint8_t> data) {
   }
   Message msg;
   ByteReader hr(data.first(kHeaderSize));
-  const auto guid_bytes = hr.bytes(16);
-  std::copy(guid_bytes.begin(), guid_bytes.end(), msg.header.guid.bytes.begin());
+  hr.read_into(msg.header.guid.bytes);
   const std::uint8_t raw_type = hr.u8();
   msg.header.ttl = hr.u8();
   msg.header.hops = hr.u8();
@@ -261,6 +277,7 @@ std::optional<Message> decode(std::span<const std::uint8_t> data,
 
 std::vector<std::uint8_t> encode_neighbor_traffic_body(const NeighborTraffic& nt) {
   ByteWriter w;
+  w.reserve(body_size(nt));
   encode_payload(nt, w);
   return w.take();
 }

@@ -1,7 +1,7 @@
 #include "snapshot/snapshot.hpp"
 
+#include <array>
 #include <bit>
-#include <cstdio>
 #include <fstream>
 
 namespace ddp::snapshot {
@@ -13,20 +13,6 @@ std::string section_name(std::uint32_t id) {
     s.push_back((c >= 0x20 && c < 0x7f) ? c : '?');
   }
   return s;
-}
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len) noexcept {
-  // Table-free bitwise CRC-32 (reflected 0xEDB88320). Snapshot payloads
-  // are MBs at most and written once per simulated-minute checkpoint, so
-  // the byte-at-a-time loop is nowhere near any hot path.
-  std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc ^= data[i];
-    for (int b = 0; b < 8; ++b) {
-      crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
-    }
-  }
-  return crc ^ 0xffffffffu;
 }
 
 namespace {
@@ -60,7 +46,51 @@ constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
 /// Per-section frame: id, payload length, payload CRC.
 constexpr std::size_t kSectionHeaderBytes = 4 + 8 + 4;
 
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: row 0 is
+/// the classic byte-at-a-time table, and row k maps a byte to the register
+/// it leaves after k further zero bytes.
+constexpr CrcTables make_crc_tables() noexcept {
+  CrcTables t{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t crc = b;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+    }
+    t[0][b] = crc;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t b = 0; b < 256; ++b) {
+      t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xffu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
 }  // namespace
+
+std::uint32_t crc32(const std::uint8_t* data, std::size_t len) noexcept {
+  // Slicing-by-8: fold eight bytes per step through eight tables (one
+  // independent lookup per byte instead of eight dependent shift-and-mask
+  // steps), then finish the tail a byte at a time. Every checkpoint save
+  // and every verified load runs this over the whole multi-MB image.
+  const CrcTables& t = kCrcTables;
+  std::uint32_t crc = 0xffffffffu;
+  for (; len >= 8; data += 8, len -= 8) {
+    const std::uint32_t lo = crc ^ get_u32(data);
+    const std::uint32_t hi = get_u32(data + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xffu];
+  }
+  return crc ^ 0xffffffffu;
+}
 
 std::vector<std::uint8_t>& Writer::buf() {
   if (!open_) throw SnapshotError("write outside of a section");
@@ -108,24 +138,6 @@ std::vector<std::uint8_t> Writer::finish(std::uint64_t config_digest) const {
     out.insert(out.end(), s.payload.begin(), s.payload.end());
   }
   return out;
-}
-
-void Writer::write_file(const std::string& path,
-                        std::uint64_t config_digest) const {
-  const std::vector<std::uint8_t> image = finish(config_digest);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) throw SnapshotError("cannot open " + tmp + " for writing");
-    f.write(reinterpret_cast<const char*>(image.data()),
-            static_cast<std::streamsize>(image.size()));
-    f.flush();
-    if (!f) throw SnapshotError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw SnapshotError("cannot rename " + tmp + " to " + path);
-  }
 }
 
 Reader Reader::from_bytes(std::vector<std::uint8_t> data) {
@@ -256,6 +268,13 @@ std::size_t Reader::size(std::size_t max) {
   if (v > max) {
     throw SnapshotError("stored count " + std::to_string(v) +
                         " exceeds bound " + std::to_string(max));
+  }
+  // Every element a loader reads takes at least one byte, so a count the
+  // section cannot hold is corrupt however it got past the CRC.
+  if (v > remaining()) {
+    throw SnapshotError("stored count " + std::to_string(v) + " exceeds the " +
+                        std::to_string(remaining()) +
+                        " bytes left in the section");
   }
   return static_cast<std::size_t>(v);
 }

@@ -14,15 +14,17 @@
 ///     up front), so a truncated or bit-flipped snapshot is rejected with
 ///     a SnapshotError and never half-loaded;
 ///   * all variable-length reads are bounded (Reader::size takes an
-///     explicit maximum) so a corrupt length field cannot drive a
-///     multi-gigabyte allocation;
+///     explicit maximum and rejects counts beyond the section's unread
+///     bytes) so a corrupt length field cannot drive a multi-gigabyte
+///     allocation;
 ///   * the header's config digest pins the snapshot to the generating
 ///     configuration — restoring under a different config is an error,
 ///     not a silent divergence.
 ///
 /// Writers buffer everything in memory (snapshots are MBs at most) and
-/// write files atomically: payload to `<path>.tmp`, then rename, so a
-/// crash mid-checkpoint never leaves a torn snapshot at the target path.
+/// hand back the finished image; ScenarioRuntime::save_file writes it
+/// atomically (`<path>.tmp`, then rename), so a crash mid-checkpoint never
+/// leaves a torn snapshot at the target path.
 
 #include <cstdint>
 #include <stdexcept>
@@ -78,10 +80,6 @@ class Writer {
   /// length and CRC. All sections must be closed.
   std::vector<std::uint8_t> finish(std::uint64_t config_digest) const;
 
-  /// finish() + atomic file write (tmp + rename). Throws SnapshotError on
-  /// any IO failure.
-  void write_file(const std::string& path, std::uint64_t config_digest) const;
-
  private:
   struct Section {
     std::uint32_t id = 0;
@@ -117,7 +115,8 @@ class Reader {
   std::int64_t i64();
   double f64();
   bool boolean();
-  /// Bounded count read: throws when the stored value exceeds `max`.
+  /// Bounded count read: throws when the stored value exceeds `max` or
+  /// the unread bytes of the section (every element takes at least one).
   std::size_t size(std::size_t max);
   std::string str(std::size_t max_len = 1u << 20);
 

@@ -5,12 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/ddpolice.hpp"
+#include "fake_overlay.hpp"
 #include "flow/flow_port.hpp"
 #include "core/indicators.hpp"
 #include "flow/network.hpp"
+#include "obs/trace.hpp"
 #include "topology/generators.hpp"
 
 namespace ddp::core {
@@ -353,6 +360,144 @@ TEST(DdPolice, RadiusTwoDefeatsDeflation) {
   }
   EXPECT_FALSE(victim_cut);
   EXPECT_TRUE(agent_cut);
+}
+
+// ------------------------------------------------- DD-POLICE-r floor (r = 2)
+
+// The r = 2 cross-check on a FakeOverlay, where every monitor reads an
+// exact rate. A member's claimed input into the suspect is raised to 0.9 x
+// its largest send to any neighbour other than the suspect, and the judge
+// books one request per such neighbour. Peer 0 is the suspect and floods
+// judge 1 past the 500 q/min warning threshold; every other link stays
+// under it, so the run holds one round with one judge. Liars report
+// 10 q/min into the suspect. The expected values were recorded before the
+// floor moved to a per-minute table.
+
+struct FloorLink {
+  PeerId from = kInvalidPeer;
+  PeerId to = kInvalidPeer;
+  double rate = 0.0;
+};
+
+struct FloorRound {
+  double g = 0.0;
+  double s = 0.0;
+  int indicators = 0;  ///< indicator_computed events on suspect 0
+  bool cut = false;
+  bool via_single = false;
+  std::uint64_t traffic_messages = 0;
+};
+
+/// Edges are added in order, so each peer's adjacency order (which decides
+/// ties) is the order of `edges`. With `stale` set, a quiet minute 1
+/// distributes the lists, `stale` then loses its link to the suspect, and
+/// the round runs at minute 2 through the judge's stale snapshot.
+FloorRound run_floor_round(std::size_t peers,
+                           const std::vector<std::pair<PeerId, PeerId>>& edges,
+                           const std::vector<FloorLink>& rates,
+                           const std::vector<PeerId>& liars,
+                           PeerId stale = kInvalidPeer) {
+  test::FakeOverlay port(peers);
+  for (const auto& [a, b] : edges) port.mutable_graph().add_edge(a, b);
+  DdPoliceConfig cfg;
+  cfg.buddy_radius = 2;
+  DdPolice police(port, cfg, util::Rng(1));
+  police.set_report_policy(
+      [liars](PeerId reporter, PeerId suspect, const TrafficTruth& truth) {
+        TrafficTruth said = truth;
+        if (suspect == 0 &&
+            std::find(liars.begin(), liars.end(), reporter) != liars.end()) {
+          said.out_to_suspect = 10.0;
+        }
+        return std::optional<TrafficTruth>(said);
+      });
+  obs::RingBufferSink sink(4096);
+  police.set_trace_sink(&sink);
+  double minute = 1.0;
+  if (stale != kInvalidPeer) {
+    police.on_minute(minute);
+    port.disconnect(stale, 0);
+    minute = 2.0;
+  }
+  for (const FloorLink& l : rates) port.set_rate(l.from, l.to, l.rate);
+  police.on_minute(minute);
+
+  FloorRound out;
+  for (const obs::TraceEvent& e : sink.snapshot()) {
+    if (e.type != obs::EventType::kIndicatorComputed || e.a != 0) continue;
+    ++out.indicators;
+    out.g = e.fields[0].value;
+    out.s = e.fields[1].value;
+  }
+  for (const Decision& d : police.decisions()) {
+    if (d.suspect != 0 || d.list_violation) continue;
+    out.cut = true;
+    out.via_single = d.via_single;
+  }
+  out.traffic_messages = police.traffic_messages();
+  return out;
+}
+
+TEST(RadiusTwoFloor, LargestSendToTheSuspectFallsBackToTheSecond) {
+  // Member 2 sends the suspect 480, peer 3 400 and peer 4 200, and claims
+  // 10: the floor is 0.9 x 400, not 0.9 x 480.
+  const FloorRound r = run_floor_round(
+      5, {{0, 1}, {2, 0}, {2, 3}, {2, 4}},
+      {{0, 1, 900.0}, {2, 0, 480.0}, {2, 3, 400.0}, {2, 4, 200.0}}, {2});
+  EXPECT_EQ(r.indicators, 1);
+  EXPECT_EQ(r.g, 2.7);
+  EXPECT_EQ(r.s, 5.4);
+  EXPECT_TRUE(r.cut);
+  EXPECT_TRUE(r.via_single);
+  // 8 keep-alive pings (one per held snapshot) + 2 x 1 Neighbor_Traffic
+  // for the two-member union + 2 neighbours of member 2 asked.
+  EXPECT_EQ(r.traffic_messages, 12u);
+}
+
+TEST(RadiusTwoFloor, SuspectLinkTiedWithAnotherKeepsTheTie) {
+  // The suspect link comes first in member 2's adjacency and ties with
+  // the link to peer 3 at 450: the floor is still 0.9 x 450.
+  const FloorRound r = run_floor_round(
+      5, {{0, 1}, {2, 0}, {2, 3}, {2, 4}},
+      {{0, 1, 950.0}, {2, 0, 450.0}, {2, 3, 450.0}, {2, 4, 100.0}}, {2});
+  EXPECT_EQ(r.indicators, 1);
+  EXPECT_EQ(r.g, 2.725);
+  EXPECT_EQ(r.s, 5.45);
+  EXPECT_TRUE(r.cut);
+  EXPECT_TRUE(r.via_single);
+  EXPECT_EQ(r.traffic_messages, 12u);
+}
+
+TEST(RadiusTwoFloor, DegreeOneMemberIsNotCrossChecked) {
+  // Member 3's only link is the suspect: nobody is asked, no overhead is
+  // booked and its 10 q/min claim stands. Member 2 tells the truth (480),
+  // above its floor of 0.9 x 400.
+  const FloorRound r = run_floor_round(
+      5, {{0, 1}, {2, 0}, {2, 4}, {3, 0}},
+      {{0, 1, 1100.0}, {2, 0, 480.0}, {2, 4, 400.0}, {3, 0, 300.0}}, {3});
+  EXPECT_EQ(r.indicators, 1);
+  EXPECT_EQ(r.g, 0.4);
+  EXPECT_EQ(r.s, 6.1);
+  EXPECT_TRUE(r.cut);
+  EXPECT_TRUE(r.via_single);
+  // 8 pings + 3 x 2 for the three-member union + 1 neighbour of member 2.
+  EXPECT_EQ(r.traffic_messages, 15u);
+}
+
+TEST(RadiusTwoFloor, StaleMemberCountsEveryLink) {
+  // Member 2 left the suspect after the lists went out; the judge still
+  // asks it, and both of its remaining links count toward the floor.
+  const FloorRound r = run_floor_round(
+      5, {{0, 1}, {2, 0}, {2, 3}, {2, 4}},
+      {{0, 1, 900.0}, {2, 0, 480.0}, {2, 3, 400.0}, {2, 4, 200.0}}, {2},
+      /*stale=*/2);
+  EXPECT_EQ(r.indicators, 1);
+  EXPECT_EQ(r.g, 2.7);
+  EXPECT_EQ(r.s, 5.4);
+  EXPECT_TRUE(r.cut);
+  EXPECT_TRUE(r.via_single);
+  // Two minutes of 8 pings + 2 for the union + 2 neighbours asked.
+  EXPECT_EQ(r.traffic_messages, 20u);
 }
 
 TEST(DdPolice, FabricatedNeighborListDisconnectsLiar) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -226,7 +227,11 @@ TEST(NetFuzz, ByteReaderSurvivesRandomSlices) {
         case 1: (void)r.u16(); break;
         case 2: (void)r.u32(); break;
         case 3: (void)r.u64(); break;
-        case 4: (void)r.bytes(rng.below(64)); break;
+        case 4: {
+          std::array<std::uint8_t, 64> out{};
+          r.read_into(std::span<std::uint8_t>(out).first(rng.below(64)));
+          break;
+        }
         default: (void)r.cstring(); break;
       }
     }

@@ -115,6 +115,80 @@ TEST(SnapshotFraming, BoundedReadsRejectOversizedCounts) {
   EXPECT_THROW(r.size(999), SnapshotError);
 }
 
+TEST(SnapshotFraming, CountsAreBoundedByTheBytesLeft) {
+  // A count under the loader's constant bound but larger than the section
+  // could hold (every element takes at least one byte) is rejected before
+  // any loader sizes a container by it. A CRC is no defence: a crafted
+  // file carries a matching one.
+  Writer w;
+  w.begin_section(snapshot::section_id("TEST"));
+  w.size(1u << 24);
+  for (int i = 0; i < 10; ++i) w.u8(0);
+  w.end_section();
+  Reader r = Reader::from_bytes(w.finish(1));
+  r.begin_section(snapshot::section_id("TEST"));
+  try {
+    (void)r.size(1u << 24);
+    FAIL() << "a count beyond the section's bytes was accepted";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("16777216"), std::string::npos) << what;
+    EXPECT_NE(what.find("10 bytes left"), std::string::npos) << what;
+  }
+}
+
+TEST(SnapshotFraming, CountEqualToTheBytesLeftIsAccepted) {
+  Writer w;
+  w.begin_section(snapshot::section_id("TEST"));
+  w.size(3);
+  for (int i = 0; i < 3; ++i) w.boolean(true);
+  w.end_section();
+  Reader r = Reader::from_bytes(w.finish(1));
+  r.begin_section(snapshot::section_id("TEST"));
+  ASSERT_EQ(r.size(1u << 24), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(r.boolean());
+  r.end_section();
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32
+
+/// One byte of the bitwise CRC-32 loop (reflected 0xEDB88320) that
+/// snapshot::crc32 must reproduce; the caller owns the pre- and
+/// post-inversion, so a running register yields every prefix's CRC.
+std::uint32_t crc32_bitwise_step(std::uint32_t crc, std::uint8_t byte) {
+  crc ^= byte;
+  for (int b = 0; b < 8; ++b) {
+    crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+  }
+  return crc;
+}
+
+TEST(SnapshotCrc, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(snapshot::crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                            check.size()),
+            0xcbf43926u);
+  EXPECT_EQ(snapshot::crc32(nullptr, 0), 0u);
+}
+
+TEST(SnapshotCrc, MatchesTheBitwiseLoopAtEveryLengthAndOffset) {
+  constexpr std::size_t kMaxLen = 4099;
+  constexpr std::size_t kOffsets = 8;
+  util::Rng rng(15);
+  std::vector<std::uint8_t> buf(kMaxLen + kOffsets);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next_u32());
+  for (std::size_t start = 0; start < kOffsets; ++start) {
+    const std::uint8_t* p = buf.data() + start;
+    std::uint32_t reg = 0xffffffffu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(snapshot::crc32(p, len), reg ^ 0xffffffffu)
+          << "offset " << start << ", length " << len;
+      if (len < kMaxLen) reg = crc32_bitwise_step(reg, p[len]);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine tag rebinding
 
