@@ -15,11 +15,17 @@
 ///       stats=results/node0.jsonl seed=1
 ///
 /// duration_min=0 runs until SIGTERM/SIGINT; either way shutdown is
-/// orderly (final stats line, every fd closed). Out-of-range DD-POLICE
-/// settings (ct=0, confirmations=0, ...) exit 2 before anything starts.
+/// orderly (final stats line, every fd closed). Out-of-range settings
+/// (port=70000, ttl=0, bootstrap=x, minute_seconds=0, ct=0,
+/// confirmations=0, ...) exit 2 before anything starts.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "core/config.hpp"
 #include "netengine/node.hpp"
@@ -27,15 +33,24 @@
 
 namespace {
 
-std::vector<std::uint16_t> parse_ports(const std::string& csv) {
+/// Comma-separated port list; nullopt unless every entry is a port number
+/// in [1, 65535].
+std::optional<std::vector<std::uint16_t>> parse_ports(const std::string& csv) {
   std::vector<std::uint16_t> out;
   std::size_t pos = 0;
   while (pos < csv.size()) {
     std::size_t comma = csv.find(',', pos);
     if (comma == std::string::npos) comma = csv.size();
-    const std::string tok = csv.substr(pos, comma - pos);
-    if (!tok.empty())
-      out.push_back(static_cast<std::uint16_t>(std::stoul(tok)));
+    const char* first = csv.data() + pos;
+    const char* last = csv.data() + comma;
+    if (first != last) {
+      unsigned port = 0;
+      const auto [end, ec] = std::from_chars(first, last, port);
+      if (ec != std::errc{} || end != last || port < 1 || port > 65535) {
+        return std::nullopt;
+      }
+      out.push_back(static_cast<std::uint16_t>(port));
+    }
     pos = comma + 1;
   }
   return out;
@@ -47,20 +62,42 @@ int main(int argc, char** argv) {
   using namespace ddp;
   const util::Options opt(argc, argv);
 
+  // Range-check the node's own settings before they narrow: an index
+  // outside the 10.0.0.0/8 block would alias another peer's address, and
+  // ports and the TTL would wrap to 16 and 8 bits.
+  const std::int64_t index = opt.get("index", std::int64_t{0});
+  const std::int64_t port = opt.get("port", std::int64_t{0});
+  const std::int64_t port_base = opt.get("port_base", std::int64_t{0});
+  const std::int64_t ttl = opt.get("ttl", std::int64_t{5});
+  const auto bootstrap = parse_ports(opt.get("bootstrap", std::string{}));
+  const double minute_seconds = opt.get("minute_seconds", 60.0);
+  std::string err;
+  if (index < 0 || index > 0xffffff) {
+    err = "index must be within [0, 16777215] (the 10.0.0.0/8 block)";
+  } else if (port < 0 || port > 65535) {
+    err = "port must be within [0, 65535] (0 = any free port)";
+  } else if (port_base < 0 || port_base > 65535) {
+    err = "port_base must be within [0, 65535]";
+  } else if (!bootstrap) {
+    err = "bootstrap must list ports within [1, 65535], comma-separated";
+  } else if (ttl < 1 || ttl > 255) {
+    err = "ttl must be within [1, 255]";
+  } else if (!std::isfinite(minute_seconds) || minute_seconds <= 0.0) {
+    err = "minute_seconds must be a finite value > 0";
+  }
+
   netengine::NodeConfig cfg;
-  cfg.index = static_cast<std::uint32_t>(opt.get("index", std::int64_t{0}));
-  cfg.engine.listen_port =
-      static_cast<std::uint16_t>(opt.get("port", std::int64_t{0}));
-  cfg.bootstrap = parse_ports(opt.get("bootstrap", std::string{}));
-  cfg.peer_port_base =
-      static_cast<std::uint16_t>(opt.get("port_base", std::int64_t{0}));
-  cfg.ttl = static_cast<std::uint8_t>(opt.get("ttl", std::int64_t{5}));
+  cfg.index = static_cast<std::uint32_t>(index);
+  cfg.engine.listen_port = static_cast<std::uint16_t>(port);
+  if (bootstrap) cfg.bootstrap = *bootstrap;
+  cfg.peer_port_base = static_cast<std::uint16_t>(port_base);
+  cfg.ttl = static_cast<std::uint8_t>(ttl);
   cfg.query_rate_per_minute = opt.get("query_rate", 2.0);
   cfg.hit_probability = opt.get("hit_prob", 0.05);
   cfg.attacker = opt.get("attacker", false);
   cfg.attack_rate_per_minute = opt.get("attack_rate", 2000.0);
   cfg.attack_start_minute = opt.get("attack_start", 1.0);
-  cfg.minute_seconds = opt.get("minute_seconds", 60.0);
+  cfg.minute_seconds = minute_seconds;
   cfg.police = opt.get("police", true);
   cfg.echo_correction = opt.get("echo_correction", true);
   cfg.ddp.warning_threshold = opt.get("warning", cfg.ddp.warning_threshold);
@@ -81,7 +118,8 @@ int main(int argc, char** argv) {
   cfg.stats_path = opt.get("stats", std::string{});
   cfg.seed = static_cast<std::uint64_t>(opt.get("seed", std::int64_t{1}));
 
-  if (const std::string err = core::validate(cfg.ddp); !err.empty()) {
+  if (err.empty()) err = core::validate(cfg.ddp);
+  if (!err.empty()) {
     std::fprintf(stderr, "ddpnode: invalid configuration: %s\n", err.c_str());
     return 2;
   }

@@ -24,8 +24,9 @@
 #                             # byte-identical, and adaptive=0 must leave
 #                             # ddpsim output byte-identical to the default
 #   scripts/check.sh --net    # tier-1 plus the socket-engine gate:
-#                             # invalid ddpnode DD-POLICE settings must
-#                             # exit 2, the loopback engine suite runs
+#                             # invalid ddpnode settings (DD-POLICE knobs,
+#                             # ports, TTL, minute length) must exit 2,
+#                             # the loopback engine suite runs
 #                             # plain and (with the LocalPolice suite)
 #                             # under ASan+UBSan, then a 10-process
 #                             # localhost mini-testbed must cut the
@@ -315,12 +316,15 @@ if [ "$run_shard" -eq 1 ]; then
 fi
 
 if [ "$run_net" -eq 1 ]; then
-  echo "== socket engine: ddpnode DD-POLICE validation =="
-  # Settings the per-node judge cannot honour must die with exit 2 and a
-  # message naming the knob before the node listens, like ddpsim's
-  # validation (see --adaptive). The short duration bounds the run if a
-  # regression lets one start.
-  for bad in "ct=0" "confirmations=0"; do
+  echo "== socket engine: ddpnode validation =="
+  # Settings the node cannot honour must die with exit 2 and a message
+  # naming the knob before the node listens, like ddpsim's validation (see
+  # --adaptive): DD-POLICE knobs the per-node judge refuses, and ports,
+  # TTLs and minute lengths that would otherwise wrap, abort or run a
+  # degenerate node. Later keys override the defaults in front of them.
+  # The short duration bounds the run if a regression lets one start.
+  for bad in "ct=0" "confirmations=0" "port=70000" "ttl=0" "ttl=300" \
+      "bootstrap=x" "bootstrap=70000" "minute_seconds=0" "index=-1"; do
     # shellcheck disable=SC2086
     if ./build/examples/ddpnode port=0 minute_seconds=0.2 duration_min=1 \
         $bad > /dev/null 2>&1; then
@@ -334,7 +338,7 @@ if [ "$run_net" -eq 1 ]; then
       fi
     fi
   done
-  echo "ddpnode validation: OK (invalid DD-POLICE settings exit 2)"
+  echo "ddpnode validation: OK (invalid settings exit 2)"
 
   echo "== socket engine: loopback suite (release build) =="
   # ddpnode/ddptestbed are part of the default build above; the loopback

@@ -123,8 +123,9 @@ std::string validate_config(const ScenarioConfig& config) {
   if (!nonneg(config.flow.recalibrate_minutes)) {
     return "flow.recalibrate_minutes must be finite and >= 0";
   }
-  if (config.flow.calibration_samples < 1) {
-    return "flow.calibration_samples must be >= 1";
+  if (config.flow.calibration_samples < 1 ||
+      config.flow.calibration_samples > 4096) {
+    return "flow.calibration_samples must be within [1, 4096]";
   }
   if (!std::isfinite(config.flow.link_reliability) ||
       config.flow.link_reliability < 0.0 || config.flow.link_reliability > 2.0) {

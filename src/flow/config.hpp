@@ -73,7 +73,8 @@ struct FlowConfig {
   /// the overlay, so periodic recalibration keeps delta(h) honest.
   double recalibrate_minutes = 10.0;
 
-  /// Origins sampled when calibrating the coverage profile.
+  /// Origins sampled when calibrating the coverage profile, and again for
+  /// the closed-loop damping fit. Validated to [1, 4096].
   std::size_t calibration_samples = 64;
 
   /// Fraction of each link's in-flight volume that actually arrives

@@ -53,36 +53,73 @@ void FlowNetwork::recalibrate() {
   // that makes the engine's message growth equal the exact BFS profile's.
   // Mean-field fresh fractions alone over-branch: hubs collect many copies
   // of a flood but forward it only once.
+  //
+  // The impulses advance kLanes origins at a time, one row of kLanes
+  // doubles per peer. Each lane repeats the one-origin loop's IEEE
+  // operations in its order: sources in ascending id, per-sample sums in
+  // sample order. Where a lane's impulse is zero it adds a signed zero,
+  // which leaves every sum unchanged, so each result is bit-identical to
+  // propagating one origin at a time.
+  std::vector<PeerId> origins;
+  for (std::size_t s = 0; s < config_.calibration_samples; ++s) {
+    const PeerId origin = graph_.random_active_node(rng_);
+    if (origin == kInvalidPeer) break;
+    origins.push_back(origin);
+  }
+  const std::vector<topology::CoverageProfile> exact =
+      topology::flood_coverage_batch(graph_, origins, ttl);
+
+  // One 64-byte row per peer. It is not over-aligned: aligned operator
+  // new fragments the heap across calls and peak RSS creeps up over a run.
+  constexpr std::size_t kLanes = 8;
+  using Row = std::array<double, kLanes>;
   std::array<double, kMaxTtl> target_sum{};
   std::array<double, kMaxTtl> unscaled_sum{};
   const std::size_t n = graph_.node_count();
-  std::vector<double> a(n), nx(n);
-  std::size_t samples = 0;
-  for (std::size_t s = 0; s < config_.calibration_samples && s < 4096; ++s) {
-    const PeerId origin = graph_.random_active_node(rng_);
-    if (origin == kInvalidPeer) break;
-    const auto exact = topology::flood_coverage(graph_, origin, ttl);
-    std::fill(a.begin(), a.end(), 0.0);
-    for (PeerId u : graph_.neighbors(origin)) a[u] = 1.0;
-    ++samples;
+  std::vector<Row> a(n), nx(n);
+  for (std::size_t base = 0; base < origins.size(); base += kLanes) {
+    const std::size_t lanes = std::min(kLanes, origins.size() - base);
+    std::fill(a.begin(), a.end(), Row{});
+    for (std::size_t k = 0; k < lanes; ++k) {
+      for (PeerId u : graph_.neighbors(origins[base + k])) a[u][k] = 1.0;
+    }
     for (std::size_t h = 1; h < ttl; ++h) {
-      double unscaled = 0.0;
+      Row unscaled{};
       for (PeerId v = 0; v < n; ++v) {
-        if (a[v] <= 0.0 || !graph_.is_active(v)) continue;
-        unscaled += a[v] * (static_cast<double>(graph_.degree(v)) - 1.0);
+        if (!graph_.is_active(v)) continue;
+        const double fan = static_cast<double>(graph_.degree(v)) - 1.0;
+        for (std::size_t k = 0; k < kLanes; ++k) {
+          unscaled[k] += a[v][k] * fan;
+        }
       }
-      unscaled_sum[h - 1] += unscaled;
-      target_sum[h - 1] += exact.messages[h];  // messages into hop h+1
-      const double delta =
-          unscaled > 0.0 ? std::min(1.0, exact.messages[h] / unscaled) : 0.0;
-      // Advance the impulse with the engine's own rule.
-      std::fill(nx.begin(), nx.end(), 0.0);
+      Row delta{};
+      for (std::size_t k = 0; k < lanes; ++k) {
+        const double target = exact[base + k].messages[h];  // into hop h+1
+        unscaled_sum[h - 1] += unscaled[k];
+        target_sum[h - 1] += target;
+        delta[k] =
+            unscaled[k] > 0.0 ? std::min(1.0, target / unscaled[k]) : 0.0;
+      }
+      // The impulse after the last hop is never read.
+      if (h + 1 == ttl) break;
+      // Advance the impulses with the engine's own rule.
+      std::fill(nx.begin(), nx.end(), Row{});
       for (PeerId v = 0; v < n; ++v) {
-        if (a[v] <= 0.0 || !graph_.is_active(v)) continue;
+        const Row& av = a[v];
+        if (!graph_.is_active(v) ||
+            std::none_of(av.begin(), av.end(),
+                         [](double x) { return x > 0.0; })) {
+          continue;
+        }
         const double deg = static_cast<double>(graph_.degree(v));
         if (deg < 2.0) continue;
-        const double per_link = a[v] * delta * (deg - 1.0) / deg;
-        for (PeerId u : graph_.neighbors(v)) nx[u] += per_link;
+        Row per_link{};
+        for (std::size_t k = 0; k < kLanes; ++k) {
+          per_link[k] = av[k] * delta[k] * (deg - 1.0) / deg;
+        }
+        for (PeerId u : graph_.neighbors(v)) {
+          for (std::size_t k = 0; k < kLanes; ++k) nx[u][k] += per_link[k];
+        }
       }
       a.swap(nx);
     }

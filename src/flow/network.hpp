@@ -330,7 +330,9 @@ class FlowNetwork {
   /// Per-hop forwarding damping, calibrated closed-loop: a unit impulse
   /// propagated with the engine's own update rule must reproduce the exact
   /// BFS profile's per-hop message counts. This corrects the mean-field
-  /// bias at hubs (many arrivals, fresh only once).
+  /// bias at hubs (many arrivals, fresh only once). recalibrate() takes the
+  /// exact counts from topology::flood_coverage_batch and advances the
+  /// impulses eight origins at a time, bit-identical to one at a time.
   std::array<double, kMaxTtl> forward_damping_{};
   /// profile_.fresh_fraction(hop) at index hop-1, refreshed whenever
   /// profile_ changes (recalibrate(), load()).

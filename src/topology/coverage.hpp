@@ -15,8 +15,17 @@
 /// query to every neighbour; every peer receiving a query it has not seen
 /// forwards it to all neighbours except the sender; duplicates are dropped
 /// on arrival (but still consumed bandwidth, so they count as messages).
+///
+/// Two kernels compute the same profiles. flood_coverage runs one BFS per
+/// origin; it is the reference the tests check against, and the figure
+/// code uses it. flood_coverage_batch floods 64 origins per pass, one bit
+/// per origin in a 64-bit mask per peer, so one sweep of the adjacency
+/// advances all 64 wavefronts. The calibration paths (average_coverage
+/// and the flow engine's damping loop) use it. Every count is an integer,
+/// so both kernels produce the same doubles bit for bit.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "topology/graph.hpp"
@@ -51,6 +60,12 @@ struct CoverageProfile {
 
 /// Exact profile of a flood from `origin` over active nodes.
 CoverageProfile flood_coverage(const Graph& g, PeerId origin, std::size_t ttl);
+
+/// Exact profiles of floods from every entry of `origins` (repeats
+/// allowed), in that order, 64 origins per bit-parallel BFS pass.
+/// Entry i equals flood_coverage(g, origins[i], ttl) bit for bit.
+std::vector<CoverageProfile> flood_coverage_batch(
+    const Graph& g, std::span<const PeerId> origins, std::size_t ttl);
 
 /// Network-average profile over `samples` random active origins (all
 /// origins when samples >= active count).

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 
 #include "flow/churn_driver.hpp"
 #include "flow/network.hpp"
+#include "snapshot/snapshot.hpp"
 #include "topology/generators.hpp"
 
 namespace ddp::flow {
@@ -509,6 +511,79 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
     EXPECT_EQ(r.dropped_attack, e.dropped_attack);
     EXPECT_EQ(o.in_flight, m.in_flight);
     EXPECT_EQ(o.agent_sent, m.agent_sent);
+  }
+}
+
+// The damping calibration pinned bit-for-bit. FlowNetwork::save holds the
+// coverage profile, the per-hop damping, the calibration minute and the
+// rng position, so one FNV-1a hash of its bytes covers every calibration
+// output and the draws it made. Each mode is hashed right after
+// construction and again after an in-run recalibration on a churned
+// overlay: a tenth of the peers offline, some isolated and some cut to
+// degree 1. TTLs 1, 7 and 8 cover the empty, the paper's and the longest
+// impulse; the sample counts fall on both sides of a 64-origin batch and
+// of the active count (where average_coverage floods every origin).
+std::uint64_t saved_state_hash(const FlowNetwork& net) {
+  snapshot::Writer w;
+  w.begin_section(1);
+  net.save(w);
+  w.end_section();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : w.finish(0)) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct CalibrationPin {
+  std::size_t ttl;
+  std::size_t samples;
+  std::uint64_t built;         ///< after the constructor's calibration
+  std::uint64_t recalibrated;  ///< after the in-run one on the churned graph
+};
+
+TEST(FlowPinned, CalibrationMatchesRecordedValues) {
+  constexpr std::size_t kPeers = 240;
+  const std::vector<CalibrationPin> pins = {
+    {1, 1, 0x54739e2ccdc72ae7ull, 0x2536f62387559713ull},
+    {1, 64, 0x8c34f2c126671eb7ull, 0xc0ea1554629828e2ull},
+    {1, 65, 0x34d420a3366ba88aull, 0x688e90ef4323b9f2ull},
+    {1, 300, 0xc556fd84aec8485bull, 0xb7320e4e9cadb663ull},
+    {7, 1, 0x59a207b6c44e5cb7ull, 0x79ef8cb81ec4596bull},
+    {7, 64, 0xaaddca434b202c56ull, 0x47c22e6fbb006a0dull},
+    {7, 65, 0xc63ba012d29126e5ull, 0x95e6b8b1b2687af1ull},
+    {7, 300, 0xe993f33681fa1fcbull, 0x5d508ee568f64296ull},
+    {8, 1, 0x19d3635fbfe821a5ull, 0xb44dd6b7ea585e24ull},
+    {8, 64, 0x9f83fd1316f92a42ull, 0x8bfdbe0c647a6097ull},
+    {8, 65, 0x8a07f6f30b22cef2ull, 0xfb9710012b616471ull},
+    {8, 300, 0x4acf22b2ed582aafull, 0xe33d40f01cfb32fbull},
+  };
+  for (const CalibrationPin& pin : pins) {
+    SCOPED_TRACE("ttl " + std::to_string(pin.ttl) + ", samples " +
+                 std::to_string(pin.samples));
+    FlowConfig cfg;
+    cfg.ttl = pin.ttl;
+    cfg.calibration_samples = pin.samples;
+    cfg.recalibrate_minutes = 1.0;
+    util::Rng rng(91);
+    World w(topology::paper_topology(kPeers, rng), cfg, 13);
+    w.net->set_kind(7, PeerKind::kBad);
+    EXPECT_EQ(saved_state_hash(*w.net), pin.built);
+
+    for (PeerId p = 0; p < kPeers; p += 10) {
+      w.net->on_peer_offline(p);
+      w.graph.set_active(p, false);
+    }
+    for (PeerId p = 5; p < kPeers; p += 40) w.net->on_peer_offline(p);
+    for (PeerId p = 25; p < kPeers; p += 40) {
+      while (w.graph.degree(p) > 1) {
+        w.net->disconnect(p, w.graph.neighbors(p).front());
+      }
+    }
+    w.net->run_minutes(1.0);
+    EXPECT_EQ(w.net->minute_history().size(), 1u);
+    EXPECT_EQ(saved_state_hash(*w.net), pin.recalibrated);
   }
 }
 

@@ -88,6 +88,20 @@ TEST(ScenarioValidate, RejectsOutOfRangeKnobs) {
   cfg.attack.agents = cfg.topo.nodes;
   EXPECT_NE(validate_config(cfg), "");
 
+  // The damping calibration floods every sampled origin twice per call;
+  // its sample count is bounded on both sides.
+  for (const std::size_t samples : {std::size_t{0}, std::size_t{4097}}) {
+    cfg = base;
+    cfg.flow.calibration_samples = samples;
+    EXPECT_NE(validate_config(cfg).find("flow.calibration_samples"),
+              std::string::npos);
+  }
+  for (const std::size_t samples : {std::size_t{1}, std::size_t{4096}}) {
+    cfg = base;
+    cfg.flow.calibration_samples = samples;
+    EXPECT_EQ(validate_config(cfg), "");
+  }
+
   // The simulated judge cuts on the first tripping round; a confirmation
   // count it would silently ignore is refused instead.
   cfg = base;

@@ -6,7 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "topology/bandwidth.hpp"
 #include "topology/coverage.hpp"
@@ -268,75 +274,114 @@ TEST(Bandwidth, ClassTablesAreOrdered) {
 
 // -------------------------------------------------------------- coverage
 
+// Both exact-coverage kernels run every hand-computed case. The batched
+// kernel floods `origin` at bit 37 of a full first pass, beside 63 floods
+// from other peers of g, and a partial second pass follows it.
+using CoverageKernel = CoverageProfile (*)(const Graph&, PeerId, std::size_t);
+
+CoverageProfile batched_coverage(const Graph& g, PeerId origin,
+                                 std::size_t ttl) {
+  std::vector<PeerId> origins;
+  for (std::size_t i = 0; i < 70; ++i) {
+    origins.push_back(static_cast<PeerId>(i % g.node_count()));
+  }
+  origins[37] = origin;
+  return flood_coverage_batch(g, origins, ttl)[37];
+}
+
+constexpr std::array<std::pair<const char*, CoverageKernel>, 2> kKernels{{
+    {"single-origin", flood_coverage},
+    {"batched", batched_coverage},
+}};
+
 TEST(Coverage, LineGraphExact) {
   Graph g(6);  // 0-1-2-3-4-5
   for (PeerId i = 0; i + 1 < 6; ++i) g.add_edge(i, i + 1);
-  const auto p = flood_coverage(g, 0, 7);
-  // Hop h reaches exactly node h; messages: hop1 = deg(0)=1, others 1 until
-  // the line ends (deg-1 of interior nodes = 1).
-  EXPECT_DOUBLE_EQ(p.new_nodes[0], 1.0);
-  EXPECT_DOUBLE_EQ(p.new_nodes[4], 1.0);
-  EXPECT_DOUBLE_EQ(p.new_nodes[5], 0.0);
-  EXPECT_DOUBLE_EQ(p.total_reach(), 5.0);
-  EXPECT_DOUBLE_EQ(p.messages[0], 1.0);
+  for (const auto& [name, cover] : kKernels) {
+    SCOPED_TRACE(name);
+    const auto p = cover(g, 0, 7);
+    // Hop h reaches exactly node h; messages: hop1 = deg(0)=1, others 1
+    // until the line ends (deg-1 of interior nodes = 1).
+    EXPECT_DOUBLE_EQ(p.new_nodes[0], 1.0);
+    EXPECT_DOUBLE_EQ(p.new_nodes[4], 1.0);
+    EXPECT_DOUBLE_EQ(p.new_nodes[5], 0.0);
+    EXPECT_DOUBLE_EQ(p.total_reach(), 5.0);
+    EXPECT_DOUBLE_EQ(p.messages[0], 1.0);
+  }
 }
 
 TEST(Coverage, StarGraphExact) {
   Graph g(7);
   for (PeerId i = 1; i < 7; ++i) g.add_edge(0, i);
-  const auto from_hub = flood_coverage(g, 0, 7);
-  EXPECT_DOUBLE_EQ(from_hub.new_nodes[0], 6.0);
-  EXPECT_DOUBLE_EQ(from_hub.total_reach(), 6.0);
-  const auto from_leaf = flood_coverage(g, 1, 7);
-  EXPECT_DOUBLE_EQ(from_leaf.new_nodes[0], 1.0);  // the hub
-  EXPECT_DOUBLE_EQ(from_leaf.new_nodes[1], 5.0);  // other leaves
-  EXPECT_DOUBLE_EQ(from_leaf.messages[1], 5.0);   // hub fans to deg-1
+  for (const auto& [name, cover] : kKernels) {
+    SCOPED_TRACE(name);
+    const auto from_hub = cover(g, 0, 7);
+    EXPECT_DOUBLE_EQ(from_hub.new_nodes[0], 6.0);
+    EXPECT_DOUBLE_EQ(from_hub.total_reach(), 6.0);
+    const auto from_leaf = cover(g, 1, 7);
+    EXPECT_DOUBLE_EQ(from_leaf.new_nodes[0], 1.0);  // the hub
+    EXPECT_DOUBLE_EQ(from_leaf.new_nodes[1], 5.0);  // other leaves
+    EXPECT_DOUBLE_EQ(from_leaf.messages[1], 5.0);   // hub fans to deg-1
+  }
 }
 
 TEST(Coverage, RingCountsDuplicates) {
   Graph g(6);  // cycle
   for (PeerId i = 0; i < 6; ++i) g.add_edge(i, (i + 1) % 6);
-  const auto p = flood_coverage(g, 0, 7);
-  EXPECT_DOUBLE_EQ(p.total_reach(), 5.0);
-  // Two wavefronts meet: total messages exceed total fresh nodes.
-  EXPECT_GT(p.total_messages(), p.total_reach());
+  for (const auto& [name, cover] : kKernels) {
+    SCOPED_TRACE(name);
+    const auto p = cover(g, 0, 7);
+    EXPECT_DOUBLE_EQ(p.total_reach(), 5.0);
+    // Two wavefronts meet: total messages exceed total fresh nodes.
+    EXPECT_GT(p.total_messages(), p.total_reach());
+  }
 }
 
 TEST(Coverage, TtlLimitsReach) {
   Graph g(10);  // line
   for (PeerId i = 0; i + 1 < 10; ++i) g.add_edge(i, i + 1);
-  const auto p = flood_coverage(g, 0, 3);
-  EXPECT_DOUBLE_EQ(p.total_reach(), 3.0);
+  for (const auto& [name, cover] : kKernels) {
+    SCOPED_TRACE(name);
+    EXPECT_DOUBLE_EQ(cover(g, 0, 3).total_reach(), 3.0);
+  }
 }
 
 TEST(Coverage, FreshFractionFirstHopIsOne) {
   util::Rng rng(12);
   const Graph g = paper_topology(500, rng);
-  const auto p = flood_coverage(g, 0, 7);
-  EXPECT_DOUBLE_EQ(p.fresh_fraction(1), 1.0);
-  for (std::size_t h = 1; h <= 7; ++h) {
-    EXPECT_GE(p.fresh_fraction(h), 0.0);
-    EXPECT_LE(p.fresh_fraction(h), 1.0);
+  for (const auto& [name, cover] : kKernels) {
+    SCOPED_TRACE(name);
+    const auto p = cover(g, 0, 7);
+    EXPECT_DOUBLE_EQ(p.fresh_fraction(1), 1.0);
+    for (std::size_t h = 1; h <= 7; ++h) {
+      EXPECT_GE(p.fresh_fraction(h), 0.0);
+      EXPECT_LE(p.fresh_fraction(h), 1.0);
+    }
   }
 }
 
 TEST(Coverage, FullCoverageOnWellConnectedGraph) {
   util::Rng rng(13);
   const Graph g = paper_topology(300, rng);
-  const auto p = flood_coverage(g, 5, 7);
-  // TTL-7 floods blanket a 300-node BA overlay (the paper cites [25]: 95%
-  // of node pairs are within 7 hops).
-  EXPECT_GT(p.total_reach(), 290.0);
+  for (const auto& [name, cover] : kKernels) {
+    SCOPED_TRACE(name);
+    // TTL-7 floods blanket a 300-node BA overlay (the paper cites [25]:
+    // 95% of node pairs are within 7 hops).
+    EXPECT_GT(cover(g, 5, 7).total_reach(), 290.0);
+  }
 }
 
 TEST(Coverage, CumulativeReachMonotone) {
   util::Rng rng(14);
   const Graph g = paper_topology(400, rng);
-  const auto p = flood_coverage(g, 1, 7);
-  for (std::size_t h = 1; h <= 7; ++h) {
-    EXPECT_GE(p.cumulative_reach(h), p.cumulative_reach(h - 1));
+  for (const auto& [name, cover] : kKernels) {
+    SCOPED_TRACE(name);
+    const auto p = cover(g, 1, 7);
+    for (std::size_t h = 1; h <= 7; ++h) {
+      EXPECT_GE(p.cumulative_reach(h), p.cumulative_reach(h - 1));
+    }
+    EXPECT_DOUBLE_EQ(p.cumulative_reach(7), p.total_reach());
   }
-  EXPECT_DOUBLE_EQ(p.cumulative_reach(7), p.total_reach());
 }
 
 TEST(Coverage, AverageProfileSane) {
@@ -352,16 +397,138 @@ TEST(Coverage, InactiveOriginYieldsEmptyProfile) {
   Graph g(3);
   g.add_edge(0, 1);
   g.set_active(0, false);
-  const auto p = flood_coverage(g, 0, 7);
-  EXPECT_DOUBLE_EQ(p.total_reach(), 0.0);
+  for (const auto& [name, cover] : kKernels) {
+    SCOPED_TRACE(name);
+    const auto p = cover(g, 0, 7);
+    EXPECT_DOUBLE_EQ(p.total_reach(), 0.0);
+    EXPECT_DOUBLE_EQ(p.total_messages(), 0.0);
+  }
 }
 
 TEST(Coverage, InactiveNodesBlockPropagation) {
   Graph g(5);  // line
   for (PeerId i = 0; i + 1 < 5; ++i) g.add_edge(i, i + 1);
   g.set_active(2, false);  // also removes its edges
-  const auto p = flood_coverage(g, 0, 7);
-  EXPECT_DOUBLE_EQ(p.total_reach(), 1.0);  // only node 1 reachable
+  for (const auto& [name, cover] : kKernels) {
+    SCOPED_TRACE(name);
+    EXPECT_DOUBLE_EQ(cover(g, 0, 7).total_reach(), 1.0);  // only node 1
+  }
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+// A BA or ER overlay with every kind of peer a flood meets under churn:
+// a tenth offline, some online but isolated, some cut to degree 1.
+Graph churned_overlay(Model model, std::size_t nodes, util::Rng& rng) {
+  GeneratorConfig cfg;
+  cfg.model = model;
+  cfg.nodes = nodes;
+  Graph g = generate(cfg, rng);
+  for (PeerId p = 3; p < nodes; p += 10) g.set_active(p, false);
+  for (PeerId p = 6; p < nodes; p += 29) g.isolate(p);
+  for (PeerId p = 8; p < nodes; p += 13) {
+    while (g.degree(p) > 1) g.remove_edge(p, g.neighbors(p).front());
+  }
+  return g;
+}
+
+TEST(Coverage, BatchedKernelMatchesSingleOriginBitForBit) {
+  struct Overlay {
+    Model model;
+    std::size_t nodes;
+  };
+  for (const Overlay o : {Overlay{Model::kBarabasiAlbert, 300},
+                          Overlay{Model::kErdosRenyi, 240}}) {
+    util::Rng rng(31 + o.nodes);
+    const Graph g = churned_overlay(o.model, o.nodes, rng);
+    for (const std::size_t batch : {1u, 63u, 64u, 65u, 200u}) {
+      // Any peer may be an origin (offline ones flood nothing); every
+      // batch also repeats some origins, inside a pass and across passes.
+      std::vector<PeerId> origins;
+      for (std::size_t i = 0; i < batch; ++i) {
+        origins.push_back(i % 7 == 5 && i > 0
+                              ? origins[i / 2]
+                              : static_cast<PeerId>(rng.below(
+                                    static_cast<std::uint32_t>(o.nodes))));
+      }
+      for (std::size_t ttl = 1; ttl <= 8; ++ttl) {
+        const auto batched = flood_coverage_batch(g, origins, ttl);
+        ASSERT_EQ(batched.size(), origins.size());
+        for (std::size_t i = 0; i < origins.size(); ++i) {
+          SCOPED_TRACE("nodes " + std::to_string(o.nodes) + ", batch " +
+                       std::to_string(batch) + ", ttl " + std::to_string(ttl) +
+                       ", origin " + std::to_string(origins[i]));
+          const auto single = flood_coverage(g, origins[i], ttl);
+          EXPECT_EQ(bits(batched[i].new_nodes), bits(single.new_nodes));
+          EXPECT_EQ(bits(batched[i].messages), bits(single.messages));
+        }
+      }
+    }
+  }
+}
+
+// The one-flood-per-origin loop average_coverage ran before it moved to
+// the batched kernel, kept as the reference for its draws and its sums.
+CoverageProfile reference_average(const Graph& g, std::size_t ttl,
+                                  std::size_t samples, util::Rng& rng) {
+  CoverageProfile avg;
+  avg.new_nodes.assign(ttl, 0.0);
+  avg.messages.assign(ttl, 0.0);
+  if (g.active_count() == 0 || ttl == 0) return avg;
+  std::size_t used = 0;
+  const auto add = [&](PeerId u) {
+    const CoverageProfile p = flood_coverage(g, u, ttl);
+    for (std::size_t h = 0; h < ttl; ++h) {
+      avg.new_nodes[h] += p.new_nodes[h];
+      avg.messages[h] += p.messages[h];
+    }
+    ++used;
+  };
+  if (samples >= g.active_count()) {
+    for (PeerId u = 0; u < g.node_count(); ++u) {
+      if (g.is_active(u)) add(u);
+    }
+  } else {
+    for (std::size_t s = 0; s < samples; ++s) {
+      const PeerId u = g.random_active_node(rng);
+      if (u == kInvalidPeer) break;
+      add(u);
+    }
+  }
+  if (used > 0) {
+    for (std::size_t h = 0; h < ttl; ++h) {
+      avg.new_nodes[h] /= static_cast<double>(used);
+      avg.messages[h] /= static_cast<double>(used);
+    }
+  }
+  return avg;
+}
+
+TEST(Coverage, AverageMatchesOneFloodPerOriginLoop) {
+  util::Rng topo_rng(41);
+  const Graph g = churned_overlay(Model::kBarabasiAlbert, 260, topo_rng);
+  const std::size_t active = g.active_count();
+  // Sampled branch (below the active count) and every-origin branch.
+  for (const std::size_t samples :
+       {std::size_t{1}, std::size_t{64}, std::size_t{65}, std::size_t{130},
+        active - 1, active, active + 40}) {
+    for (const std::size_t ttl : {1u, 7u, 8u}) {
+      SCOPED_TRACE("samples " + std::to_string(samples) + ", ttl " +
+                   std::to_string(ttl));
+      util::Rng rng(97);
+      util::Rng ref_rng(97);
+      const auto got = average_coverage(g, ttl, samples, rng);
+      const auto want = reference_average(g, ttl, samples, ref_rng);
+      EXPECT_EQ(bits(got.new_nodes), bits(want.new_nodes));
+      EXPECT_EQ(bits(got.messages), bits(want.messages));
+      EXPECT_EQ(rng.state().state, ref_rng.state().state);
+      EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+    }
+  }
 }
 
 
