@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
       "robustness extension (static vs adaptive CT, sub-threshold attackers, "
       "flash crowds)");
   const std::size_t agents = std::min<std::size_t>(50, run.scale.peers / 20);
-  const auto rows =
-      experiments::run_adaptive_ct_ablation(run.scale, agents, run.seed);
-  bench::finish(run, experiments::adaptive_ct_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::adaptive_ct_ablation(agents), run.scale, run.seed);
+  bench::finish(run, sweep.table(),
                 "detection latency / damage / false cuts per strategy x policy",
                 "fig_adaptive_ct");
   return 0;

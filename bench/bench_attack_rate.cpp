@@ -17,9 +17,9 @@ int main(int argc, char** argv) {
   auto run = bench::begin(argc, argv, "bench_attack_rate — Q_d detectability sweep",
                           "Sec. 3.3 extension (warning-threshold blind spot)");
   const std::size_t agents = std::min<std::size_t>(100, run.scale.peers / 10);
-  const auto rows =
-      experiments::run_attack_rate_sweep(run.scale, agents, run.seed);
-  bench::finish(run, experiments::attack_rate_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::attack_rate_sweep(agents), run.scale, run.seed);
+  bench::finish(run, sweep.table(),
                 "attack sourcing rate vs detection and damage", "attack_rate");
   return 0;
 }

@@ -15,8 +15,9 @@ int main(int argc, char** argv) {
   auto run = bench::begin(argc, argv, "bench_cheat_ablation — cheating strategies",
                           "Sec. 3.4 (cheating case analysis)");
   const std::size_t agents = std::min<std::size_t>(50, run.scale.peers / 12);
-  const auto rows = experiments::run_cheat_ablation(run.scale, agents, run.seed);
-  bench::finish(run, experiments::cheat_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::cheat_ablation(agents), run.scale, run.seed);
+  bench::finish(run, sweep.table(),
                 "Sec. 3.4 — agent cheating strategies vs detection",
                 "cheat_ablation");
   return 0;

@@ -14,8 +14,9 @@ int main(int argc, char** argv) {
   auto run = bench::begin(argc, argv, "bench_churn_ablation — membership dynamics",
                           "DESIGN.md ablation (churn sensitivity, Sec. 3.5)");
   const std::size_t agents = std::min<std::size_t>(100, run.scale.peers / 10);
-  const auto rows = experiments::run_churn_ablation(run.scale, agents, run.seed);
-  bench::finish(run, experiments::churn_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::churn_ablation(agents), run.scale, run.seed);
+  bench::finish(run, sweep.table(),
                 "DD-POLICE error counts across churn regimes",
                 "churn_ablation");
   return 0;

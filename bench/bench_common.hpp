@@ -2,16 +2,17 @@
 
 /// \file bench_common.hpp
 /// Shared scaffolding for the figure-reproduction benches: run-provenance
-/// banner, scale resolution (DDP_FULL / DDP_TRIALS / DDP_SEED) and CSV
-/// emission into a shared output directory (default `results/`, override
-/// with `--out-dir=DIR`).
+/// banner, scale resolution (DDP_FULL / DDP_TRIALS / DDP_JOBS / DDP_SEED,
+/// `--jobs N`) and CSV emission into a shared output directory (default
+/// `results/`, override with `--out-dir=DIR`).
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -60,56 +61,71 @@ struct Run {
   std::string out_dir = "results";
 };
 
-/// Parse the shared bench flags out of argv. `--out-dir=DIR` (or
-/// `--out-dir DIR`) and `--jobs=N` (or `--jobs N`) are recognized; unknown
-/// arguments are ignored so each bench stays forward-compatible with
-/// future shared flags.
-inline std::string parse_out_dir(int argc, char** argv) {
-  std::string dir = "results";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    constexpr std::string_view kPrefix = "--out-dir=";
-    if (arg.rfind(kPrefix, 0) == 0) {
-      dir = std::string(arg.substr(kPrefix.size()));
-    } else if (arg == "--out-dir" && i + 1 < argc) {
-      dir = argv[++i];
-    }
-  }
-  return dir;
+/// Print `message` to stderr and exit 2: a bench never starts a run on a
+/// flag or DDP_* value it cannot honour.
+[[noreturn]] inline void usage_error(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
 }
 
-/// Worker threads for SweepRunner-backed sweeps: `--jobs N` / `--jobs=N`
-/// (0 = one per hardware thread), falling back to DDP_JOBS, then
-/// `fallback`. Output is jobs-invariant; only wall clock changes.
-inline unsigned parse_jobs(int argc, char** argv, unsigned fallback) {
-  unsigned jobs = util::env_jobs(fallback);
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    constexpr std::string_view kPrefix = "--jobs=";
-    std::string value;
-    if (arg.rfind(kPrefix, 0) == 0) {
-      value = std::string(arg.substr(kPrefix.size()));
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      value = argv[++i];
-    } else {
-      continue;
-    }
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-    if (end != value.c_str() && *end == '\0') {
-      jobs = static_cast<unsigned>(v);
-    }
+/// `text` as one whole base-10 integer in [lo, hi], or exit 2 naming `what`.
+inline long long parse_int(const std::string& what, const std::string& text,
+                           long long lo, long long hi) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (errno != 0 || end == text.c_str() || *end != '\0' || v < lo || v > hi) {
+    usage_error(what + " must be an integer in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "], got '" + text + "'");
   }
-  return jobs;
+  return v;
 }
 
+/// Check a DDP_* variable that is set (and non-empty) against [lo, hi].
+inline void check_env(const char* name, long long lo, long long hi) {
+  const char* env = std::getenv(name);
+  if (env != nullptr && *env != '\0') parse_int(name, env, lo, hi);
+}
+
+inline constexpr long long kMaxJobs = 256;
+
+/// Resolve the run's scale, seed and output directory. The flags are
+/// `--out-dir DIR` (default `results/`) and `--jobs N` (0 = one worker per
+/// hardware thread; overrides DDP_JOBS), each also as `--flag=value`.
+/// Output is jobs-invariant; only wall clock changes. Any other argument,
+/// or a malformed flag or DDP_TRIALS / DDP_JOBS / DDP_SEED value, exits 2
+/// before the first run.
 inline Run begin(int argc, char** argv, const std::string& title,
                  const std::string& paper_ref) {
+  check_env("DDP_TRIALS", 1, std::numeric_limits<std::uint32_t>::max());
+  check_env("DDP_JOBS", 0, kMaxJobs);
+  check_env("DDP_SEED", std::numeric_limits<long long>::min(),
+            std::numeric_limits<long long>::max());
   Run run;
   run.scale = experiments::default_scale();
-  run.scale.jobs = parse_jobs(argc, argv, run.scale.jobs);
   run.seed = util::env_seed();
-  run.out_dir = parse_out_dir(argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    if (name != "--out-dir" && name != "--jobs") {
+      usage_error("unknown argument: " + arg +
+                  " (expected --out-dir DIR or --jobs N)");
+    }
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    }
+    if (value.empty()) usage_error(name + " needs a value");
+    if (name == "--out-dir") {
+      run.out_dir = value;
+    } else {
+      run.scale.jobs =
+          static_cast<unsigned>(parse_int("--jobs", value, 0, kMaxJobs));
+    }
+  }
   std::printf("%s\n", title.c_str());
   std::printf("reproduces: %s\n", paper_ref.c_str());
   std::printf("scale: %zu peers, %.0f min simulated, %u trial(s), seed %llu%s\n",
@@ -120,10 +136,6 @@ inline Run begin(int argc, char** argv, const std::string& title,
     std::printf("jobs: %u (output identical to --jobs 1)\n", run.scale.jobs);
   }
   return run;
-}
-
-inline Run begin(const std::string& title, const std::string& paper_ref) {
-  return begin(0, nullptr, title, paper_ref);
 }
 
 inline void finish(const Run& run, const util::Table& table,

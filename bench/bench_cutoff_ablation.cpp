@@ -22,9 +22,10 @@ int main(int argc, char** argv) {
   // Exponent 1 is plain BA (cap = n, never binds); 2 is the classic
   // sqrt(n) hub cap; beyond 4 the overlay approaches degree-regular.
   const std::vector<double> exponents{1.0, 1.5, 2.0, 3.0, 4.0, 6.0};
-  const auto rows =
-      experiments::run_cutoff_ablation(run.scale, agents, run.seed, exponents);
-  bench::finish(run, experiments::cutoff_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::cutoff_ablation(run.scale, agents, exponents), run.scale,
+      run.seed);
+  bench::finish(run, sweep.table(),
                 "detection / false cuts / damage per degree cap",
                 "fig_cutoff_ablation");
   return 0;

@@ -15,9 +15,9 @@ int main(int argc, char** argv) {
                           "Sec. 4 quantified (none / naive-cut / fair-share / "
                           "DD-POLICE)");
   const std::size_t agents = std::min<std::size_t>(100, run.scale.peers / 10);
-  const auto rows =
-      experiments::run_defense_comparison(run.scale, agents, run.seed);
-  bench::finish(run, experiments::defense_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::defense_comparison(agents), run.scale, run.seed);
+  bench::finish(run, sweep.table(),
                 "defense comparison under identical attack",
                 "defense_compare");
   return 0;

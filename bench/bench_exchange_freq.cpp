@@ -14,9 +14,11 @@ int main(int argc, char** argv) {
       "bench_exchange_freq — neighbour-list exchange frequency study",
       "Sec. 3.7.1 (frequency of neighbor list exchanging)");
   const std::size_t agents = std::min<std::size_t>(50, run.scale.peers / 12);
-  const auto rows = experiments::run_exchange_frequency_study(
-      run.scale, {1.0, 2.0, 4.0, 5.0, 10.0}, true, agents, run.seed);
-  bench::finish(run, experiments::exchange_frequency_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::exchange_frequency_study({1.0, 2.0, 4.0, 5.0, 10.0}, true,
+                                            agents),
+      run.scale, run.seed);
+  bench::finish(run, sweep.table(),
                 "Sec. 3.7.1 — exchange policy vs errors and overhead",
                 "exchange_freq");
   return 0;

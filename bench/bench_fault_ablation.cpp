@@ -21,9 +21,10 @@ int main(int argc, char** argv) {
   const std::size_t agents = std::min<std::size_t>(100, run.scale.peers / 10);
   const std::vector<double> losses{0.0, 0.1, 0.3, 0.5};
   const std::vector<double> jitters{0.0, 4.0};
-  const auto rows = experiments::run_fault_ablation(run.scale, agents,
-                                                    run.seed, losses, jitters);
-  bench::finish(run, experiments::fault_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::fault_ablation(agents, losses, jitters), run.scale,
+      run.seed);
+  bench::finish(run, sweep.table(),
                 "detection quality vs control-plane degradation",
                 "fault_ablation");
   return 0;

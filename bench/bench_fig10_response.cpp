@@ -10,8 +10,11 @@ int main(int argc, char** argv) {
   const auto run = bench::begin(argc, argv,
       "bench_fig10_response — average response time vs #DDoS agents",
       "Figure 10 (query response time)");
-  const auto rows = experiments::run_agent_sweep(run.scale, run.seed);
-  bench::finish(run, experiments::fig10_response_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::agent_sweep(run.scale), run.scale, run.seed);
+  bench::finish(run, sweep.table({"response_no_defense(s)",
+                             "response_dd_police(s)",
+                             "response_no_attack(s)"}),
                 "Figure 10 — average response time (seconds)",
                 "fig10_response");
   return 0;

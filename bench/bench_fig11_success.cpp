@@ -10,8 +10,11 @@ int main(int argc, char** argv) {
   const auto run = bench::begin(argc, argv,
       "bench_fig11_success — query success rate vs #DDoS agents",
       "Figure 11 (success rate)");
-  const auto rows = experiments::run_agent_sweep(run.scale, run.seed);
-  bench::finish(run, experiments::fig11_success_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::agent_sweep(run.scale), run.scale, run.seed);
+  bench::finish(run, sweep.table({"success_no_defense(%)",
+                             "success_dd_police(%)",
+                             "success_no_attack(%)"}),
                 "Figure 11 — average success rate (%)", "fig11_success");
   return 0;
 }

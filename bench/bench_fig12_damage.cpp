@@ -15,9 +15,9 @@ int main(int argc, char** argv) {
       "bench_fig12_damage — damage rate timeline under 100-agent attack",
       "Figure 12 (effectiveness of DD-POLICE in dynamic P2P environments)");
   const std::size_t agents = std::min<std::size_t>(100, run.scale.peers / 10);
-  const auto tl = experiments::run_damage_timelines(run.scale, {3.0, 7.0, 10.0},
-                                                    agents, run.seed);
-  bench::finish(run, experiments::fig12_damage_table(tl),
+  const auto tl = experiments::damage_timelines(run.scale, {3.0, 7.0, 10.0},
+                                                agents, run.seed);
+  bench::finish(run, tl.table(),
                 "Figure 12 — damage rate D(t) (%)", "fig12_damage");
   return 0;
 }

@@ -21,10 +21,16 @@ int main(int argc, char** argv) {
   auto run = bench::begin(argc, argv, "bench_fig13_errors — errors vs cut threshold",
                           "Figure 13 (errors vs. cut threshold)");
   const std::size_t agents = std::min<std::size_t>(100, run.scale.peers / 10);
-  const auto rows = experiments::run_ct_sweep(
-      run.scale, {1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 12.0}, agents, run.seed,
-      /*with_quarantine=*/true);
-  bench::finish(run, experiments::fig13_errors_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::ct_sweep({1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 12.0}, agents,
+                            /*with_quarantine=*/true),
+      run.scale, run.seed);
+  bench::finish(run,
+                sweep.table({"false_negative(good cut)",
+                             "false_positive(bad missed)", "false_judgment",
+                             "reinstate_time(min)", "honest_reinstated",
+                             "reinstated_success(%)", "success_permanent(%)",
+                             "success_quarantine(%)"}),
                 "Figure 13 — errors vs cut threshold", "fig13_errors");
   return 0;
 }

@@ -13,9 +13,13 @@ int main(int argc, char** argv) {
       "bench_fig14_recovery — damage recovery time vs cut threshold",
       "Figure 14 (damage recovery time vs. cut threshold)");
   const std::size_t agents = std::min<std::size_t>(100, run.scale.peers / 10);
-  const auto rows = experiments::run_ct_sweep(
-      run.scale, {1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 12.0}, agents, run.seed);
-  bench::finish(run, experiments::fig14_recovery_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::ct_sweep({1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 12.0}, agents,
+                            /*with_quarantine=*/false),
+      run.scale, run.seed);
+  bench::finish(run,
+                sweep.table({"recovery_time(min)", "detection_time(min)",
+                             "stabilized_damage(%)"}),
                 "Figure 14 — damage recovery time (minutes)", "fig14_recovery");
   return 0;
 }

@@ -12,8 +12,11 @@ int main(int argc, char** argv) {
   const auto run = bench::begin(argc, argv,
       "bench_fig9_traffic — average traffic cost vs #DDoS agents",
       "Figure 9 (average traffic cost)");
-  const auto rows = experiments::run_agent_sweep(run.scale, run.seed);
-  bench::finish(run, experiments::fig9_traffic_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::agent_sweep(run.scale), run.scale, run.seed);
+  bench::finish(run, sweep.table({"traffic_no_defense(10^3/min)",
+                             "traffic_dd_police(10^3/min)",
+                             "traffic_no_attack(10^3/min)"}),
                 "Figure 9 — average traffic cost (10^3 msgs/min)",
                 "fig9_traffic");
   return 0;

@@ -13,8 +13,9 @@ int main(int argc, char** argv) {
   auto run = bench::begin(argc, argv, "bench_r_ablation — DD-POLICE-r buddy radius",
                           "Sec. 3.5 (DD-POLICE-r, r > 1)");
   const std::size_t agents = std::min<std::size_t>(50, run.scale.peers / 12);
-  const auto rows = experiments::run_radius_ablation(run.scale, agents, run.seed);
-  bench::finish(run, experiments::radius_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::radius_ablation(agents), run.scale, run.seed);
+  bench::finish(run, sweep.table(),
                 "Sec. 3.5 — buddy radius ablation", "r_ablation");
   return 0;
 }

@@ -15,8 +15,9 @@ int main(int argc, char** argv) {
   auto run = bench::begin(argc, argv, "bench_rejoin_ablation — attacker persistence",
                           "Sec. 3.7.2 extension (agents rejoining)");
   const std::size_t agents = std::min<std::size_t>(100, run.scale.peers / 10);
-  const auto rows = experiments::run_rejoin_study(run.scale, agents, run.seed);
-  bench::finish(run, experiments::rejoin_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::rejoin_study(agents), run.scale, run.seed);
+  bench::finish(run, sweep.table(),
                 "steady state under persistent attackers", "rejoin_ablation");
   return 0;
 }

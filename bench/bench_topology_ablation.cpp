@@ -14,9 +14,9 @@ int main(int argc, char** argv) {
   auto run = bench::begin(argc, argv, "bench_topology_ablation — overlay families",
                           "DESIGN.md ablation (topology robustness)");
   const std::size_t agents = std::min<std::size_t>(100, run.scale.peers / 10);
-  const auto rows =
-      experiments::run_topology_ablation(run.scale, agents, run.seed);
-  bench::finish(run, experiments::topology_table(rows),
+  const auto sweep = experiments::run_study(
+      experiments::topology_ablation(agents), run.scale, run.seed);
+  bench::finish(run, sweep.table(),
                 "DD-POLICE across topology families", "topology_ablation");
   return 0;
 }

@@ -36,24 +36,35 @@ int main(int argc, char** argv) {
 
   std::printf("tuning CT for %zu peers under a %zu-agent attack (%u trials)\n",
               scale.peers, agents, scale.trials);
-  const auto rows = experiments::run_ct_sweep(scale, cts, agents, seed);
+  const auto sweep = experiments::run_study(
+      experiments::ct_sweep(cts, agents, /*with_quarantine=*/false), scale,
+      seed);
 
-  experiments::fig13_errors_table(rows).print(std::cout, "errors vs CT");
-  experiments::fig14_recovery_table(rows).print(std::cout, "recovery vs CT");
+  sweep.table({"false_negative(good cut)", "false_positive(bad missed)",
+               "false_judgment"})
+      .print(std::cout, "errors vs CT");
+  sweep.table({"recovery_time(min)", "detection_time(min)",
+               "stabilized_damage(%)"})
+      .print(std::cout, "recovery vs CT");
 
-  const experiments::CtSweepRow* best = nullptr;
-  for (const auto& r : rows) {
-    if (best == nullptr || r.false_judgment < best->false_judgment ||
-        (r.false_judgment == best->false_judgment &&
-         r.recovery_minutes < best->recovery_minutes)) {
-      best = &r;
+  const auto judgment = [&](std::size_t i) {
+    return sweep.value(i, "false_judgment");
+  };
+  const auto recovery = [&](std::size_t i) {
+    return sweep.value(i, "recovery_time(min)");
+  };
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < sweep.rows(); ++i) {
+    if (judgment(i) < judgment(best) ||
+        (judgment(i) == judgment(best) && recovery(i) < recovery(best))) {
+      best = i;
     }
   }
-  if (best != nullptr) {
+  if (sweep.rows() > 0) {
     std::printf("\nrecommended operating point: CT = %.0f "
                 "(false judgment %.1f, recovery %.1f min, stabilized damage %.1f%%)\n",
-                best->cut_threshold, best->false_judgment,
-                best->recovery_minutes, best->stabilized_damage);
+                cts[best], judgment(best), recovery(best),
+                sweep.value(best, "stabilized_damage(%)"));
     std::printf("the paper settles on CT = 5 for its 2,000-peer configuration "
                 "(Sec. 3.7.2).\n");
   }

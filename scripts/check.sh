@@ -115,23 +115,54 @@ if ! cmp -s "$tmp/fa.csv" "$tmp/fa_offline.csv"; then
 fi
 echo "forensics determinism: OK (live == offline, byte-identical)"
 
+echo "== bench flags: malformed arguments and DDP_* values exit 2 =="
+# A bench resolves its flags and DDP_* variables before the first run;
+# anything it cannot honour must exit 2 with a message, not run defaults.
+expect_exit2() {
+  what="$1"
+  shift
+  if "$@" > /dev/null 2>&1; then
+    echo "FAIL: bench_fig5_capacity accepted $what" >&2
+    exit 1
+  else
+    rc=$?
+    if [ "$rc" -ne 2 ]; then
+      echo "FAIL: bench_fig5_capacity exited $rc on $what, expected 2" >&2
+      exit 1
+    fi
+  fi
+}
+for bad in "--bogus" "--jobs=abc" "--jobs -2" "--jobs 257" "--jobs"; do
+  # shellcheck disable=SC2086
+  expect_exit2 "'$bad'" ./build/bench/bench_fig5_capacity \
+      --out-dir "$tmp/flags" $bad
+done
+for bad in "DDP_TRIALS=abc" "DDP_TRIALS=0" "DDP_JOBS=x" "DDP_SEED=1.5"; do
+  expect_exit2 "$bad" env "$bad" ./build/bench/bench_fig5_capacity \
+      --out-dir "$tmp/flags"
+done
+echo "bench flags: OK (malformed values exit 2)"
+
 echo "== golden byte-identity gate (figure CSVs + short trace + control plane) =="
 # Laptop-scale runs of the figure benches plus a short traced ddpsim
 # scenario, hashed against the committed manifest. Catches any change to
 # the simulation arithmetic, iteration order or output formatting: a
 # refactor that claims bit-exactness must leave every hash untouched
 # (regenerate with scripts/regen_golden.sh when a change is *meant* to
-# shift results, and say so in the PR). The control-plane run covers
-# DD-POLICE-r at r = 2, Neighbor_Traffic over a lossy, corrupting
-# channel, cheating reporters and liars, and the checkpoint bytes
-# (section CRCs included).
+# shift results, and say so in the PR). The sweep benches run with
+# --jobs "$jobs" against a manifest recorded at jobs 1, so the gate also
+# checks that the study runner's output is jobs-invariant; fig13 covers
+# the quarantine inspect hook and the optional columns. The control-plane
+# run covers DD-POLICE-r at r = 2, Neighbor_Traffic over a lossy,
+# corrupting channel, cheating reporters and liars, and the checkpoint
+# bytes (section CRCs included).
 mkdir -p "$tmp/golden"
 env -u DDP_FULL -u DDP_SEED ./build/bench/bench_fig5_capacity \
     --out-dir "$tmp/golden" > /dev/null
-env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_fig11_success \
-    --out-dir "$tmp/golden" > /dev/null
-env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_attack_rate \
-    --out-dir "$tmp/golden" > /dev/null
+for sweep in fig11_success attack_rate fig13_errors; do
+  env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 "./build/bench/bench_$sweep" \
+      --out-dir "$tmp/golden" --jobs "$jobs" > /dev/null
+done
 ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
     trace="$tmp/golden/ddpsim_short.jsonl" \
     csv="$tmp/golden/ddpsim_short.csv" > /dev/null
@@ -207,9 +238,9 @@ fi
 if [ "$run_tsan" -eq 1 ]; then
   echo "== ThreadSanitizer: pool + parallel sweep harness =="
   # Builds the tsan preset and runs the concurrency surface under TSan:
-  # the sweep/pool unit tests (which include jobs=1 vs jobs=N identity
-  # checks on the real fig 9-11 pipeline) and a fanned-out mini soak.
-  # Any data race aborts the process, so this gate fails loudly.
+  # the sweep/pool unit tests (which run all 14 studies through the study
+  # runner at jobs 1 and 4 and pin every table's hash) and a fanned-out
+  # mini soak. Any data race aborts the process, so this gate fails loudly.
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
       --target sweep_test snapshot_test forensics_test adaptive_test \

@@ -18,6 +18,8 @@ env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_fig11_success \
     --out-dir "$tmp" > /dev/null
 env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_attack_rate \
     --out-dir "$tmp" > /dev/null
+env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_fig13_errors \
+    --out-dir "$tmp" > /dev/null
 ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
     trace="$tmp/ddpsim_short.jsonl" csv="$tmp/ddpsim_short.csv" > /dev/null
 ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 radius=2 \
@@ -30,7 +32,8 @@ env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_attack_rate \
 mkdir -p tests/golden
 (cd "$tmp" && sha256sum fig5_capacity.csv fig11_success.csv \
     attack_rate.csv ddpsim_short.csv ddpsim_short.jsonl \
-    ddpsim_control.csv ddpsim_control.jsonl ddpsim_control.ckpt) \
+    ddpsim_control.csv ddpsim_control.jsonl ddpsim_control.ckpt \
+    fig13_errors.csv) \
     > tests/golden/sha256sums.txt
 echo "wrote tests/golden/sha256sums.txt:"
 cat tests/golden/sha256sums.txt

@@ -1,65 +1,26 @@
 #pragma once
 
 /// \file extensions.hpp
-/// Studies beyond the paper's printed evaluation: the quantified defense
-/// comparison its related-work section argues qualitatively (Sec. 4), and
-/// the robustness ablations its future-work section motivates (Sec. 5) —
-/// topology family, churn regime, attacker persistence (rejoin) and
-/// attack-rate detectability.
+/// Studies beyond the paper's printed evaluation, for run_study
+/// (study.hpp): the quantified defense comparison its related-work section
+/// argues qualitatively (Sec. 4), and the robustness ablations its
+/// future-work section motivates (Sec. 5) — control-plane faults, topology
+/// family, degree cutoff, churn regime, attacker persistence (rejoin),
+/// attack-rate detectability and adaptive cut bands.
 
-#include "experiments/figures.hpp"
+#include <cstdint>
+#include <vector>
+
+#include "experiments/study.hpp"
 
 namespace ddp::experiments {
 
-// ------------------------------------------------- defense comparison
-
-struct DefenseRow {
-  std::string defense;
-  double success_pct = 0.0;
-  double response_s = 0.0;
-  double traffic_per_minute = 0.0;
-  double false_negative = 0.0;   ///< good peers wrongly cut
-  double bad_identified_pct = 0.0;
-  double stabilized_damage = 0.0;
-  // Fault-injection tallies (trailing columns; zero on fault-free runs).
-  double fault_timeouts = 0.0;
-  double fault_retries = 0.0;
-  double fault_corrupt_rejects = 0.0;
-  double fault_crashed = 0.0;
-  double fault_stalled = 0.0;
-};
-
-/// All four defenses under the identical campaign (plus the healthy
-/// baseline row). Quantifies Sec. 4's qualitative claims: the naive
-/// strawman cuts forwarders, fair-share survives but cannot identify,
-/// DD-POLICE both restores service and names the agents.
-/// Pass a non-trivial `fault` to run the whole comparison on a degraded
-/// control plane; its counters land in the table's trailing columns.
-std::vector<DefenseRow> run_defense_comparison(
-    const Scale& scale, std::size_t agents, std::uint64_t seed,
-    const fault::FaultConfig& fault = {});
-
-util::Table defense_table(const std::vector<DefenseRow>& rows);
-
-// ------------------------------------------------- fault ablation
-
-struct FaultRow {
-  double loss = 0.0;      ///< channel drop probability swept
-  double jitter_s = 0.0;  ///< channel delay jitter swept, seconds
-  double success_pct = 0.0;
-  double response_s = 0.0;
-  double false_negative = 0.0;   ///< good peers wrongly cut
-  double false_positive = 0.0;   ///< agents missed
-  double false_judgment = 0.0;   ///< sum of the two misjudgment kinds
-  double recovery_minutes = 0.0;
-  double stabilized_damage = 0.0;
-  double timeouts = 0.0;
-  double retries = 0.0;
-  double late_replies = 0.0;
-  double corrupt_rejects = 0.0;
-  double crashed = 0.0;
-  double stalled = 0.0;
-};
+/// All four defenses under the identical campaign, plus the healthy
+/// baseline row. Quantifies Sec. 4's qualitative claims: the naive strawman
+/// cuts forwarders, fair-share survives but cannot identify, DD-POLICE both
+/// restores service and names the agents. The trailing fault columns read
+/// each run's own counters (zero on these fault-free runs).
+Study defense_comparison(std::size_t agents);
 
 /// DD-POLICE detection quality as the control plane degrades: sweeps
 /// message-loss probability x delay jitter on the Neighbor_List /
@@ -67,45 +28,13 @@ struct FaultRow {
 /// loss = jitter = 0 row exercises the exact fault-free code path, so it
 /// doubles as a regression anchor: its decisions are bit-identical to a
 /// run without any fault plane.
-std::vector<FaultRow> run_fault_ablation(const Scale& scale,
-                                         std::size_t agents,
-                                         std::uint64_t seed,
-                                         const std::vector<double>& losses,
-                                         const std::vector<double>& jitters);
-
-util::Table fault_table(const std::vector<FaultRow>& rows);
-
-// -------------------------------------------------- topology ablation
-
-struct TopologyRow {
-  std::string model;
-  double baseline_success_pct = 0.0;
-  double attacked_success_pct = 0.0;
-  double defended_success_pct = 0.0;
-  double detection_minutes = 0.0;
-  double false_negative = 0.0;
-};
+Study fault_ablation(std::size_t agents, const std::vector<double>& losses,
+                     const std::vector<double>& jitters);
 
 /// DD-POLICE across overlay families (Barabási–Albert / Waxman /
-/// Erdős–Rényi) — the defense must not depend on the power-law shape.
-std::vector<TopologyRow> run_topology_ablation(const Scale& scale,
-                                               std::size_t agents,
-                                               std::uint64_t seed);
-
-util::Table topology_table(const std::vector<TopologyRow>& rows);
-
-// ---------------------------------------- cutoff-exponent ablation
-
-struct CutoffRow {
-  double cutoff_exponent = 0.0;  ///< hc_cutoff_exponent swept
-  double cutoff_degree = 0.0;    ///< resulting hard cap k_c on node degree
-  double detected_pct = 0.0;     ///< agents ever cut
-  double detection_minutes = 0.0;  ///< activation -> first cut; -1 = never
-  double injected_before_cut = 0.0;   ///< residual attack traffic per agent
-  double delivered_before_cut = 0.0;  ///< ...of which reached the overlay
-  double honest_false_cuts = 0.0;     ///< good peers wrongly cut
-  double success_pct = 0.0;
-};
+/// Erdős–Rényi / two-tier) — the defense must not depend on the power-law
+/// shape.
+Study topology_ablation(std::size_t agents);
 
 /// DD-POLICE on the hub-suppressed scale-free family: sweeps the
 /// hard-cutoff generator's exponent (k_c = n^(1/exponent), exponent 1 =
@@ -115,83 +44,24 @@ struct CutoffRow {
 /// peers whose buddy groups are largest (k big -> strong relay bound), so
 /// the study shows whether the defense leans on hubs or works as well
 /// when the flood has to spread through mid-degree peers.
-std::vector<CutoffRow> run_cutoff_ablation(const Scale& scale,
-                                           std::size_t agents,
-                                           std::uint64_t seed,
-                                           const std::vector<double>& exponents);
-
-util::Table cutoff_table(const std::vector<CutoffRow>& rows);
-
-// ----------------------------------------------------- churn ablation
-
-struct ChurnRow {
-  std::string regime;  ///< "static", "paper", "fast", distribution names
-  double mean_lifetime_minutes = 0.0;
-  double false_negative = 0.0;
-  double false_positive = 0.0;
-  double stabilized_damage = 0.0;
-};
+Study cutoff_ablation(const Scale& scale, std::size_t agents,
+                      const std::vector<double>& exponents);
 
 /// Sensitivity of the buddy-group scheme to membership dynamics: a static
 /// overlay, the paper's 60-minute lifetimes, a fast-churn regime, and the
 /// alternative lifetime distributions.
-std::vector<ChurnRow> run_churn_ablation(const Scale& scale,
-                                         std::size_t agents,
-                                         std::uint64_t seed);
-
-util::Table churn_table(const std::vector<ChurnRow>& rows);
-
-// ------------------------------------------------ rejoin persistence
-
-struct RejoinRow {
-  std::string mode;  ///< "one-shot" or "rejoin every X min"
-  double rejoin_after_minutes = 0.0;
-  double stabilized_damage = 0.0;
-  double attack_rejoins = 0.0;
-  double bad_cut_events = 0.0;
-};
+Study churn_ablation(std::size_t agents);
 
 /// Sec. 3.7.2 notes that nothing stops an isolated agent from walking
 /// back in; this study quantifies the resulting steady state where
 /// DD-POLICE re-detects agents every round trip.
-std::vector<RejoinRow> run_rejoin_study(const Scale& scale, std::size_t agents,
-                                        std::uint64_t seed);
-
-util::Table rejoin_table(const std::vector<RejoinRow>& rows);
-
-// ------------------------------------------------ attack-rate sweep
-
-struct RateRow {
-  double attack_rate_per_minute = 0.0;
-  double bad_identified_pct = 0.0;
-  double detection_minutes = 0.0;
-  double stabilized_damage_undefended = 0.0;
-  double stabilized_damage_defended = 0.0;
-};
+Study rejoin_study(std::size_t agents);
 
 /// How slow can an agent go and still be caught? Sweeps the per-link
 /// sourcing rate Q_d below and above the warning threshold: the
 /// detectability cliff is the protocol's blind spot (an agent throttled
 /// under the warning threshold is invisible — but also nearly harmless).
-std::vector<RateRow> run_attack_rate_sweep(const Scale& scale,
-                                           std::size_t agents,
-                                           std::uint64_t seed);
-
-util::Table attack_rate_table(const std::vector<RateRow>& rows);
-
-// -------------------------------------------- adaptive-CT ablation
-
-struct AdaptiveRow {
-  std::string strategy;  ///< attacker / workload variant
-  std::string policy;    ///< "static" or "adaptive"
-  double detected_pct = 0.0;         ///< agents ever cut
-  double detection_minutes = 0.0;    ///< activation -> first cut; -1 = never
-  double injected_before_cut = 0.0;  ///< mean per agent (whole run if uncut)
-  double delivered_before_cut = 0.0;
-  double honest_false_cuts = 0.0;    ///< good peers wrongly cut
-  double honest_suspected = 0.0;     ///< honest peers the defense flagged
-  double success_pct = 0.0;
-};
+Study attack_rate_sweep(std::size_t agents);
 
 /// Static-vs-adaptive cut bands against the attackers the paper's global
 /// constants cannot see: a low-and-slow ramp and an on-off pulse that stay
@@ -199,10 +69,6 @@ struct AdaptiveRow {
 /// colluding buddy group covering its own — plus a flash crowd (agents = 0)
 /// as the false-cut stressor. Every run has forensics on; detection latency
 /// and damage-before-cut come from the per-agent storylines.
-std::vector<AdaptiveRow> run_adaptive_ct_ablation(const Scale& scale,
-                                                  std::size_t agents,
-                                                  std::uint64_t seed);
-
-util::Table adaptive_ct_table(const std::vector<AdaptiveRow>& rows);
+Study adaptive_ct_ablation(std::size_t agents);
 
 }  // namespace ddp::experiments

@@ -9,6 +9,17 @@
 
 namespace ddp::topology {
 
+std::size_t hard_cutoff_degree(const GeneratorConfig& cfg) {
+  const std::size_t n = cfg.nodes;
+  const double kc_raw =
+      std::ceil(std::pow(static_cast<double>(n), 1.0 / cfg.hc_cutoff_exponent));
+  // The seed clique already gives every member degree m; a cutoff below
+  // m + 1 could never grow past the clique.
+  return std::max<std::size_t>(
+      cfg.ba_links_per_node + 1,
+      kc_raw < static_cast<double>(n) ? static_cast<std::size_t>(kc_raw) : n);
+}
+
 namespace {
 
 /// Connect stray components by linking a random node of each secondary
@@ -108,13 +119,7 @@ Graph generate_hard_cutoff(const GeneratorConfig& cfg, util::Rng& rng) {
     throw std::invalid_argument(
         "hard-cutoff generator: need nodes > links_per_node >= 1");
   }
-  const double kc_raw =
-      std::ceil(std::pow(static_cast<double>(n), 1.0 / cfg.hc_cutoff_exponent));
-  // The seed clique already gives every member degree m; a cutoff below
-  // m + 1 could never grow past the clique.
-  const std::size_t kc = std::max<std::size_t>(
-      m + 1, kc_raw < static_cast<double>(n) ? static_cast<std::size_t>(kc_raw)
-                                             : n);
+  const std::size_t kc = hard_cutoff_degree(cfg);
   Graph g(n);
   for (PeerId u = 0; u <= m; ++u) {
     for (PeerId v = u + 1; v <= m; ++v) g.add_edge(u, v);

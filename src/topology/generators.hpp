@@ -67,6 +67,11 @@ struct GeneratorConfig {
   double hc_cutoff_exponent = 2.0;
 };
 
+/// The hard-cutoff generator's degree ceiling for `config`:
+/// k_c = max(m + 1, min(ceil(n^(1 / hc_cutoff_exponent)), n)), with
+/// m = ba_links_per_node and n = nodes.
+std::size_t hard_cutoff_degree(const GeneratorConfig& config);
+
 /// Generate a connected overlay per `config`. Generators retry/patch until
 /// the graph is connected (flooding experiments need one component).
 Graph generate(const GeneratorConfig& config, util::Rng& rng);

@@ -94,92 +94,102 @@ TEST(Scenario, DdPoliceOverheadIsModest) {
 }
 
 TEST(Figures, AgentSweepPaperShape) {
-  const auto rows = run_agent_sweep(tiny_scale(), 5);
-  ASSERT_EQ(rows.size(), 3u);
+  const Scale s = tiny_scale();
+  const auto sweep = run_study(agent_sweep(s), s, 5);
+  ASSERT_EQ(sweep.rows(), 3u);
+  const auto traffic_none = [&](std::size_t i) {
+    return sweep.value(i, "traffic_no_defense(10^3/min)");
+  };
+  const auto success_none = [&](std::size_t i) {
+    return sweep.value(i, "success_no_defense(%)");
+  };
   // Traffic under attack grows with agent count (Fig. 9's no-defense curve)
-  EXPECT_GT(rows[2].traffic_none, rows[0].traffic_none * 1.5);
+  EXPECT_GT(traffic_none(2), traffic_none(0) * 1.5);
   // Success under attack decays with agent count (Fig. 11).
-  EXPECT_LT(rows[2].success_none, rows[0].success_none);
+  EXPECT_LT(success_none(2), success_none(0));
   // DD-POLICE sits between no-defense and no-attack at high agent counts.
-  EXPECT_GT(rows[2].success_ddp, rows[2].success_none);
+  EXPECT_GT(sweep.value(2, "success_dd_police(%)"), success_none(2));
   // Tables render one line per row plus headers.
-  EXPECT_EQ(fig9_traffic_table(rows).rows(), 3u);
-  EXPECT_EQ(fig10_response_table(rows).rows(), 3u);
-  EXPECT_EQ(fig11_success_table(rows).rows(), 3u);
+  EXPECT_EQ(sweep.table({"traffic_no_defense(10^3/min)"}).rows(), 3u);
+  EXPECT_EQ(sweep.table({"response_no_defense(s)"}).rows(), 3u);
+  EXPECT_EQ(sweep.table({"success_no_defense(%)"}).rows(), 3u);
 }
 
 TEST(Figures, DamageTimelinesShape) {
   Scale s = tiny_scale();
   s.total_minutes = 12.0;
-  const auto tl = run_damage_timelines(s, {3.0, 7.0}, 15, 6);
-  ASSERT_EQ(tl.series.size(), 3u);  // no-defense + two CTs
-  ASSERT_FALSE(tl.minutes.empty());
-  const auto& none = tl.series.at("no DD-POLICE");
-  const auto& ct3 = tl.series.at("DD-POLICE-3");
-  ASSERT_EQ(none.size(), tl.minutes.size());
+  const auto tl = damage_timelines(s, {3.0, 7.0}, 15, 6);
+  ASSERT_EQ(tl.columns.size(), 4u);  // minute + no-defense + two CTs
+  ASSERT_GT(tl.rows(), 0u);
+  ASSERT_EQ(tl.sums.front().size(), tl.columns.size());
   // Attack bites after the start minute in the undefended series.
   double peak_none = 0.0, late_ct3 = 0.0, late_none = 0.0;
-  for (std::size_t i = 0; i < tl.minutes.size(); ++i) {
-    peak_none = std::max(peak_none, none[i]);
-    if (tl.minutes[i] >= s.total_minutes - 3.0) {
-      late_ct3 = std::max(late_ct3, ct3[i]);
-      late_none = std::max(late_none, none[i]);
+  for (std::size_t i = 0; i < tl.rows(); ++i) {
+    const double none = tl.value(i, "no DD-POLICE");
+    peak_none = std::max(peak_none, none);
+    if (tl.value(i, "minute") >= s.total_minutes - 3.0) {
+      late_ct3 = std::max(late_ct3, tl.value(i, "DD-POLICE-3"));
+      late_none = std::max(late_none, none);
     }
   }
   EXPECT_GT(peak_none, 15.0);
   // DD-POLICE's late damage is below the undefended late damage.
   EXPECT_LT(late_ct3, late_none);
-  EXPECT_EQ(fig12_damage_table(tl).rows(), tl.minutes.size());
+  EXPECT_EQ(tl.table().rows(), tl.rows());
 }
 
 TEST(Figures, CtSweepErrorTrends) {
   Scale s = tiny_scale();
-  const auto rows = run_ct_sweep(s, {2.0, 30.0}, 15, 7);
-  ASSERT_EQ(rows.size(), 2u);
+  const auto sweep = run_study(ct_sweep({2.0, 30.0}, 15, false), s, 7);
+  ASSERT_EQ(sweep.rows(), 2u);
   // Fig. 13: a laxer threshold wrongly cuts fewer good peers...
-  EXPECT_LE(rows[1].false_negative, rows[0].false_negative);
+  EXPECT_LE(sweep.value(1, "false_negative(good cut)"),
+            sweep.value(0, "false_negative(good cut)"));
   // ...and the tables render.
-  EXPECT_EQ(fig13_errors_table(rows).rows(), 2u);
-  EXPECT_EQ(fig14_recovery_table(rows).rows(), 2u);
+  EXPECT_EQ(sweep.table({"false_negative(good cut)"}).rows(), 2u);
+  EXPECT_EQ(sweep.table({"recovery_time(min)"}).rows(), 2u);
 }
 
 TEST(Figures, ExchangeFrequencyStudyRuns) {
   Scale s = tiny_scale();
   s.total_minutes = 10.0;
-  const auto rows = run_exchange_frequency_study(s, {1.0, 5.0}, true, 10, 8);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].policy, "periodic s=1");
-  EXPECT_EQ(rows[2].policy, "event-driven");
+  const auto sweep =
+      run_study(exchange_frequency_study({1.0, 5.0}, true, 10), s, 8);
+  ASSERT_EQ(sweep.rows(), 3u);
+  EXPECT_EQ(sweep.label(0, "policy"), "periodic s=1");
+  EXPECT_EQ(sweep.label(2, "policy"), "event-driven");
   // More frequent exchange costs more messages (Sec. 3.7.1's tradeoff).
-  EXPECT_GT(rows[0].exchange_msgs_per_minute,
-            rows[1].exchange_msgs_per_minute);
-  EXPECT_EQ(exchange_frequency_table(rows).rows(), 3u);
+  EXPECT_GT(sweep.value(0, "exchange_msgs/min"),
+            sweep.value(1, "exchange_msgs/min"));
+  EXPECT_EQ(sweep.table().rows(), 3u);
 }
 
 TEST(Figures, CheatAblationCoversAllCases) {
   Scale s = tiny_scale();
   s.total_minutes = 10.0;
-  const auto rows = run_cheat_ablation(s, 10, 9);
-  ASSERT_EQ(rows.size(), 6u);
+  const auto sweep = run_study(cheat_ablation(10), s, 9);
+  ASSERT_EQ(sweep.rows(), 6u);
   // Sec. 3.4's conclusion: cheating does not save the attackers — they are
   // identified under every reporting strategy.
-  for (const auto& r : rows) {
-    EXPECT_GT(r.bad_identified_pct, 50.0) << r.report << "/" << r.list;
+  for (std::size_t i = 0; i < sweep.rows(); ++i) {
+    EXPECT_GT(sweep.value(i, "bad_identified(%)"), 50.0)
+        << sweep.label(i, "report") << "/" << sweep.label(i, "list");
   }
-  EXPECT_EQ(cheat_table(rows).rows(), 6u);
+  EXPECT_EQ(sweep.table().rows(), 6u);
 }
 
 TEST(Figures, RadiusAblationRuns) {
   Scale s = tiny_scale();
   s.total_minutes = 10.0;
-  const auto rows = run_radius_ablation(s, 10, 10);
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(radius_table(rows).rows(), 4u);
+  const auto sweep = run_study(radius_ablation(10), s, 10);
+  ASSERT_EQ(sweep.rows(), 4u);
+  EXPECT_EQ(sweep.table().rows(), 4u);
   // r = 2 with deflating agents wrongly cuts no more good peers than r = 1.
   double r1_deflate = -1.0, r2_deflate = -1.0;
-  for (const auto& r : rows) {
-    if (r.report == "deflate") {
-      (r.radius == 1 ? r1_deflate : r2_deflate) = r.false_negative;
+  for (std::size_t i = 0; i < sweep.rows(); ++i) {
+    if (sweep.label(i, "agents_report") == "deflate") {
+      (sweep.label(i, "r") == "1" ? r1_deflate : r2_deflate) =
+          sweep.value(i, "false_negative");
     }
   }
   EXPECT_LE(r2_deflate, r1_deflate + 0.5);
@@ -216,66 +226,72 @@ TEST(Scenario, DeterministicForSameSeed) {
 TEST(Extensions, DefenseComparisonShape) {
   Scale s = tiny_scale();
   s.total_minutes = 12.0;
-  const auto rows = run_defense_comparison(s, 12, 21);
-  ASSERT_EQ(rows.size(), 5u);
-  const auto& healthy = rows[0];
-  const auto& none = rows[1];
-  const auto& naive = rows[2];
-  const auto& ddp = rows[4];
-  EXPECT_GT(healthy.success_pct, none.success_pct);
+  const auto sweep = run_study(defense_comparison(12), s, 21);
+  ASSERT_EQ(sweep.rows(), 5u);
+  const std::size_t healthy = 0, none = 1, naive = 2, ddp = 4;
+  const auto success = [&](std::size_t i) {
+    return sweep.value(i, "success(%)");
+  };
+  EXPECT_GT(success(healthy), success(none));
   // DD-POLICE restores more service than no defense.
-  EXPECT_GT(ddp.success_pct, none.success_pct);
+  EXPECT_GT(success(ddp), success(none));
   // The strawman wrongly cuts more good peers than DD-POLICE.
-  EXPECT_GE(naive.false_negative, ddp.false_negative);
-  EXPECT_GT(ddp.bad_identified_pct, 50.0);
-  EXPECT_EQ(defense_table(rows).rows(), 5u);
+  EXPECT_GE(sweep.value(naive, "good_wrongly_cut"),
+            sweep.value(ddp, "good_wrongly_cut"));
+  EXPECT_GT(sweep.value(ddp, "bad_identified(%)"), 50.0);
+  EXPECT_EQ(sweep.table().rows(), 5u);
 }
 
 TEST(Extensions, TopologyAblationRuns) {
   Scale s = tiny_scale();
   s.total_minutes = 10.0;
-  const auto rows = run_topology_ablation(s, 10, 22);
-  ASSERT_EQ(rows.size(), 4u);  // BA, Waxman, ER, two-tier
-  for (const auto& r : rows) {
-    EXPECT_GT(r.baseline_success_pct, 50.0) << r.model;
-    EXPECT_GE(r.defended_success_pct, r.attacked_success_pct - 5.0) << r.model;
+  const auto sweep = run_study(topology_ablation(10), s, 22);
+  ASSERT_EQ(sweep.rows(), 4u);  // BA, Waxman, ER, two-tier
+  for (std::size_t i = 0; i < sweep.rows(); ++i) {
+    const std::string& model = sweep.label(i, "topology");
+    EXPECT_GT(sweep.value(i, "healthy_success(%)"), 50.0) << model;
+    EXPECT_GE(sweep.value(i, "defended_success(%)"),
+              sweep.value(i, "attacked_success(%)") - 5.0)
+        << model;
   }
-  EXPECT_EQ(topology_table(rows).rows(), 4u);
+  EXPECT_EQ(sweep.table().rows(), 4u);
 }
 
 TEST(Extensions, ChurnAblationShape) {
   Scale s = tiny_scale();
   s.total_minutes = 10.0;
-  const auto rows = run_churn_ablation(s, 10, 23);
-  ASSERT_EQ(rows.size(), 5u);
+  const auto sweep = run_study(churn_ablation(10), s, 23);
+  ASSERT_EQ(sweep.rows(), 5u);
   // A static overlay wrongly cuts (essentially) nobody; fast churn is the
   // staleness worst case.
-  EXPECT_LE(rows[0].false_negative, 1.0);
-  EXPECT_GE(rows[2].false_negative, rows[0].false_negative);
-  EXPECT_EQ(churn_table(rows).rows(), 5u);
+  EXPECT_LE(sweep.value(0, "good_wrongly_cut"), 1.0);
+  EXPECT_GE(sweep.value(2, "good_wrongly_cut"),
+            sweep.value(0, "good_wrongly_cut"));
+  EXPECT_EQ(sweep.table().rows(), 5u);
 }
 
 TEST(Extensions, RejoinStudyShape) {
   Scale s = tiny_scale();
   s.total_minutes = 12.0;
-  const auto rows = run_rejoin_study(s, 10, 24);
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_DOUBLE_EQ(rows[0].attack_rejoins, 0.0);  // one-shot
+  const auto sweep = run_study(rejoin_study(10), s, 24);
+  ASSERT_EQ(sweep.rows(), 4u);
+  EXPECT_DOUBLE_EQ(sweep.value(0, "rejoin_events"), 0.0);  // one-shot
   // Persistent attackers force continued disconnect work.
-  EXPECT_GE(rows[3].bad_cut_events, rows[0].bad_cut_events);
-  EXPECT_EQ(rejoin_table(rows).rows(), 4u);
+  EXPECT_GE(sweep.value(3, "agent_links_cut"),
+            sweep.value(0, "agent_links_cut"));
+  EXPECT_EQ(sweep.table().rows(), 4u);
 }
 
 TEST(Extensions, AttackRateDetectabilityCliff) {
   Scale s = tiny_scale();
   s.total_minutes = 10.0;
-  const auto rows = run_attack_rate_sweep(s, 10, 25);
-  ASSERT_EQ(rows.size(), 7u);
+  const auto sweep = run_study(attack_rate_sweep(10), s, 25);
+  ASSERT_EQ(sweep.rows(), 7u);
   // Below the 500/min warning threshold nothing is suspected...
-  EXPECT_LT(rows[0].bad_identified_pct, 30.0);
+  EXPECT_LT(sweep.value(0, "bad_identified(%)"), 30.0);
   // ...well above it, identification is near-total.
-  EXPECT_GT(rows.back().bad_identified_pct, 70.0);
-  EXPECT_EQ(attack_rate_table(rows).rows(), 7u);
+  EXPECT_GT(sweep.value(sweep.rows() - 1, "bad_identified(%)"), 70.0);
+  EXPECT_EQ(sweep.table().rows(), 7u);
 }
 
 TEST(Scenario, NaiveCutHurtsMoreGoodPeersThanDdPolice) {

@@ -209,6 +209,7 @@ TEST(HardCutoff, RespectsDegreeCeilingAndStaysConnected) {
   const topology::Graph g = topology::generate(cfg, rng);
   ASSERT_EQ(g.node_count(), 600u);
   const std::size_t kc = 25;  // ceil(600^0.5)
+  EXPECT_EQ(topology::hard_cutoff_degree(cfg), kc);
   std::size_t max_deg = 0;
   for (PeerId u = 0; u < g.node_count(); ++u) {
     max_deg = std::max(max_deg, g.neighbors(u).size());
@@ -249,11 +250,16 @@ TEST(HardCutoff, TighterExponentSuppressesHubsHarder) {
     return m;
   };
   cfg.hc_cutoff_exponent = 1.0;  // k_c = n: plain BA
+  EXPECT_EQ(topology::hard_cutoff_degree(cfg), 800u);
   const std::size_t ba_max = max_degree(topology::generate(cfg, rng1));
   cfg.hc_cutoff_exponent = 3.0;  // k_c ~ n^(1/3) = 10
+  EXPECT_EQ(topology::hard_cutoff_degree(cfg), 10u);
   const std::size_t cut_max = max_degree(topology::generate(cfg, rng2));
   EXPECT_LE(cut_max, 10u);
   EXPECT_GT(ba_max, cut_max);
+  // ceil(800^(1/16)) = 2 sits below the seed clique's degree: k_c = m + 1.
+  cfg.hc_cutoff_exponent = 16.0;
+  EXPECT_EQ(topology::hard_cutoff_degree(cfg), 4u);
 }
 
 TEST(HardCutoff, ConfigValidationRejectsBadExponent) {

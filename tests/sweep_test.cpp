@@ -1,15 +1,20 @@
 // Parallel trial runner tests: ThreadPool lifecycle, SweepRunner index
 // ordering and exception routing, and the property the whole harness is
 // built around — sweep output is jobs-invariant, so `--jobs N` can only
-// change wall clock, never a CSV byte or a per-trial trace.
+// change wall clock, never a CSV byte or a per-trial trace. Every study's
+// table is pinned by hash at jobs 1 and 4.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "experiments/extensions.hpp"
 #include "experiments/figures.hpp"
 #include "experiments/scenario.hpp"
 #include "experiments/sweep.hpp"
@@ -93,37 +98,112 @@ TEST(SweepRunner, LowestIndexExceptionWins) {
   }
 }
 
-experiments::Scale tiny_scale(unsigned jobs) {
-  experiments::Scale s;
-  s.peers = 80;
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// FNV-1a of every study table's CSV at a tiny scale, two trials each.
+std::vector<std::pair<std::string, std::uint64_t>> study_hashes(unsigned jobs) {
+  using namespace experiments;
+  Scale s;
+  s.peers = 100;
   s.total_minutes = 10.0;
   s.attack_start = 2.0;
   s.warmup_minutes = 3.0;
   s.trials = 2;
-  s.agent_counts = {0, 2};
+  s.agent_counts = {0, 5};
   s.jobs = jobs;
-  return s;
+  // The quarantine ladder needs 15 minutes from cut to reinstatement.
+  Scale long_s = s;
+  long_s.total_minutes = 20.0;
+  const std::uint64_t seed = 42;
+  const std::size_t agents = 10;
+
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  const auto add = [&out](const char* name, const util::Table& t) {
+    out.emplace_back(name, fnv1a(t.to_csv()));
+  };
+  const auto agent = run_study(agent_sweep(s), s, seed);
+  add("fig9_traffic", agent.table({"traffic_no_defense(10^3/min)",
+                                   "traffic_dd_police(10^3/min)",
+                                   "traffic_no_attack(10^3/min)"}));
+  add("fig10_response",
+      agent.table({"response_no_defense(s)", "response_dd_police(s)",
+                   "response_no_attack(s)"}));
+  add("fig11_success",
+      agent.table({"success_no_defense(%)", "success_dd_police(%)",
+                   "success_no_attack(%)"}));
+  add("fig12_damage", damage_timelines(s, {3.0, 7.0}, agents, seed).table());
+  const auto ct = run_study(ct_sweep({2.0, 7.0}, agents, true), long_s, seed);
+  add("fig13_errors",
+      ct.table({"false_negative(good cut)", "false_positive(bad missed)",
+                "false_judgment", "reinstate_time(min)", "honest_reinstated",
+                "reinstated_success(%)", "success_permanent(%)",
+                "success_quarantine(%)"}));
+  add("fig14_recovery", ct.table({"recovery_time(min)", "detection_time(min)",
+                                  "stabilized_damage(%)"}));
+  // Too short for any reinstatement: the quarantine columns print -1.
+  const auto ct_short = run_study(ct_sweep({2.0, 7.0}, agents, true), s, seed);
+  add("fig13_errors_short",
+      ct_short.table({"false_negative(good cut)", "false_positive(bad missed)",
+                      "false_judgment", "reinstate_time(min)",
+                      "honest_reinstated", "reinstated_success(%)",
+                      "success_permanent(%)", "success_quarantine(%)"}));
+  const auto table = [&](const Study& study) {
+    return run_study(study, s, seed).table();
+  };
+  add("exchange_freq",
+      table(exchange_frequency_study({1.0, 4.0}, true, agents)));
+  add("cheat_ablation", table(cheat_ablation(agents)));
+  add("r_ablation", table(radius_ablation(agents)));
+  add("defense_compare", table(defense_comparison(agents)));
+  add("fault_ablation", table(fault_ablation(agents, {0.0, 0.3}, {0.0, 4.0})));
+  add("topology_ablation", table(topology_ablation(agents)));
+  add("cutoff_ablation", table(cutoff_ablation(s, agents, {1.0, 2.0, 4.0})));
+  add("churn_ablation", table(churn_ablation(agents)));
+  add("rejoin_ablation", table(rejoin_study(agents)));
+  add("attack_rate", table(attack_rate_sweep(agents)));
+  add("adaptive_ct", table(adaptive_ct_ablation(agents / 2)));
+  return out;
 }
 
-TEST(SweepRunner, AgentSweepIsJobsInvariant) {
-  // The acceptance property for the whole harness: the fig 9-11 sweep
-  // must produce bit-identical rows whether trials run serially or fanned
-  // across workers. Reductions run serially in (row, trial) order either
-  // way, so every double must match exactly — not approximately.
-  const auto serial = experiments::run_agent_sweep(tiny_scale(1), 42);
-  const auto fanned = experiments::run_agent_sweep(tiny_scale(4), 42);
-  ASSERT_EQ(serial.size(), fanned.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].agents, fanned[i].agents);
-    EXPECT_EQ(serial[i].traffic_none, fanned[i].traffic_none);
-    EXPECT_EQ(serial[i].traffic_ddp, fanned[i].traffic_ddp);
-    EXPECT_EQ(serial[i].traffic_base, fanned[i].traffic_base);
-    EXPECT_EQ(serial[i].response_none, fanned[i].response_none);
-    EXPECT_EQ(serial[i].response_ddp, fanned[i].response_ddp);
-    EXPECT_EQ(serial[i].response_base, fanned[i].response_base);
-    EXPECT_EQ(serial[i].success_none, fanned[i].success_none);
-    EXPECT_EQ(serial[i].success_ddp, fanned[i].success_ddp);
-    EXPECT_EQ(serial[i].success_base, fanned[i].success_base);
+TEST(SweepRunner, EveryStudyTableIsPinnedAtJobs1And4) {
+  // Recorded from the per-study sweeps the study runner replaced. Any
+  // change to a study's arithmetic, reduction order, baseline reuse or
+  // formatting moves a hash; so does any jobs dependence, since each
+  // value must hold at jobs 1 and at jobs 4.
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned{
+      {"fig9_traffic", 0x90c058baecbe0902ULL},
+      {"fig10_response", 0xee7dc0560b32665fULL},
+      {"fig11_success", 0xdfff3d703929920fULL},
+      {"fig12_damage", 0x8d33aa133e09077aULL},
+      {"fig13_errors", 0x1adeeb10bcfccd1dULL},
+      {"fig14_recovery", 0x01639153b8a878a1ULL},
+      {"fig13_errors_short", 0xfdde0f96cdb55c5cULL},
+      {"exchange_freq", 0x511278681d44a72bULL},
+      {"cheat_ablation", 0xd5b3e828c4e1c838ULL},
+      {"r_ablation", 0x6598ea68ce2059f3ULL},
+      {"defense_compare", 0x94bfbcdb0a5a9469ULL},
+      {"fault_ablation", 0x6f3494780f216d86ULL},
+      {"topology_ablation", 0x1fd8d08048d18573ULL},
+      {"cutoff_ablation", 0x85bdb6411f023e5fULL},
+      {"churn_ablation", 0x94eb296fe8590e75ULL},
+      {"rejoin_ablation", 0x90ccc1d38fec5003ULL},
+      {"attack_rate", 0xdc058032bf562965ULL},
+      {"adaptive_ct", 0xf5cf5a136b3b9885ULL},
+  };
+  for (unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const auto got = study_hashes(jobs);
+    ASSERT_EQ(got.size(), pinned.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], pinned[i]) << pinned[i].first;
+    }
   }
 }
 
