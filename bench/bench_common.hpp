@@ -6,13 +6,11 @@
 /// `--jobs N`) and CSV emission into a shared output directory (default
 /// `results/`, override with `--out-dir=DIR`).
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -57,7 +55,7 @@ inline std::uint64_t peak_rss_bytes() {
 
 struct Run {
   experiments::Scale scale;
-  std::uint64_t seed;
+  std::uint64_t seed = 20070710;  ///< DDP_SEED overrides
   std::string out_dir = "results";
 };
 
@@ -68,42 +66,19 @@ struct Run {
   std::exit(2);
 }
 
-/// `text` as one whole base-10 integer in [lo, hi], or exit 2 naming `what`.
-inline long long parse_int(const std::string& what, const std::string& text,
-                           long long lo, long long hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0' || v < lo || v > hi) {
-    usage_error(what + " must be an integer in [" + std::to_string(lo) + ", " +
-                std::to_string(hi) + "], got '" + text + "'");
-  }
-  return v;
-}
-
-/// Check a DDP_* variable that is set (and non-empty) against [lo, hi].
-inline void check_env(const char* name, long long lo, long long hi) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && *env != '\0') parse_int(name, env, lo, hi);
-}
-
-inline constexpr long long kMaxJobs = 256;
-
 /// Resolve the run's scale, seed and output directory. The flags are
 /// `--out-dir DIR` (default `results/`) and `--jobs N` (0 = one worker per
 /// hardware thread; overrides DDP_JOBS), each also as `--flag=value`.
 /// Output is jobs-invariant; only wall clock changes. Any other argument,
-/// or a malformed flag or DDP_TRIALS / DDP_JOBS / DDP_SEED value, exits 2
-/// before the first run.
+/// or a malformed flag or DDP_FULL / DDP_TRIALS / DDP_JOBS / DDP_SEED
+/// value, exits 2 before the first run.
 inline Run begin(int argc, char** argv, const std::string& title,
                  const std::string& paper_ref) {
-  check_env("DDP_TRIALS", 1, std::numeric_limits<std::uint32_t>::max());
-  check_env("DDP_JOBS", 0, kMaxJobs);
-  check_env("DDP_SEED", std::numeric_limits<long long>::min(),
-            std::numeric_limits<long long>::max());
+  std::string problem;
   Run run;
-  run.scale = experiments::default_scale();
-  run.seed = util::env_seed();
+  run.scale = experiments::default_scale(problem);
+  run.seed = util::env("DDP_SEED", run.seed, problem);
+  if (!problem.empty()) usage_error(problem);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const std::size_t eq = arg.find('=');
@@ -121,9 +96,11 @@ inline Run begin(int argc, char** argv, const std::string& title,
     if (value.empty()) usage_error(name + " needs a value");
     if (name == "--out-dir") {
       run.out_dir = value;
+    } else if (const auto n = util::parse<unsigned>(value, 0, util::kMaxJobs)) {
+      run.scale.jobs = *n;
     } else {
-      run.scale.jobs =
-          static_cast<unsigned>(parse_int("--jobs", value, 0, kMaxJobs));
+      usage_error(util::rejection(
+          "--jobs", util::accepted(0u, util::kMaxJobs), value));
     }
   }
   std::printf("%s\n", title.c_str());
@@ -131,7 +108,7 @@ inline Run begin(int argc, char** argv, const std::string& title,
   std::printf("scale: %zu peers, %.0f min simulated, %u trial(s), seed %llu%s\n",
               run.scale.peers, run.scale.total_minutes, run.scale.trials,
               static_cast<unsigned long long>(run.seed),
-              util::full_scale_requested() ? " [FULL]" : " [laptop; DDP_FULL=1 for paper scale]");
+              util::env("DDP_FULL", false, problem) ? " [FULL]" : " [laptop; DDP_FULL=1 for paper scale]");
   if (run.scale.jobs != 1) {
     std::printf("jobs: %u (output identical to --jobs 1)\n", run.scale.jobs);
   }

@@ -5,13 +5,14 @@
 // minute (see src/experiments/soak.hpp). Exits non-zero on any violation,
 // so CI can gate on it.
 //
-// Keys (defaults in brackets):
+// Keys (defaults in brackets; an unknown key or a malformed value exits 2):
 //   peers[300] agents[30] minutes[480] seed[20070710]
 //   connectivity[0.85]   honest-majority largest-component floor
 //   check_every[1]       minutes between invariant sweeps
 //   csv[-]               write the per-hour series to this file
 //   soaks[1]             independent soak instances (seed, seed+1000003, …)
-//   jobs[1]              worker threads across soak instances (0 = nproc)
+//   jobs[DDP_JOBS or 1]  worker threads across soak instances (0 = nproc,
+//                        at most 256)
 //
 // Crash-resume drill (base-seed instance only; see docs/robustness.md):
 //   checkpoint[-]        snapshot file for periodic checkpoints
@@ -26,7 +27,6 @@
 // the digest below always shows the first (base-seed) instance, and the
 // exit code is non-zero if ANY instance violated an invariant.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -39,29 +39,32 @@
 
 int main(int argc, char** argv) {
   using namespace ddp;
-  const util::Options opts(argc, argv);
+  util::Options opts(argc, argv);
+  std::string err;  // the first setting this soak cannot honour
 
-  const auto peers =
-      static_cast<std::size_t>(opts.get("peers", std::int64_t{300}));
-  const auto agents =
-      static_cast<std::size_t>(opts.get("agents", std::int64_t{30}));
+  const auto peers = opts.get("peers", std::size_t{300});
+  const auto agents = opts.get("agents", std::size_t{30});
   const double minutes = opts.get("minutes", 480.0);
-  const auto seed =
-      static_cast<std::uint64_t>(opts.get("seed", std::int64_t{20070710}));
-  const auto soaks = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, opts.get("soaks", std::int64_t{1})));
-  const auto jobs = static_cast<unsigned>(opts.get(
-      "jobs", static_cast<std::int64_t>(util::env_jobs(1))));
+  const auto seed = opts.get("seed", std::uint64_t{20070710});
+  const auto soaks = opts.get("soaks", std::size_t{1}, 1);
+  const unsigned jobs = opts.get(
+      "jobs", util::env("DDP_JOBS", 1u, err, 0, util::kMaxJobs), 0,
+      util::kMaxJobs);
 
   experiments::SoakConfig cfg =
       experiments::chaos_soak_config(peers, agents, minutes, seed);
-  cfg.min_honest_connectivity = opts.get("connectivity", 0.85);
-  cfg.check_every_minutes = opts.get("check_every", 1.0);
+  cfg.min_honest_connectivity =
+      opts.get("connectivity", cfg.min_honest_connectivity);
+  cfg.check_every_minutes = opts.get("check_every", cfg.check_every_minutes);
 
   const std::string ckpt_path = opts.get("checkpoint", std::string("-"));
   const double ckpt_every = opts.get("checkpoint_every", 0.0);
   const double kill_at = opts.get("kill_at", 0.0);
   const std::string restore_path = opts.get("restore", std::string("-"));
+  const std::string csv = opts.get("csv", std::string("-"));
+  if (util::refuse("bench_soak_chaos", err.empty() ? opts.error() : err)) {
+    return 2;
+  }
 
   std::printf("bench_soak_chaos — %zu peers, %zu agents, %.0f min "
               "(%.1f simulated hours), seed %llu, %zu soak(s), %u job(s)\n",
@@ -153,7 +156,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string csv = opts.get("csv", std::string("-"));
   if (csv != "-" && t.write_csv(csv)) std::printf("wrote %s\n", csv.c_str());
 
   const std::uint64_t rss = bench::peak_rss_bytes();

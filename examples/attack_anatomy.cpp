@@ -17,10 +17,12 @@
 
 int main(int argc, char** argv) {
   using namespace ddp;
-  const util::Options opts(argc, argv);
-  const double capacity = opts.get("capacity", 10000.0);
-  const auto queue = static_cast<std::size_t>(opts.get("queue", std::int64_t{5000}));
-  const auto seed = static_cast<std::uint64_t>(opts.get("seed", std::int64_t{7}));
+  util::Options opts(argc, argv);
+  p2p::TestbedConfig cfg;
+  cfg.capacity_per_minute = opts.get("capacity", cfg.capacity_per_minute);
+  cfg.queue_limit = opts.get("queue", cfg.queue_limit);
+  const auto seed = opts.get("seed", std::uint64_t{7});
+  if (util::refuse("attack_anatomy", opts.error())) return 2;
 
   // Step 1 — the query trace. The paper's monitoring super-node logged
   // 13,075,339 queries (112 MB) in 24 h; we synthesize a statistically
@@ -38,9 +40,6 @@ int main(int argc, char** argv) {
   // Step 2 — the agent. Peer A replays distinct queries toward peer B at
   // rates from 1,000/min up to the ~29,000/min a log-replaying client can
   // sustain; peer C counts what B forwards.
-  p2p::TestbedConfig cfg;
-  cfg.capacity_per_minute = capacity;
-  cfg.queue_limit = queue;
   std::vector<double> rates;
   for (double r = 1000.0; r <= 29000.0; r += 4000.0) rates.push_back(r);
   const auto points = p2p::run_testbed_sweep(cfg, rates, seed);
@@ -58,6 +57,7 @@ int main(int argc, char** argv) {
               "queue overflows and it discards the excess — at the agent's\n"
               "maximum rate roughly half of the flood dies at the first hop,\n"
               "yet what survives still multiplies through the overlay.\n",
-              capacity, capacity + static_cast<double>(queue));
+              cfg.capacity_per_minute,
+              cfg.capacity_per_minute + static_cast<double>(cfg.queue_limit));
   return 0;
 }

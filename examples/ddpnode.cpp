@@ -15,91 +15,43 @@
 ///       stats=results/node0.jsonl seed=1
 ///
 /// duration_min=0 runs until SIGTERM/SIGINT; either way shutdown is
-/// orderly (final stats line, every fd closed). Out-of-range settings
-/// (port=70000, ttl=0, bootstrap=x, minute_seconds=0, ct=0,
-/// confirmations=0, ...) exit 2 before anything starts.
+/// orderly (final stats line, every fd closed). Settings are read through
+/// util::Options, and a key given twice takes its last value. An unknown
+/// key, a malformed value (ct=abc) or an out-of-range one (port=70000,
+/// ttl=0, bootstrap=x, minute_seconds=0, ct=0, confirmations=0, ...)
+/// exits 2 before anything starts.
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <optional>
 #include <string>
-#include <system_error>
-#include <vector>
 
 #include "core/config.hpp"
 #include "netengine/node.hpp"
 #include "util/config.hpp"
 
-namespace {
-
-/// Comma-separated port list; nullopt unless every entry is a port number
-/// in [1, 65535].
-std::optional<std::vector<std::uint16_t>> parse_ports(const std::string& csv) {
-  std::vector<std::uint16_t> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    std::size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    const char* first = csv.data() + pos;
-    const char* last = csv.data() + comma;
-    if (first != last) {
-      unsigned port = 0;
-      const auto [end, ec] = std::from_chars(first, last, port);
-      if (ec != std::errc{} || end != last || port < 1 || port > 65535) {
-        return std::nullopt;
-      }
-      out.push_back(static_cast<std::uint16_t>(port));
-    }
-    pos = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace ddp;
-  const util::Options opt(argc, argv);
+  util::Options opt(argc, argv);
 
-  // Range-check the node's own settings before they narrow: an index
-  // outside the 10.0.0.0/8 block would alias another peer's address, and
-  // ports and the TTL would wrap to 16 and 8 bits.
-  const std::int64_t index = opt.get("index", std::int64_t{0});
-  const std::int64_t port = opt.get("port", std::int64_t{0});
-  const std::int64_t port_base = opt.get("port_base", std::int64_t{0});
-  const std::int64_t ttl = opt.get("ttl", std::int64_t{5});
-  const auto bootstrap = parse_ports(opt.get("bootstrap", std::string{}));
-  const double minute_seconds = opt.get("minute_seconds", 60.0);
-  std::string err;
-  if (index < 0 || index > 0xffffff) {
-    err = "index must be within [0, 16777215] (the 10.0.0.0/8 block)";
-  } else if (port < 0 || port > 65535) {
-    err = "port must be within [0, 65535] (0 = any free port)";
-  } else if (port_base < 0 || port_base > 65535) {
-    err = "port_base must be within [0, 65535]";
-  } else if (!bootstrap) {
-    err = "bootstrap must list ports within [1, 65535], comma-separated";
-  } else if (ttl < 1 || ttl > 255) {
-    err = "ttl must be within [1, 255]";
-  } else if (!std::isfinite(minute_seconds) || minute_seconds <= 0.0) {
-    err = "minute_seconds must be a finite value > 0";
-  }
-
+  // Keys fall back to the NodeConfig / DdPoliceConfig defaults. The bounds
+  // keep an index inside the 10.0.0.0/8 block (outside it would alias
+  // another peer's address), ports and the TTL inside their wire types, and
+  // a protocol minute between the timer resolution (1 ms) and a day.
   netengine::NodeConfig cfg;
-  cfg.index = static_cast<std::uint32_t>(index);
-  cfg.engine.listen_port = static_cast<std::uint16_t>(port);
-  if (bootstrap) cfg.bootstrap = *bootstrap;
-  cfg.peer_port_base = static_cast<std::uint16_t>(port_base);
-  cfg.ttl = static_cast<std::uint8_t>(ttl);
-  cfg.query_rate_per_minute = opt.get("query_rate", 2.0);
-  cfg.hit_probability = opt.get("hit_prob", 0.05);
-  cfg.attacker = opt.get("attacker", false);
-  cfg.attack_rate_per_minute = opt.get("attack_rate", 2000.0);
-  cfg.attack_start_minute = opt.get("attack_start", 1.0);
-  cfg.minute_seconds = minute_seconds;
-  cfg.police = opt.get("police", true);
-  cfg.echo_correction = opt.get("echo_correction", true);
+  cfg.index = opt.get("index", cfg.index, 0, 0xffffff);
+  cfg.engine.listen_port = opt.get("port", cfg.engine.listen_port);  // 0 = any
+  cfg.bootstrap = opt.get("bootstrap", cfg.bootstrap, 1, 65535);
+  cfg.peer_port_base = opt.get("port_base", cfg.peer_port_base);
+  cfg.ttl = opt.get("ttl", cfg.ttl, 1, 255);
+  cfg.query_rate_per_minute = opt.get("query_rate", cfg.query_rate_per_minute);
+  cfg.hit_probability = opt.get("hit_prob", cfg.hit_probability);
+  cfg.attacker = opt.get("attacker", cfg.attacker);
+  cfg.attack_rate_per_minute =
+      opt.get("attack_rate", cfg.attack_rate_per_minute);
+  cfg.attack_start_minute = opt.get("attack_start", cfg.attack_start_minute);
+  cfg.minute_seconds =
+      opt.get("minute_seconds", cfg.minute_seconds, 1e-3, 86400.0);
+  cfg.police = opt.get("police", cfg.police);
+  cfg.echo_correction = opt.get("echo_correction", cfg.echo_correction);
   cfg.ddp.warning_threshold = opt.get("warning", cfg.ddp.warning_threshold);
   cfg.ddp.cut_threshold = opt.get("ct", cfg.ddp.cut_threshold);
   cfg.ddp.good_issue_bound = opt.get("q", cfg.ddp.good_issue_bound);
@@ -113,14 +65,13 @@ int main(int argc, char** argv) {
       opt.get("exchange_min", cfg.ddp.exchange_period_minutes);
   // Deployment default: require a second tripping round before cutting.
   // confirmations=1 restores the paper's first-trip verdict.
-  cfg.ddp.cut_confirmations =
-      static_cast<int>(opt.get("confirmations", std::int64_t{2}));
-  cfg.stats_path = opt.get("stats", std::string{});
-  cfg.seed = static_cast<std::uint64_t>(opt.get("seed", std::int64_t{1}));
+  cfg.ddp.cut_confirmations = opt.get("confirmations", 2);
+  cfg.stats_path = opt.get("stats", cfg.stats_path);
+  cfg.seed = opt.get("seed", cfg.seed);
+  const double duration_min = opt.get("duration_min", 0.0);
 
-  if (err.empty()) err = core::validate(cfg.ddp);
-  if (!err.empty()) {
-    std::fprintf(stderr, "ddpnode: invalid configuration: %s\n", err.c_str());
+  const std::string err = opt.error();
+  if (util::refuse("ddpnode", err.empty() ? core::validate(cfg.ddp) : err)) {
     return 2;
   }
 
@@ -135,7 +86,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const double duration_min = opt.get("duration_min", 0.0);
   if (duration_min > 0) {
     const auto run_ms = static_cast<std::uint64_t>(
         duration_min * cfg.minute_seconds * 1000.0);

@@ -8,6 +8,10 @@
 //   ddpsim topo=two-tier defense=fair-share agents=50 csv=run.csv
 //   ddpsim churn=off defense=naive-cut threshold=500
 //
+// Settings are read strictly (util::Options): an unknown key, a stray
+// argument, a malformed value or one validate_config refuses exits 2
+// before any file is written. Booleans are 1/0, true/false, yes/no, on/off.
+//
 // Keys (defaults in brackets):
 //   peers[600] agents[50] minutes[26] attack_start[5] seed[20070710]
 //   defense[dd-police]   none | naive-cut | fair-share | dd-police
@@ -17,6 +21,7 @@
 //   cheat[honest]        honest | inflate | deflate | mute | collude
 //   lists[honest]        honest | fabricate | withhold
 //   rejoin[0] churn[on] lifetime_min[60] attack_rate[20000]
+//   threshold[500]       naive-cut per-link threshold
 //   sourcing[constant]   constant | ramp | pulse | probe  (agent schedule)
 //   ramp_min[20] ramp_target[1] pulse_on[1] pulse_off[4] pulse_scale[1]
 //   probe_step[0.05] probe_backoff[0.5]
@@ -38,7 +43,7 @@
 //   data_faults[0]       also degrade the query data plane
 //   retries[2] timeout[5] retry/collect-timeout knobs of the hardened plane
 //   csv[-]               write the series to this file
-//   jobs[1]              >1 runs the baseline and scenario legs on
+//   jobs[DDP_JOBS or 1]  >1 runs the baseline and scenario legs on
 //                        separate threads (identical output, less wall)
 //   flow_jobs[1]         worker threads inside the flow engine's sharded
 //                        tick sweeps (0 = one per hardware thread); output
@@ -100,150 +105,172 @@ extern "C" void on_signal(int sig) { g_signal = sig; }
 
 int main(int argc, char** argv) {
   using namespace ddp;
-  const util::Options opts(argc, argv);
+  util::Options opts(argc, argv);
+  std::string err;  // the first setting this run cannot honour
 
+  // Each key falls back to the ScenarioConfig field it sets, unless a
+  // literal default is given.
   experiments::ScenarioConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(opts.get("seed", std::int64_t{20070710}));
-  cfg.topo.nodes = static_cast<std::size_t>(opts.get("peers", std::int64_t{600}));
+  auto& police = cfg.ddpolice;
+  auto& campaign = cfg.attack;
+  cfg.seed = opts.get("seed", cfg.seed);
+  cfg.topo.nodes = opts.get("peers", std::size_t{600});
   cfg.content.objects = std::max<std::size_t>(cfg.topo.nodes * 5, 1000);
   cfg.content.mean_replicas =
       std::max(4.0, static_cast<double>(cfg.topo.nodes) / 100.0);
-  cfg.attack.agents =
-      static_cast<std::size_t>(opts.get("agents", std::int64_t{50}));
-  cfg.attack.start_minute = opts.get("attack_start", 5.0);
-  cfg.attack.rejoin = opts.get("rejoin", false);
+  campaign.agents = opts.get("agents", std::size_t{50});
+  campaign.start_minute = opts.get("attack_start", 5.0);
+  campaign.rejoin = opts.get("rejoin", campaign.rejoin);
   cfg.total_minutes = opts.get("minutes", 26.0);
   // Short runs (e.g. the first leg of a checkpointed pair) may end before
   // the usual warmup horizon; clamp so validate_config stays happy.
-  cfg.warmup_minutes =
-      std::min(cfg.attack.start_minute + 3.0, cfg.total_minutes);
+  cfg.warmup_minutes = std::min(campaign.start_minute + 3.0, cfg.total_minutes);
 
-  const std::string topo = opts.get("topo", std::string("ba"));
-  if (topo == "waxman") cfg.topo.model = topology::Model::kWaxman;
-  else if (topo == "er") cfg.topo.model = topology::Model::kErdosRenyi;
-  else if (topo == "two-tier") cfg.topo.model = topology::Model::kTwoTier;
-  else if (topo == "hard-cutoff") cfg.topo.model = topology::Model::kHardCutoff;
-  else cfg.topo.model = topology::Model::kBarabasiAlbert;
-  cfg.topo.hc_cutoff_exponent = opts.get("cutoff_exp", 2.0);
+  cfg.topo.model = opts.get("topo", cfg.topo.model, topology::model_name);
+  cfg.topo.hc_cutoff_exponent =
+      opts.get("cutoff_exp", cfg.topo.hc_cutoff_exponent);
+  cfg.defense =
+      opts.get("defense", defense::Kind::kDdPolice, defense::kind_name);
 
-  const std::string def = opts.get("defense", std::string("dd-police"));
-  if (def == "none") cfg.defense = defense::Kind::kNone;
-  else if (def == "naive-cut") cfg.defense = defense::Kind::kNaiveCut;
-  else if (def == "fair-share") cfg.defense = defense::Kind::kFairShare;
-  else cfg.defense = defense::Kind::kDdPolice;
-
-  cfg.ddpolice.cut_threshold = opts.get("ct", 5.0);
-  cfg.ddpolice.warning_threshold = opts.get("warning", 500.0);
-  cfg.ddpolice.exchange_period_minutes = opts.get("exchange", 2.0);
-  cfg.ddpolice.exchange_policy = opts.get("event_driven", false)
-                                     ? core::ExchangePolicy::kEventDriven
-                                     : core::ExchangePolicy::kPeriodic;
-  cfg.ddpolice.buddy_radius =
-      static_cast<int>(opts.get("radius", std::int64_t{1}));
-  cfg.naive_cut_threshold = opts.get("threshold", 500.0);
-  cfg.flow.attack_target_per_minute = opts.get("attack_rate", 20000.0);
+  police.cut_threshold = opts.get("ct", police.cut_threshold);
+  police.warning_threshold = opts.get("warning", police.warning_threshold);
+  police.exchange_period_minutes =
+      opts.get("exchange", police.exchange_period_minutes);
+  if (opts.get("event_driven", false)) {
+    police.exchange_policy = core::ExchangePolicy::kEventDriven;
+  }
+  police.buddy_radius = opts.get("radius", police.buddy_radius);
+  cfg.naive_cut_threshold = opts.get("threshold", cfg.naive_cut_threshold);
+  cfg.flow.attack_target_per_minute =
+      opts.get("attack_rate", cfg.flow.attack_target_per_minute);
 
   // Self-healing stack (all default-off: the paper's permanent cuts,
   // class-blind shedding and unrepaired overlay).
-  const std::string cut_policy = opts.get("cut_policy", std::string("permanent"));
-  cfg.ddpolice.cut_policy = cut_policy == "quarantine"
-                                ? core::CutPolicy::kQuarantine
-                                : core::CutPolicy::kPermanent;
-  cfg.ddpolice.quarantine_minutes = opts.get("quarantine_min", 10.0);
-  cfg.ddpolice.quarantine_growth = opts.get("quarantine_growth", 2.0);
-  cfg.ddpolice.probation_minutes = opts.get("probation_min", 5.0);
-  cfg.ddpolice.probation_budget = opts.get("probation_budget", 0.25);
-  cfg.ddpolice.probation_links =
-      static_cast<int>(opts.get("probation_links", std::int64_t{2}));
-  cfg.ddpolice.max_strikes =
-      static_cast<int>(opts.get("max_strikes", std::int64_t{3}));
-  const std::string admission = opts.get("admission", std::string("blind"));
-  cfg.flow.admission = admission == "priority" ? flow::AdmissionPolicy::kPriority
-                                               : flow::AdmissionPolicy::kClassBlind;
-  cfg.flow.control_reserve_fraction = opts.get("control_reserve", 0.05);
-  cfg.flow.jobs =
-      static_cast<unsigned>(opts.get("flow_jobs", std::int64_t{1}));
-  cfg.flow.shards =
-      static_cast<std::size_t>(opts.get("flow_shards", std::int64_t{0}));
-  cfg.repair_partitions = opts.get("repair", false);
+  police.cut_policy =
+      opts.get("cut_policy", police.cut_policy, core::cut_policy_name);
+  police.quarantine_minutes =
+      opts.get("quarantine_min", police.quarantine_minutes);
+  police.quarantine_growth =
+      opts.get("quarantine_growth", police.quarantine_growth);
+  police.probation_minutes =
+      opts.get("probation_min", police.probation_minutes);
+  police.probation_budget =
+      opts.get("probation_budget", police.probation_budget);
+  police.probation_links = opts.get("probation_links", police.probation_links);
+  police.max_strikes = opts.get("max_strikes", police.max_strikes);
+  cfg.flow.admission =
+      opts.get("admission", cfg.flow.admission, flow::admission_name);
+  cfg.flow.control_reserve_fraction =
+      opts.get("control_reserve", cfg.flow.control_reserve_fraction);
+  cfg.flow.jobs = opts.get("flow_jobs", cfg.flow.jobs);
+  cfg.flow.shards = opts.get("flow_shards", cfg.flow.shards);
+  cfg.repair_partitions = opts.get("repair", cfg.repair_partitions);
 
-  const std::string cheat = opts.get("cheat", std::string("honest"));
-  if (const auto rs = attack::report_strategy_from_name(cheat)) {
-    cfg.attack.behavior.report = *rs;
-  } else {
-    std::fprintf(stderr, "ddpsim: unknown cheat strategy '%s'\n", cheat.c_str());
-    return 2;
-  }
-  const std::string lists = opts.get("lists", std::string("honest"));
-  if (const auto ls = attack::list_strategy_from_name(lists)) {
-    cfg.attack.behavior.list = *ls;
-  } else {
-    std::fprintf(stderr, "ddpsim: unknown list strategy '%s'\n", lists.c_str());
-    return 2;
-  }
+  campaign.behavior.report = opts.get("cheat", campaign.behavior.report,
+                                      attack::report_strategy_name);
+  campaign.behavior.list =
+      opts.get("lists", campaign.behavior.list, attack::list_strategy_name);
 
   // Agent sourcing schedule (constant = the paper's immediate full rate).
-  const std::string sourcing = opts.get("sourcing", std::string("constant"));
-  if (const auto ss = attack::sourcing_strategy_from_name(sourcing)) {
-    cfg.attack.sourcing = *ss;
-  } else {
-    std::fprintf(stderr, "ddpsim: unknown sourcing strategy '%s'\n",
-                 sourcing.c_str());
-    return 2;
-  }
-  cfg.attack.ramp_minutes = opts.get("ramp_min", 20.0);
-  cfg.attack.ramp_target_scale = opts.get("ramp_target", 1.0);
-  cfg.attack.pulse_on_minutes = opts.get("pulse_on", 1.0);
-  cfg.attack.pulse_off_minutes = opts.get("pulse_off", 4.0);
-  cfg.attack.pulse_scale = opts.get("pulse_scale", 1.0);
-  cfg.attack.probe_step_scale = opts.get("probe_step", 0.05);
-  cfg.attack.probe_backoff = opts.get("probe_backoff", 0.5);
+  campaign.sourcing = opts.get("sourcing", campaign.sourcing,
+                               attack::sourcing_strategy_name);
+  campaign.ramp_minutes = opts.get("ramp_min", campaign.ramp_minutes);
+  campaign.ramp_target_scale =
+      opts.get("ramp_target", campaign.ramp_target_scale);
+  campaign.pulse_on_minutes = opts.get("pulse_on", campaign.pulse_on_minutes);
+  campaign.pulse_off_minutes =
+      opts.get("pulse_off", campaign.pulse_off_minutes);
+  campaign.pulse_scale = opts.get("pulse_scale", campaign.pulse_scale);
+  campaign.probe_step_scale = opts.get("probe_step", campaign.probe_step_scale);
+  campaign.probe_backoff = opts.get("probe_backoff", campaign.probe_backoff);
 
   // Adaptive cut bands (off by default: paper-exact static thresholds).
-  cfg.ddpolice.adaptive.enabled = opts.get("adaptive", false);
-  cfg.ddpolice.adaptive.window_minutes = static_cast<std::size_t>(
-      opts.get("adaptive_window", std::int64_t{10}));
-  cfg.ddpolice.adaptive.estimate_period_minutes = opts.get("adaptive_every", 2.0);
-  cfg.ddpolice.adaptive.min_samples = static_cast<std::size_t>(
-      opts.get("adaptive_min_samples", std::int64_t{4}));
-  cfg.ddpolice.adaptive.k1 = opts.get("adaptive_k1", 2.0);
-  cfg.ddpolice.adaptive.k2 = opts.get("adaptive_k2", 4.0);
-  cfg.ddpolice.adaptive.band_floor = opts.get("adaptive_floor", 50.0);
-  cfg.ddpolice.adaptive.suspicious_budget = opts.get("adaptive_budget", 0.5);
-  cfg.ddpolice.adaptive.suspicion_exit_minutes = opts.get("adaptive_exit", 3.0);
-  cfg.ddpolice.adaptive.malicious_ct = opts.get("malicious_ct", 2.0);
+  auto& adaptive = police.adaptive;
+  adaptive.enabled = opts.get("adaptive", adaptive.enabled);
+  adaptive.window_minutes =
+      opts.get("adaptive_window", adaptive.window_minutes);
+  adaptive.estimate_period_minutes =
+      opts.get("adaptive_every", adaptive.estimate_period_minutes);
+  adaptive.min_samples = opts.get("adaptive_min_samples", adaptive.min_samples);
+  adaptive.k1 = opts.get("adaptive_k1", adaptive.k1);
+  adaptive.k2 = opts.get("adaptive_k2", adaptive.k2);
+  adaptive.band_floor = opts.get("adaptive_floor", adaptive.band_floor);
+  adaptive.suspicious_budget =
+      opts.get("adaptive_budget", adaptive.suspicious_budget);
+  adaptive.suspicion_exit_minutes =
+      opts.get("adaptive_exit", adaptive.suspicion_exit_minutes);
+  adaptive.malicious_ct = opts.get("malicious_ct", adaptive.malicious_ct);
 
   // Flash crowds (legitimate surge workload; the false-cut stressor).
-  cfg.flash.enabled = opts.get("flash", false);
-  cfg.flash.start_minute = opts.get("flash_start", 15.0);
-  cfg.flash.surge_minutes = opts.get("flash_min", 6.0);
-  cfg.flash.surge_factor = opts.get("flash_factor", 20.0);
-  cfg.flash.participation = opts.get("flash_frac", 0.25);
-  cfg.flash.repeat_every_minutes = opts.get("flash_repeat", 0.0);
+  cfg.flash.enabled = opts.get("flash", cfg.flash.enabled);
+  cfg.flash.start_minute = opts.get("flash_start", cfg.flash.start_minute);
+  cfg.flash.surge_minutes = opts.get("flash_min", cfg.flash.surge_minutes);
+  cfg.flash.surge_factor = opts.get("flash_factor", cfg.flash.surge_factor);
+  cfg.flash.participation = opts.get("flash_frac", cfg.flash.participation);
+  cfg.flash.repeat_every_minutes =
+      opts.get("flash_repeat", cfg.flash.repeat_every_minutes);
 
-  cfg.churn.enabled = opts.get("churn", std::string("on")) != "off";
-  const double life = opts.get("lifetime_min", 60.0);
+  cfg.churn.enabled = opts.get("churn", cfg.churn.enabled);
+  const double life =
+      opts.get("lifetime_min", to_minutes(cfg.churn.mean_lifetime));
   cfg.churn.mean_lifetime = minutes(life);
   cfg.churn.lifetime_variance = life / 2.0 * kMinute * kMinute;
 
   // Fault injection (all zero by default -> no fault plane is built).
-  cfg.fault.channel.drop_probability = opts.get("loss", 0.0);
-  cfg.fault.channel.duplicate_probability = opts.get("dup", 0.0);
-  cfg.fault.channel.corrupt_probability = opts.get("corrupt", 0.0);
-  cfg.fault.channel.base_delay_seconds = opts.get("delay", 0.0);
-  cfg.fault.channel.delay_jitter_seconds = opts.get("jitter", 0.0);
-  cfg.fault.peer.crash_probability_per_minute = opts.get("crash", 0.0);
-  cfg.fault.peer.stall_probability_per_minute = opts.get("stall", 0.0);
-  cfg.fault.peer.stall_duration_seconds = opts.get("stall_s", 90.0);
-  cfg.fault.peer.slow_peer_fraction = opts.get("slow", 0.0);
-  cfg.fault.data_plane = opts.get("data_faults", false);
-  cfg.ddpolice.max_report_retries =
-      static_cast<int>(opts.get("retries", std::int64_t{2}));
-  cfg.ddpolice.max_exchange_retries = cfg.ddpolice.max_report_retries;
-  cfg.ddpolice.collect_timeout_seconds = opts.get("timeout", 5.0);
+  auto& channel = cfg.fault.channel;
+  channel.drop_probability = opts.get("loss", channel.drop_probability);
+  channel.duplicate_probability =
+      opts.get("dup", channel.duplicate_probability);
+  channel.corrupt_probability =
+      opts.get("corrupt", channel.corrupt_probability);
+  channel.base_delay_seconds = opts.get("delay", channel.base_delay_seconds);
+  channel.delay_jitter_seconds =
+      opts.get("jitter", channel.delay_jitter_seconds);
+  auto& peer = cfg.fault.peer;
+  peer.crash_probability_per_minute =
+      opts.get("crash", peer.crash_probability_per_minute);
+  peer.stall_probability_per_minute =
+      opts.get("stall", peer.stall_probability_per_minute);
+  peer.stall_duration_seconds =
+      opts.get("stall_s", peer.stall_duration_seconds);
+  peer.slow_peer_fraction = opts.get("slow", peer.slow_peer_fraction);
+  cfg.fault.data_plane = opts.get("data_faults", cfg.fault.data_plane);
+  police.max_report_retries = opts.get("retries", police.max_report_retries);
+  police.max_exchange_retries = police.max_report_retries;
+  police.collect_timeout_seconds =
+      opts.get("timeout", police.collect_timeout_seconds);
 
-  // Observability plane.
+  // Observability plane and output files ("-" = not written).
   const std::string trace_path = opts.get("trace", std::string("-"));
+  const std::string metrics_csv = opts.get("metrics_csv", std::string("-"));
+  const std::string metrics_json = opts.get("metrics_json", std::string("-"));
+  cfg.obs.metrics = metrics_csv != "-" || metrics_json != "-";
+  cfg.obs.profile = opts.get("profile", cfg.obs.profile);
+  const std::string forensics_csv = opts.get("forensics", std::string("-"));
+  const std::string forensics_json =
+      opts.get("forensics_json", std::string("-"));
+  cfg.obs.forensics = forensics_csv != "-" || forensics_json != "-";
+  cfg.obs.series_window_minutes =
+      opts.get("series_window", cfg.obs.series_window_minutes);
+  const bool progress = opts.get("progress", false);
+  const std::string csv = opts.get("csv", std::string("-"));
+
+  const std::string ckpt_path = opts.get("checkpoint", std::string("-"));
+  const double ckpt_every = opts.get("checkpoint_every", 0.0);
+  const std::string restore_path = opts.get("restore", std::string("-"));
+  const unsigned jobs = opts.get(
+      "jobs", util::env("DDP_JOBS", 1u, err, 0, util::kMaxJobs), 0,
+      util::kMaxJobs);
+
+  // Validate up front: a clear one-line diagnosis before any file is
+  // written, instead of a throw from deep inside the scenario runner.
+  if (util::refuse("ddpsim", err.empty() ? opts.error() : err)) return 2;
+  std::printf("ddpsim: %zu peers (%s), %zu agents, defense=%s, %s\n",
+              cfg.topo.nodes, topology::model_name(cfg.topo.model).data(),
+              cfg.attack.agents, defense::kind_name(cfg.defense).data(),
+              opts.summary().c_str());
+  if (util::refuse("ddpsim", experiments::validate_config(cfg))) return 2;
+
   std::unique_ptr<obs::JsonlFileSink> trace_sink;
   if (trace_path != "-") {
     trace_sink = std::make_unique<obs::JsonlFileSink>(trace_path);
@@ -254,32 +281,6 @@ int main(int argc, char** argv) {
     }
     cfg.obs.trace_sink = trace_sink.get();
   }
-  const std::string metrics_csv = opts.get("metrics_csv", std::string("-"));
-  const std::string metrics_json = opts.get("metrics_json", std::string("-"));
-  cfg.obs.metrics = metrics_csv != "-" || metrics_json != "-";
-  cfg.obs.profile = opts.get("profile", false);
-  const std::string forensics_csv = opts.get("forensics", std::string("-"));
-  const std::string forensics_json =
-      opts.get("forensics_json", std::string("-"));
-  cfg.obs.forensics = forensics_csv != "-" || forensics_json != "-";
-  cfg.obs.series_window_minutes =
-      static_cast<std::size_t>(opts.get("series_window", std::int64_t{0}));
-  const bool progress = opts.get("progress", false);
-
-  std::printf("ddpsim: %zu peers (%s), %zu agents, defense=%s, %s\n",
-              cfg.topo.nodes, topo.c_str(), cfg.attack.agents, def.c_str(),
-              opts.summary().c_str());
-
-  // Validate up front: a clear one-line diagnosis instead of a throw from
-  // deep inside the scenario runner.
-  if (const std::string err = experiments::validate_config(cfg); !err.empty()) {
-    std::fprintf(stderr, "ddpsim: invalid configuration: %s\n", err.c_str());
-    return 2;
-  }
-
-  const std::string ckpt_path = opts.get("checkpoint", std::string("-"));
-  const double ckpt_every = opts.get("checkpoint_every", 0.0);
-  const std::string restore_path = opts.get("restore", std::string("-"));
 
   // The scenario leg runs minute-by-minute on a ScenarioRuntime so it can
   // be checkpointed, resumed and interrupted at quiescent boundaries; this
@@ -337,8 +338,6 @@ int main(int argc, char** argv) {
   // The two legs are fully independent (run_baseline strips the obs
   // plane), so jobs>1 runs them on separate threads. Either way the
   // results — and every file written from them — are identical.
-  const auto jobs = static_cast<unsigned>(
-      opts.get("jobs", static_cast<std::int64_t>(util::env_jobs(1))));
   experiments::SweepRunner runner(jobs > 1 ? 2u : 1u);
   auto legs = runner.map(2, [&](std::size_t i) {
     return i == 0 ? experiments::run_baseline(cfg) : run_scenario_leg();
@@ -443,7 +442,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.fault_channel.transfers));
   }
 
-  const std::string csv = opts.get("csv", std::string("-"));
   if (csv != "-") {
     if (t.write_csv(csv)) std::printf("wrote %s\n", csv.c_str());
   }

@@ -5,7 +5,8 @@
 // walking back in and being caught again.
 //
 // Usage: defended_overlay [peers=800] [agents=40] [minutes=30] [ct=5]
-//                         [cheat=deflate|honest|inflate|mute] [rejoin=1]
+//                         [cheat=deflate|honest|inflate|mute|collude]
+//                         [rejoin=1]
 //                         [seed=2007]
 
 #include <cstdio>
@@ -18,28 +19,28 @@
 
 int main(int argc, char** argv) {
   using namespace ddp;
-  const util::Options opts(argc, argv);
-  const auto peers = static_cast<std::size_t>(opts.get("peers", std::int64_t{800}));
-  const auto agents = static_cast<std::size_t>(opts.get("agents", std::int64_t{40}));
-  const double minutes_total = opts.get("minutes", 30.0);
-  const double ct = opts.get("ct", 5.0);
-  const std::string cheat = opts.get("cheat", std::string("deflate"));
-  const bool rejoin = opts.get("rejoin", true);
-  const auto seed = static_cast<std::uint64_t>(opts.get("seed", std::int64_t{2007}));
+  util::Options opts(argc, argv);
+  const auto peers = opts.get("peers", std::size_t{800});
+  const auto agents = opts.get("agents", std::size_t{40});
+  const auto seed = opts.get("seed", std::uint64_t{2007});
 
   experiments::ScenarioConfig cfg =
       experiments::paper_scenario(peers, agents, defense::Kind::kDdPolice, seed);
-  cfg.total_minutes = minutes_total;
-  cfg.ddpolice.cut_threshold = ct;
-  cfg.attack.rejoin = rejoin;
-  if (cheat == "inflate") cfg.attack.behavior.report = attack::ReportStrategy::kInflate;
-  else if (cheat == "mute") cfg.attack.behavior.report = attack::ReportStrategy::kMute;
-  else if (cheat == "honest") cfg.attack.behavior.report = attack::ReportStrategy::kHonest;
-  else cfg.attack.behavior.report = attack::ReportStrategy::kDeflate;
+  cfg.total_minutes = opts.get("minutes", 30.0);
+  cfg.ddpolice.cut_threshold = opts.get("ct", cfg.ddpolice.cut_threshold);
+  cfg.attack.behavior.report =
+      opts.get("cheat", attack::ReportStrategy::kDeflate,
+               attack::report_strategy_name);
+  cfg.attack.rejoin = opts.get("rejoin", true);
+  std::string err = opts.error();
+  if (err.empty()) err = experiments::validate_config(cfg);
+  if (util::refuse("defended_overlay", err)) return 2;
 
   std::printf("defended overlay: %zu peers, %zu agents (%s reporters, rejoin=%s), "
               "CT=%.0f, attack at minute %.0f\n\n",
-              peers, agents, cheat.c_str(), rejoin ? "on" : "off", ct,
+              peers, agents,
+              attack::report_strategy_name(cfg.attack.behavior.report).data(),
+              cfg.attack.rejoin ? "on" : "off", cfg.ddpolice.cut_threshold,
               cfg.attack.start_minute);
 
   const auto baseline = experiments::run_baseline(cfg);

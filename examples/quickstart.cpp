@@ -17,12 +17,20 @@
 
 int main(int argc, char** argv) {
   using namespace ddp;
-  const util::Options opts(argc, argv);
-  const auto peers = static_cast<std::size_t>(opts.get("peers", std::int64_t{600}));
-  const auto agents = static_cast<std::size_t>(opts.get("agents", std::int64_t{30}));
+  util::Options opts(argc, argv);
+  const auto peers = opts.get("peers", std::size_t{600});
+  const auto agents = opts.get("agents", std::size_t{30});
   const double minutes = opts.get("minutes", 25.0);
   const double ct = opts.get("ct", 5.0);
-  const auto seed = static_cast<std::uint64_t>(opts.get("seed", std::int64_t{42}));
+  const auto seed = opts.get("seed", std::uint64_t{42});
+  // The defended run carries every setting; check it before any run.
+  experiments::ScenarioConfig ddp_cfg =
+      experiments::paper_scenario(peers, agents, defense::Kind::kDdPolice, seed);
+  ddp_cfg.total_minutes = minutes;
+  ddp_cfg.ddpolice.cut_threshold = ct;
+  std::string err = opts.error();
+  if (err.empty()) err = experiments::validate_config(ddp_cfg);
+  if (util::refuse("quickstart", err)) return 2;
 
   std::cout << "DD-POLICE quickstart: " << peers << " peers, " << agents
             << " DDoS agents, CT=" << ct << "\n";
@@ -44,10 +52,6 @@ int main(int argc, char** argv) {
   const auto undefended = experiments::run_scenario(none_cfg);
 
   // And defended by DD-POLICE.
-  experiments::ScenarioConfig ddp_cfg =
-      experiments::paper_scenario(peers, agents, defense::Kind::kDdPolice, seed);
-  ddp_cfg.total_minutes = minutes;
-  ddp_cfg.ddpolice.cut_threshold = ct;
   const auto defended = experiments::run_scenario(ddp_cfg);
 
   std::printf("under attack   : success=%.1f%%  response=%.2fs  traffic=%.0f msg/min\n",

@@ -16,10 +16,14 @@
 //   trace_tool validate in=run.jsonl
 //   trace_tool tree     in=run.jsonl query=ID [limit=200]
 //   trace_tool forensics in=run.jsonl [csv=out.csv] [json=out.json]
+// A key the mode does not read or a malformed value exits 2 before any file
+// is opened.
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "obs/forensics.hpp"
 #include "obs/trace_read.hpp"
@@ -55,19 +59,17 @@ void print_subtree(const ddp::obs::FloodTree& tree, std::size_t node,
 
 int main(int argc, char** argv) {
   using namespace ddp;
-  const util::Options opts(argc, argv);
-  const std::string mode =
-      opts.positional().empty() ? "gen" : opts.positional().front();
+  util::Options opts(argc, argv);
+  const std::string mode = opts.positional(0, "gen");
 
   if (mode == "gen") {
     workload::TraceConfig cfg;
     cfg.queries_per_second = opts.get("rate", cfg.queries_per_second);
-    cfg.vocabulary =
-        static_cast<std::size_t>(opts.get("vocab", std::int64_t{50000}));
-    const auto count =
-        static_cast<std::size_t>(opts.get("count", std::int64_t{100000}));
-    const auto seed = static_cast<std::uint64_t>(opts.get("seed", std::int64_t{1}));
+    cfg.vocabulary = opts.get("vocab", cfg.vocabulary, 1);
+    const auto count = opts.get("count", std::size_t{100000});
+    const auto seed = opts.get("seed", std::uint64_t{1});
     const std::string out = opts.get("out", std::string("trace.log"));
+    if (util::refuse("trace_tool", opts.error())) return 2;
 
     workload::TraceGenerator gen(cfg);
     util::Rng rng(seed);
@@ -87,20 +89,20 @@ int main(int argc, char** argv) {
   if (mode == "flood") {
     // A traced packet-engine run: flood a paper-shaped overlay with a few
     // queries and write the packet-layer JSONL — the input `tree` expects.
-    const auto peers =
-        static_cast<std::size_t>(opts.get("peers", std::int64_t{200}));
-    const auto queries =
-        static_cast<std::size_t>(opts.get("queries", std::int64_t{20}));
-    const auto seed = static_cast<std::uint64_t>(opts.get("seed", std::int64_t{1}));
+    // paper_topology attaches 3 links per joining peer, so it needs 4.
+    const PeerId peers = opts.get("peers", PeerId{200}, 4);
+    const auto queries = opts.get("queries", std::size_t{20});
+    const auto seed = opts.get("seed", std::uint64_t{1});
     const std::string out = opts.get("out", std::string("flood.jsonl"));
+    p2p::P2pConfig cfg;
+    cfg.ttl = opts.get("ttl", cfg.ttl, 1, 255);
+    if (util::refuse("trace_tool", opts.error())) return 2;
 
     util::Rng rng(seed);
     topology::Graph graph = topology::paper_topology(peers, rng);
     workload::ContentConfig cc;
     const workload::ContentModel content(cc, peers);
     sim::Engine engine;
-    p2p::P2pConfig cfg;
-    cfg.ttl = static_cast<std::uint8_t>(opts.get("ttl", std::int64_t{cfg.ttl}));
     p2p::PacketNetwork net(graph, content, engine, cfg, util::Rng(seed));
     obs::JsonlFileSink sink(out);
     if (!sink.ok()) {
@@ -115,7 +117,7 @@ int main(int argc, char** argv) {
     // to route back (ttl hops out + ttl hops back, plus queueing slack).
     engine.run_until(2.0 * cfg.ttl * cfg.hop_latency + 60.0);
     sink.flush();
-    std::printf("wrote %llu events to %s (%zu peers, queries 1..%zu; "
+    std::printf("wrote %llu events to %s (%u peers, queries 1..%zu; "
                 "try: trace_tool tree in=%s query=1)\n",
                 static_cast<unsigned long long>(sink.lines()), out.c_str(),
                 peers, queries, out.c_str());
@@ -124,6 +126,7 @@ int main(int argc, char** argv) {
 
   if (mode == "stats") {
     const std::string in = opts.get("in", std::string("trace.log"));
+    if (util::refuse("trace_tool", opts.error())) return 2;
     std::ifstream f(in);
     if (!f) {
       std::fprintf(stderr, "cannot open %s\n", in.c_str());
@@ -144,6 +147,45 @@ int main(int argc, char** argv) {
   if (mode == "inspect" || mode == "summary" || mode == "validate" ||
       mode == "tree" || mode == "forensics") {
     const std::string in = opts.get("in", std::string("run.jsonl"));
+
+    // Every key of the mode is read before the trace is opened.
+    std::string query;
+    std::size_t limit = 0;
+    obs::TraceFilter filter;
+    std::string type, csv, json;
+    if (mode == "tree") {
+      // Query id: query= or a second positional (trace_tool tree 7 in=...).
+      query = opts.get("query", opts.positional(1));
+      limit = opts.get("limit", std::size_t{200});
+    } else if (mode == "inspect") {
+      const PeerId peer = opts.get("peer", kInvalidPeer);
+      if (peer != kInvalidPeer) filter.peer = peer;
+      type = opts.get("type", std::string());
+      filter.t_min = opts.get("tmin", filter.t_min);
+      filter.t_max = opts.get("tmax", filter.t_max);
+      limit = opts.get("limit", std::size_t{50});
+    } else if (mode == "forensics") {
+      csv = opts.get("csv", std::string("-"));
+      json = opts.get("json", std::string("-"));
+    }
+    if (util::refuse("trace_tool", opts.error())) return 2;
+    if (!type.empty()) {
+      const auto known = obs::event_from_name(type);
+      if (!known) {
+        std::fprintf(stderr, "unknown event type '%s'\n", type.c_str());
+        return 2;
+      }
+      filter.type = known;
+    }
+    const std::optional<QueryId> id = util::parse<QueryId>(query);
+    if (mode == "tree" && !id) {  // also when neither form gave an id
+      util::refuse("trace_tool",
+                   util::rejection("query",
+                                   "an integer id from query_issued events",
+                                   query));
+      return 2;
+    }
+
     std::ifstream f(in);
     if (!f) {
       std::fprintf(stderr, "cannot open %s\n", in.c_str());
@@ -177,24 +219,15 @@ int main(int argc, char** argv) {
     const auto records = obs::read_trace_records(f);
 
     if (mode == "tree") {
-      // Query id: query= or a second positional (trace_tool tree run 7).
-      std::int64_t id = opts.get("query", std::int64_t{-1});
-      if (id < 0 && opts.positional().size() > 1) {
-        id = std::atoll(opts.positional()[1].c_str());
-      }
-      if (id < 0) {
-        std::fprintf(stderr, "tree: pass query=ID (from query_issued events)\n");
-        return 2;
-      }
-      const obs::FloodTree tree =
-          obs::build_flood_tree(records, static_cast<QueryId>(id));
+      const obs::FloodTree tree = obs::build_flood_tree(records, *id);
       if (!tree.found) {
-        std::printf("query %lld: no events in %s\n",
-                    static_cast<long long>(id), in.c_str());
+        std::printf("query %llu: no events in %s\n",
+                    static_cast<unsigned long long>(*id), in.c_str());
         return 1;
       }
-      std::printf("query %lld: origin %u, issued t=%.2f, %s\n",
-                  static_cast<long long>(id), tree.origin, tree.issued_t,
+      std::printf("query %llu: origin %u, issued t=%.2f, %s\n",
+                  static_cast<unsigned long long>(*id), tree.origin,
+                  tree.issued_t,
                   tree.attack ? "attack" : "good");
       std::printf("  %zu peers reached, depth %u, %llu forwards, %llu "
                   "duplicates, %llu queue drops\n",
@@ -210,8 +243,7 @@ int main(int argc, char** argv) {
       }
       std::printf("\n");
       if (!tree.nodes.empty()) {
-        std::size_t budget =
-            static_cast<std::size_t>(opts.get("limit", std::int64_t{200}));
+        std::size_t budget = limit;
         const std::size_t total = tree.nodes.size();
         print_subtree(tree, 0, "  ", true, budget);
         if (budget == 0 && total > 0) {
@@ -225,8 +257,6 @@ int main(int argc, char** argv) {
       obs::ForensicsAccumulator acc;
       for (const auto& r : records) acc.add(r);
       std::printf("%s", acc.summary().c_str());
-      const std::string csv = opts.get("csv", std::string("-"));
-      const std::string json = opts.get("json", std::string("-"));
       if (csv != "-") {
         if (!acc.write_csv(csv)) {
           std::fprintf(stderr, "cannot write %s\n", csv.c_str());
@@ -286,23 +316,6 @@ int main(int argc, char** argv) {
     }
 
     // inspect: filter and print matching events.
-    obs::TraceFilter filter;
-    const auto peer = opts.get("peer", std::int64_t{-1});
-    if (peer >= 0) filter.peer = static_cast<PeerId>(peer);
-    const std::string type = opts.get("type", std::string());
-    if (!type.empty()) {
-      const auto known = obs::event_from_name(type);
-      if (!known) {
-        std::fprintf(stderr, "unknown event type '%s'\n", type.c_str());
-        return 2;
-      }
-      filter.type = known;
-    }
-    filter.t_min = opts.get("tmin", -1.0);
-    filter.t_max = opts.get("tmax", -1.0);
-    const auto limit =
-        static_cast<std::size_t>(opts.get("limit", std::int64_t{50}));
-
     std::size_t matched = 0, printed = 0;
     for (const auto& r : records) {
       if (!filter.matches(r)) continue;

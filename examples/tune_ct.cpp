@@ -8,31 +8,33 @@
 
 #include <cstdio>
 #include <iostream>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "experiments/figures.hpp"
 #include "util/config.hpp"
 
 int main(int argc, char** argv) {
   using namespace ddp;
-  const util::Options opts(argc, argv);
+  util::Options opts(argc, argv);
   experiments::Scale scale;
-  scale.peers = static_cast<std::size_t>(opts.get("peers", std::int64_t{500}));
+  scale.peers = opts.get("peers", std::size_t{500});
   scale.total_minutes = opts.get("minutes", 22.0);
   scale.attack_start = 4.0;
   scale.warmup_minutes = 6.0;
-  scale.trials = static_cast<std::uint32_t>(opts.get("trials", std::int64_t{2}));
-  const auto agents = static_cast<std::size_t>(opts.get("agents", std::int64_t{25}));
-  const auto seed = static_cast<std::uint64_t>(opts.get("seed", std::int64_t{99}));
-
-  std::vector<double> cts;
-  {
-    std::stringstream ss(opts.get("cts", std::string("1,3,5,7,9,12")));
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-      if (!tok.empty()) cts.push_back(std::stod(tok));
-    }
+  scale.trials = opts.get("trials", scale.trials, 1);
+  const auto agents = opts.get("agents", std::size_t{25});
+  const auto seed = opts.get("seed", std::uint64_t{99});
+  const std::vector<double> cts =
+      opts.get("cts", std::vector<double>{1, 3, 5, 7, 9, 12});
+  std::string err = opts.error();
+  for (const double ct : cts) {
+    auto cfg = experiments::scaled_scenario(scale, agents,
+                                            defense::Kind::kDdPolice, seed);
+    cfg.ddpolice.cut_threshold = ct;
+    if (err.empty()) err = experiments::validate_config(cfg);
   }
+  if (util::refuse("tune_ct", err)) return 2;
 
   std::printf("tuning CT for %zu peers under a %zu-agent attack (%u trials)\n",
               scale.peers, agents, scale.trials);

@@ -25,7 +25,8 @@
 #                             # ddpsim output byte-identical to the default
 #   scripts/check.sh --net    # tier-1 plus the socket-engine gate:
 #                             # invalid ddpnode settings (DD-POLICE knobs,
-#                             # ports, TTL, minute length) must exit 2,
+#                             # ports, TTL, minute length, unknown keys,
+#                             # malformed values) must exit 2,
 #                             # the loopback engine suite runs
 #                             # plain and (with the LocalPolice suite)
 #                             # under ASan+UBSan, then a 10-process
@@ -40,10 +41,12 @@
 #                             # under the ThreadSanitizer preset
 #
 # Tier-1 is the contract every PR must keep green: the default-preset
-# build, the full ctest suite, and an end-to-end observability check —
-# a small traced scenario run through ddpsim whose JSONL output must be
+# build, the full ctest suite, an end-to-end observability check — a
+# small traced scenario run through ddpsim whose JSONL output must be
 # schema-valid per `trace_tool validate`, and deterministic (same seed
-# twice => byte-identical trace files).
+# twice => byte-identical trace files) — the command-line check (unknown
+# keys, stray arguments and malformed values exit 2 before any output)
+# and the golden byte-identity gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -115,33 +118,77 @@ if ! cmp -s "$tmp/fa.csv" "$tmp/fa_offline.csv"; then
 fi
 echo "forensics determinism: OK (live == offline, byte-identical)"
 
-echo "== bench flags: malformed arguments and DDP_* values exit 2 =="
-# A bench resolves its flags and DDP_* variables before the first run;
-# anything it cannot honour must exit 2 with a message, not run defaults.
+# expect_exit2 CMD...: run CMD in an empty directory. It must exit 2, and
+# the directory must still be empty: a setting a binary cannot honour is
+# rejected before any output file, socket or scenario exists.
+ex="$repo/build/examples"
+bn="$repo/build/bench"
 expect_exit2() {
-  what="$1"
-  shift
-  if "$@" > /dev/null 2>&1; then
-    echo "FAIL: bench_fig5_capacity accepted $what" >&2
-    exit 1
+  rm -rf "$tmp/exit2"
+  mkdir "$tmp/exit2"
+  if (cd "$tmp/exit2" && "$@") > "$tmp/exit2.log" 2>&1; then
+    rc=0
   else
     rc=$?
-    if [ "$rc" -ne 2 ]; then
-      echo "FAIL: bench_fig5_capacity exited $rc on $what, expected 2" >&2
-      exit 1
-    fi
+  fi
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: exited $rc, expected 2: $*" >&2
+    tail -n 5 "$tmp/exit2.log" >&2
+    exit 1
+  fi
+  if [ -n "$(ls -A "$tmp/exit2")" ]; then
+    echo "FAIL: wrote $(ls -A "$tmp/exit2") before exiting 2: $*" >&2
+    exit 1
   fi
 }
+
+echo "== cli flags: unknown keys and malformed values exit 2 =="
+# Every binary reads its settings through util::Options and refuses an
+# unknown key, a stray positional argument, or a malformed or out-of-range
+# value with exit 2 instead of running defaults. A bench resolves its
+# flags and DDP_* variables the same way before the first run.
 for bad in "--bogus" "--jobs=abc" "--jobs -2" "--jobs 257" "--jobs"; do
   # shellcheck disable=SC2086
-  expect_exit2 "'$bad'" ./build/bench/bench_fig5_capacity \
-      --out-dir "$tmp/flags" $bad
+  expect_exit2 "$bn/bench_fig5_capacity" --out-dir out $bad
 done
 for bad in "DDP_TRIALS=abc" "DDP_TRIALS=0" "DDP_JOBS=x" "DDP_SEED=1.5"; do
-  expect_exit2 "$bad" env "$bad" ./build/bench/bench_fig5_capacity \
-      --out-dir "$tmp/flags"
+  expect_exit2 env "$bad" "$bn/bench_fig5_capacity" --out-dir out
 done
-echo "bench flags: OK (malformed values exit 2)"
+for bad in "adaptve=1" "peers=2k" "peers=-5" "ct=3x" "radius=4294967297" \
+    "topo=hardcutoff" "jobs=-1" "churn=maybe" "adaptive=2" "2000" \
+    "csv=out.csv trace=out.jsonl ct=3x"; do
+  # shellcheck disable=SC2086
+  expect_exit2 "$ex/ddpsim" peers=100 agents=5 minutes=5 $bad
+done
+expect_exit2 env DDP_JOBS=x "$ex/ddpsim" peers=100 agents=5 minutes=5
+for bad in "port_base=70000 ttl=300" "ct=0" "peers=-1" "model=smallworld" \
+    "model=cutoff" "peers=2" "minute_seconds=0"; do
+  # shellcheck disable=SC2086
+  expect_exit2 "$ex/ddptestbed" plan out=plan.txt $bad
+done
+for bad in "flood peers=0" "gen count=-1" "flood ttl=300" "bogus=1" \
+    "tree in=run.jsonl abc"; do
+  # shellcheck disable=SC2086
+  expect_exit2 "$ex/trace_tool" $bad
+done
+expect_exit2 "$ex/tune_ct" cts=1,x
+expect_exit2 "$ex/tune_ct" cts=0
+expect_exit2 "$ex/defended_overlay" cheat=bogus
+expect_exit2 "$ex/defended_overlay" ct=-1
+expect_exit2 "$ex/quickstart" peers=2k
+expect_exit2 "$ex/quickstart" ct=0
+expect_exit2 "$ex/attack_anatomy" queue=-1
+expect_exit2 "$bn/bench_soak_chaos" soaks=0 minutes=5
+# The boolean vocabulary is shared: churn=0 is churn=off.
+./build/examples/ddpsim peers=120 agents=12 minutes=8 seed=7 churn=off \
+    csv="$tmp/churn_off.csv" > /dev/null
+./build/examples/ddpsim peers=120 agents=12 minutes=8 seed=7 churn=0 \
+    csv="$tmp/churn_0.csv" > /dev/null
+if ! cmp -s "$tmp/churn_off.csv" "$tmp/churn_0.csv"; then
+  echo "FAIL: churn=0 and churn=off produce different series" >&2
+  exit 1
+fi
+echo "cli flags: OK (bad settings exit 2 before any output; churn=0 == churn=off)"
 
 echo "== golden byte-identity gate (figure CSVs + short trace + control plane) =="
 # Laptop-scale runs of the figure benches plus a short traced ddpsim
@@ -261,17 +308,7 @@ if [ "$run_adaptive" -eq 1 ]; then
   for bad in "adaptive_k1=4 adaptive_k2=2" "adaptive_window=0" \
              "adaptive=1 defense=none"; do
     # shellcheck disable=SC2086
-    if ./build/examples/ddpsim peers=100 agents=5 minutes=5 adaptive=1 \
-        $bad > /dev/null 2>&1; then
-      echo "FAIL: invalid adaptive config ($bad) was accepted" >&2
-      exit 1
-    else
-      rc=$?
-      if [ "$rc" -ne 2 ]; then
-        echo "FAIL: invalid adaptive config ($bad) exited $rc, expected 2" >&2
-        exit 1
-      fi
-    fi
+    expect_exit2 "$ex/ddpsim" peers=100 agents=5 minutes=5 adaptive=1 $bad
   done
   echo "adaptive validation: OK (inconsistent params exit 2)"
 
@@ -352,22 +389,14 @@ if [ "$run_net" -eq 1 ]; then
   # naming the knob before the node listens, like ddpsim's validation (see
   # --adaptive): DD-POLICE knobs the per-node judge refuses, and ports,
   # TTLs and minute lengths that would otherwise wrap, abort or run a
-  # degenerate node. Later keys override the defaults in front of them.
-  # The short duration bounds the run if a regression lets one start.
+  # degenerate node, and unknown keys or malformed values. Later keys
+  # override the defaults in front of them. The short duration bounds the
+  # run if a regression lets one start.
   for bad in "ct=0" "confirmations=0" "port=70000" "ttl=0" "ttl=300" \
-      "bootstrap=x" "bootstrap=70000" "minute_seconds=0" "index=-1"; do
+      "bootstrap=x" "bootstrap=70000" "minute_seconds=0" "index=-1" \
+      "confirmatons=1" "ct=abc"; do
     # shellcheck disable=SC2086
-    if ./build/examples/ddpnode port=0 minute_seconds=0.2 duration_min=1 \
-        $bad > /dev/null 2>&1; then
-      echo "FAIL: invalid ddpnode setting ($bad) was accepted" >&2
-      exit 1
-    else
-      rc=$?
-      if [ "$rc" -ne 2 ]; then
-        echo "FAIL: invalid ddpnode setting ($bad) exited $rc, expected 2" >&2
-        exit 1
-      fi
-    fi
+    expect_exit2 "$ex/ddpnode" port=0 minute_seconds=0.2 duration_min=1 $bad
   done
   echo "ddpnode validation: OK (invalid settings exit 2)"
 

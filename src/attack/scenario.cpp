@@ -23,16 +23,6 @@ std::string_view report_strategy_name(ReportStrategy s) noexcept {
   return sv("?");
 }
 
-std::optional<ReportStrategy> report_strategy_from_name(
-    std::string_view name) noexcept {
-  for (const auto s : {ReportStrategy::kHonest, ReportStrategy::kInflate,
-                       ReportStrategy::kDeflate, ReportStrategy::kMute,
-                       ReportStrategy::kCollude}) {
-    if (name == report_strategy_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
 std::string_view list_strategy_name(ListStrategy s) noexcept {
   switch (s) {
     case ListStrategy::kHonest: return sv("honest");
@@ -40,15 +30,6 @@ std::string_view list_strategy_name(ListStrategy s) noexcept {
     case ListStrategy::kWithhold: return sv("withhold");
   }
   return sv("?");
-}
-
-std::optional<ListStrategy> list_strategy_from_name(
-    std::string_view name) noexcept {
-  for (const auto s : {ListStrategy::kHonest, ListStrategy::kFabricate,
-                       ListStrategy::kWithhold}) {
-    if (name == list_strategy_name(s)) return s;
-  }
-  return std::nullopt;
 }
 
 std::string_view sourcing_strategy_name(SourcingStrategy s) noexcept {
@@ -59,15 +40,6 @@ std::string_view sourcing_strategy_name(SourcingStrategy s) noexcept {
     case SourcingStrategy::kProbe: return sv("probe");
   }
   return sv("?");
-}
-
-std::optional<SourcingStrategy> sourcing_strategy_from_name(
-    std::string_view name) noexcept {
-  for (const auto s : {SourcingStrategy::kConstant, SourcingStrategy::kRamp,
-                       SourcingStrategy::kPulse, SourcingStrategy::kProbe}) {
-    if (name == sourcing_strategy_name(s)) return s;
-  }
-  return std::nullopt;
 }
 
 double schedule_scale(const AttackConfig& config, double minutes_since_start) {

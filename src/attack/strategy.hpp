@@ -13,7 +13,6 @@
 ///    (Sec. 3.1's consistency discussion).
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace ddp::attack {
@@ -29,8 +28,6 @@ enum class ReportStrategy : std::uint8_t {
 };
 
 std::string_view report_strategy_name(ReportStrategy s) noexcept;
-std::optional<ReportStrategy> report_strategy_from_name(
-    std::string_view name) noexcept;
 
 /// Whether the agent advertises fabricated neighbour lists.
 enum class ListStrategy : std::uint8_t {
@@ -40,8 +37,6 @@ enum class ListStrategy : std::uint8_t {
 };
 
 std::string_view list_strategy_name(ListStrategy s) noexcept;
-std::optional<ListStrategy> list_strategy_from_name(
-    std::string_view name) noexcept;
 
 /// How an agent shapes its query flood over time. The paper's agent is
 /// kConstant ("as many queries as it is capable of", Sec. 3.5); the other
@@ -56,8 +51,6 @@ enum class SourcingStrategy : std::uint8_t {
 };
 
 std::string_view sourcing_strategy_name(SourcingStrategy s) noexcept;
-std::optional<SourcingStrategy> sourcing_strategy_from_name(
-    std::string_view name) noexcept;
 
 struct AgentBehavior {
   ReportStrategy report = ReportStrategy::kHonest;

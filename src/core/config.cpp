@@ -14,6 +14,14 @@ bool fraction(double v) noexcept {
 
 }  // namespace
 
+std::string_view cut_policy_name(CutPolicy policy) noexcept {
+  switch (policy) {
+    case CutPolicy::kPermanent: return "permanent";
+    case CutPolicy::kQuarantine: return "quarantine";
+  }
+  return "?";
+}
+
 std::string validate(const DdPoliceConfig& cfg) {
   if (!finite_positive(cfg.cut_threshold)) {
     return "ddpolice.cut_threshold must be a finite value > 0";

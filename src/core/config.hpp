@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "util/types.hpp"
 
@@ -24,6 +25,9 @@ enum class CutPolicy : std::uint8_t {
   kPermanent,   ///< the paper's behaviour: disconnected links stay down
   kQuarantine,  ///< quarantine -> probation -> reinstate/ban state machine
 };
+
+/// CLI name of a cut policy: permanent, quarantine ("?" past the last one).
+std::string_view cut_policy_name(CutPolicy policy) noexcept;
 
 /// Adaptive cut bands (the "learned CT" extension). Instead of one global
 /// warning threshold and one global CT, each monitor learns a per-link

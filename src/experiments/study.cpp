@@ -49,17 +49,17 @@ double shown(const Column& col, const Ratio& sum) {
 
 }  // namespace
 
-Scale default_scale() {
+Scale default_scale(std::string& problem) {
   Scale s;
-  if (util::full_scale_requested()) {
+  if (util::env("DDP_FULL", false, problem)) {
     s.peers = 2000;
     s.total_minutes = 40.0;
     s.attack_start = 5.0;
     s.warmup_minutes = 10.0;
     s.trials = 3;
   }
-  s.trials = util::env_trials(s.trials);
-  s.jobs = util::env_jobs(s.jobs);
+  s.trials = util::env("DDP_TRIALS", s.trials, problem, 1);
+  s.jobs = util::env("DDP_JOBS", s.jobs, problem, 0, util::kMaxJobs);
   return s;
 }
 

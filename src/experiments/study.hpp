@@ -47,9 +47,11 @@ struct Scale {
   unsigned jobs = 1;
 };
 
-/// Laptop scale, or the paper's full scale when DDP_FULL is set; trials
-/// overridable via DDP_TRIALS, jobs via DDP_JOBS.
-Scale default_scale();
+/// Laptop scale, or the paper's full scale (2,000 peers) when DDP_FULL is
+/// true; trials overridable via DDP_TRIALS (>= 1), jobs via DDP_JOBS
+/// ([0, 256]). A malformed or out-of-range variable keeps the default and
+/// stores a message in `problem` (see util::env).
+Scale default_scale(std::string& problem);
 
 /// paper_scenario at the sweep's scale (run length, measurement window,
 /// attack start).

@@ -4,6 +4,7 @@
 /// Parameters of the flow-level engine (see network.hpp for the model).
 
 #include <cstddef>
+#include <string_view>
 
 #include "util/types.hpp"
 
@@ -29,6 +30,15 @@ enum class AdmissionPolicy : std::uint8_t {
   /// the remaining budget, and attack-class traffic is shed first.
   kPriority,
 };
+
+/// CLI name of an admission policy: blind, priority ("?" past the last one).
+constexpr std::string_view admission_name(AdmissionPolicy policy) noexcept {
+  switch (policy) {
+    case AdmissionPolicy::kClassBlind: return "blind";
+    case AdmissionPolicy::kPriority: return "priority";
+  }
+  return "?";
+}
 
 struct FlowConfig {
   /// Initial TTL of query floods (Gnutella default, as in the paper).

@@ -9,6 +9,17 @@
 
 namespace ddp::topology {
 
+std::string_view model_name(Model model) noexcept {
+  switch (model) {
+    case Model::kBarabasiAlbert: return "ba";
+    case Model::kWaxman: return "waxman";
+    case Model::kErdosRenyi: return "er";
+    case Model::kTwoTier: return "two-tier";
+    case Model::kHardCutoff: return "hard-cutoff";
+  }
+  return "?";
+}
+
 std::size_t hard_cutoff_degree(const GeneratorConfig& cfg) {
   const std::size_t n = cfg.nodes;
   const double kc_raw =

@@ -9,6 +9,7 @@
 /// geometric graphs, and Erdős–Rényi as a null model for ablations.
 
 #include <cstdint>
+#include <string_view>
 
 #include "topology/graph.hpp"
 #include "util/rng.hpp"
@@ -22,6 +23,10 @@ enum class Model : std::uint8_t {
   kTwoTier,         ///< Gnutella 0.6 ultrapeer/leaf structure
   kHardCutoff,      ///< preferential attachment with a hard degree cutoff
 };
+
+/// CLI name of a model: ba, waxman, er, two-tier, hard-cutoff ("?" past
+/// the last one).
+std::string_view model_name(Model model) noexcept;
 
 /// A Gnutella-0.6-style two-tier overlay (the paper's introduction: the
 /// flood runs "among peers or among super-peers"). A BA core of

@@ -2,61 +2,37 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
-#include <sstream>
 
 namespace ddp::util {
 
-bool is_truthy(std::string_view v) noexcept {
-  std::string lower(v);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return lower == "1" || lower == "true" || lower == "yes" || lower == "on";
+std::optional<bool> parse_bool(std::string_view text) noexcept {
+  const auto is = [text](std::string_view word) {
+    return std::equal(
+        text.begin(), text.end(), word.begin(), word.end(),
+        [](unsigned char c, char w) { return std::tolower(c) == w; });
+  };
+  if (is("1") || is("true") || is("yes") || is("on")) return true;
+  if (is("0") || is("false") || is("no") || is("off")) return false;
+  return std::nullopt;
 }
 
-bool full_scale_requested() noexcept {
-  const char* env = std::getenv("DDP_FULL");
-  return env != nullptr && is_truthy(env);
+std::string rejection(std::string_view name, std::string_view what,
+                      std::string_view text) {
+  std::string out(name);
+  out += " must be ";
+  out += what;
+  out += ", got '";
+  out += text;
+  out += '\'';
+  return out;
 }
 
-std::optional<std::int64_t> env_int(const char* name) noexcept {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  if (errno != 0 || end == env || *end != '\0') return std::nullopt;
-  return static_cast<std::int64_t>(v);
-}
-
-std::optional<double> env_double(const char* name) noexcept {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  if (errno != 0 || end == env || *end != '\0') return std::nullopt;
-  return v;
-}
-
-std::uint64_t env_seed(std::uint64_t fallback) noexcept {
-  if (auto v = env_int("DDP_SEED")) return static_cast<std::uint64_t>(*v);
-  return fallback;
-}
-
-std::uint32_t env_trials(std::uint32_t fallback) noexcept {
-  if (auto v = env_int("DDP_TRIALS"); v && *v > 0) {
-    return static_cast<std::uint32_t>(*v);
-  }
-  return fallback;
-}
-
-unsigned env_jobs(unsigned fallback) noexcept {
-  if (auto v = env_int("DDP_JOBS"); v && *v >= 0) {
-    return static_cast<unsigned>(*v);
-  }
-  return fallback;
+bool refuse(std::string_view program, const std::string& problem) {
+  if (problem.empty()) return false;
+  std::fprintf(stderr, "%.*s: invalid configuration: %s\n",
+               static_cast<int>(program.size()), program.data(),
+               problem.c_str());
+  return true;
 }
 
 Options::Options(int argc, const char* const* argv) {
@@ -64,54 +40,52 @@ Options::Options(int argc, const char* const* argv) {
     const std::string arg = argv[i];
     const auto eq = arg.find('=');
     if (eq == std::string::npos || eq == 0) {
-      positional_.push_back(arg);
+      positional_.emplace_back(arg, false);
     } else {
       kv_[arg.substr(0, eq)] = arg.substr(eq + 1);
     }
   }
 }
 
-bool Options::has(std::string_view key) const { return kv_.find(key) != kv_.end(); }
-
-std::string Options::get(std::string_view key, std::string fallback) const {
+const std::string* Options::lookup(std::string_view key) {
+  read_.emplace(key);
   const auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : it->second;
+  return it == kv_.end() ? nullptr : &it->second;
 }
 
-double Options::get(std::string_view key, double fallback) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') return fallback;
-  return v;
+std::string Options::get(std::string_view key, std::string fallback) {
+  const std::string* text = lookup(key);
+  return text == nullptr ? fallback : *text;
 }
 
-std::int64_t Options::get(std::string_view key, std::int64_t fallback) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') return fallback;
-  return static_cast<std::int64_t>(v);
+std::string Options::positional(std::size_t i, std::string fallback) {
+  if (i >= positional_.size()) return fallback;
+  positional_[i].second = true;
+  return positional_[i].first;
 }
 
-bool Options::get(std::string_view key, bool fallback) const {
-  const auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : is_truthy(it->second);
+std::string Options::error() const {
+  if (!problem_.empty()) return problem_;
+  for (const auto& [key, value] : kv_) {
+    if (read_.count(key) != 0) continue;
+    std::string known;
+    for (const auto& k : read_) known += (known.empty() ? "" : ", ") + k;
+    return "unknown key '" + key + "' (known keys: " + known + ")";
+  }
+  for (const auto& [arg, read] : positional_) {
+    if (!read) {
+      return "unexpected argument '" + arg + "' (arguments are key=value)";
+    }
+  }
+  return {};
 }
 
 std::string Options::summary() const {
-  std::ostringstream os;
-  bool first = true;
+  std::string out;
   for (const auto& [k, v] : kv_) {
-    if (!first) os << ' ';
-    os << k << '=' << v;
-    first = false;
+    out += (out.empty() ? "" : " ") + k + '=' + v;
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace ddp::util

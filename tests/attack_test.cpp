@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "attack/scenario.hpp"
 #include "experiments/scenario.hpp"
 #include "topology/generators.hpp"
+#include "util/config.hpp"
 
 namespace ddp::attack {
 namespace {
@@ -114,27 +117,44 @@ TEST(AttackScenario, StrategyNames) {
   EXPECT_EQ(sourcing_strategy_name(SourcingStrategy::kProbe), "probe");
 }
 
+// `value` read as an E through the CLI option reader; nullopt when the
+// reader rejects it.
+template <class E, class Name>
+std::optional<E> read_name(std::string_view value, Name name) {
+  const std::string arg = "k=" + std::string(value);
+  const char* argv[] = {"prog", arg.c_str()};
+  util::Options o(2, argv);
+  const E e = o.get("k", E{}, name);
+  if (!o.error().empty()) return std::nullopt;
+  return e;
+}
+
 TEST(AttackScenario, StrategyNamesRoundTrip) {
-  // Every enumerator survives name -> from_name (the ddpsim CLI and the
-  // bench harnesses address strategies by these strings).
+  // Every enumerator survives name -> option read (the ddpsim CLI addresses
+  // strategies by these strings); unknown and miscased names are rejected.
   for (const auto s :
        {ReportStrategy::kHonest, ReportStrategy::kInflate,
         ReportStrategy::kDeflate, ReportStrategy::kMute,
         ReportStrategy::kCollude}) {
-    EXPECT_EQ(report_strategy_from_name(report_strategy_name(s)), s);
+    EXPECT_EQ(read_name<ReportStrategy>(report_strategy_name(s),
+                                        report_strategy_name),
+              s);
   }
   for (const auto s : {ListStrategy::kHonest, ListStrategy::kFabricate,
                        ListStrategy::kWithhold}) {
-    EXPECT_EQ(list_strategy_from_name(list_strategy_name(s)), s);
+    EXPECT_EQ(
+        read_name<ListStrategy>(list_strategy_name(s), list_strategy_name), s);
   }
   for (const auto s :
        {SourcingStrategy::kConstant, SourcingStrategy::kRamp,
         SourcingStrategy::kPulse, SourcingStrategy::kProbe}) {
-    EXPECT_EQ(sourcing_strategy_from_name(sourcing_strategy_name(s)), s);
+    EXPECT_EQ(read_name<SourcingStrategy>(sourcing_strategy_name(s),
+                                          sourcing_strategy_name),
+              s);
   }
-  EXPECT_FALSE(report_strategy_from_name("bogus").has_value());
-  EXPECT_FALSE(list_strategy_from_name("").has_value());
-  EXPECT_FALSE(sourcing_strategy_from_name("Constant").has_value());
+  EXPECT_FALSE(read_name<ReportStrategy>("bogus", report_strategy_name));
+  EXPECT_FALSE(read_name<ListStrategy>("", list_strategy_name));
+  EXPECT_FALSE(read_name<SourcingStrategy>("Constant", sourcing_strategy_name));
 }
 
 TEST(Sourcing, ConstantScheduleIsThePaperAgent) {

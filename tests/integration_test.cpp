@@ -198,13 +198,19 @@ TEST(Figures, RadiusAblationRuns) {
 TEST(Figures, DefaultScaleHonorsEnvironment) {
   unsetenv("DDP_FULL");
   unsetenv("DDP_TRIALS");
-  const Scale lap = default_scale();
+  std::string problem;
+  const Scale lap = default_scale(problem);
   EXPECT_EQ(lap.peers, 600u);
   setenv("DDP_FULL", "1", 1);
   setenv("DDP_TRIALS", "5", 1);
-  const Scale full = default_scale();
+  const Scale full = default_scale(problem);
   EXPECT_EQ(full.peers, 2000u);
   EXPECT_EQ(full.trials, 5u);
+  EXPECT_EQ(problem, "");
+  // A malformed value keeps the default and names the variable.
+  setenv("DDP_TRIALS", "0", 1);
+  EXPECT_EQ(default_scale(problem).trials, 3u);
+  EXPECT_EQ(problem, "DDP_TRIALS must be an integer in [1, 4294967295], got '0'");
   unsetenv("DDP_FULL");
   unsetenv("DDP_TRIALS");
 }

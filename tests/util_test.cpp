@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/config.hpp"
 #include "util/rate_window.hpp"
@@ -331,39 +336,164 @@ TEST(Table, DoubleFormatting) {
 // --------------------------------------------------------------- config
 
 TEST(Config, Truthiness) {
-  EXPECT_TRUE(is_truthy("1"));
-  EXPECT_TRUE(is_truthy("true"));
-  EXPECT_TRUE(is_truthy("YES"));
-  EXPECT_TRUE(is_truthy("On"));
-  EXPECT_FALSE(is_truthy("0"));
-  EXPECT_FALSE(is_truthy("no"));
-  EXPECT_FALSE(is_truthy(""));
+  // One boolean vocabulary, case-insensitive; anything else is rejected.
+  for (const char* t : {"1", "true", "YES", "On"}) {
+    EXPECT_EQ(parse_bool(t), std::optional<bool>(true)) << t;
+  }
+  for (const char* f : {"0", "False", "no", "off"}) {
+    EXPECT_EQ(parse_bool(f), std::optional<bool>(false)) << f;
+  }
+  for (const char* bad : {"", "2", "maybe", "y", " on", "truee"}) {
+    EXPECT_FALSE(parse_bool(bad).has_value()) << bad;
+  }
+}
+
+TEST(Config, ParseIsWholeAndFinite) {
+  EXPECT_EQ(parse<std::int64_t>("-42"), -42);
+  EXPECT_EQ(parse<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "2k", "1.5", "+5", " 5", "5 ", "0x10", "1e3"}) {
+    EXPECT_FALSE(parse<std::int64_t>(bad).has_value()) << bad;
+  }
+  EXPECT_DOUBLE_EQ(*parse<double>("2.5"), 2.5);
+  EXPECT_DOUBLE_EQ(*parse<double>("1e3"), 1000.0);
+  EXPECT_DOUBLE_EQ(*parse<double>("-.5"), -0.5);
+  for (const char* bad : {"", "3x", "inf", "-inf", "nan", "1e400", "+1"}) {
+    EXPECT_FALSE(parse<double>(bad).has_value()) << bad;
+  }
+}
+
+TEST(Config, ParseRejectsWhatTheTypeCannotHold) {
+  // Each narrowing type at its edge: no value wraps.
+  EXPECT_EQ(parse<std::uint8_t>("255"), std::uint8_t{255});
+  EXPECT_FALSE(parse<std::uint8_t>("300").has_value());
+  EXPECT_EQ(parse<std::uint16_t>("65535"), std::uint16_t{65535});
+  EXPECT_FALSE(parse<std::uint16_t>("70000").has_value());
+  EXPECT_FALSE(parse<std::size_t>("-5").has_value());
+  EXPECT_EQ(parse<int>("2147483647"), 2147483647);
+  EXPECT_FALSE(parse<int>("4294967297").has_value());
+  EXPECT_FALSE(parse<unsigned>("-1").has_value());
+}
+
+TEST(Config, ParseHonoursBounds) {
+  EXPECT_EQ(parse<int>("1", 1, 2), 1);
+  EXPECT_EQ(parse<int>("2", 1, 2), 2);
+  EXPECT_FALSE(parse<int>("0", 1, 2).has_value());
+  EXPECT_FALSE(parse<int>("3", 1, 2).has_value());
+  EXPECT_FALSE(parse<double>("1.0000001", 0.0, 1.0).has_value());
+  EXPECT_EQ(accepted<std::uint8_t>(1, 255), "an integer in [1, 255]");
+  EXPECT_EQ(accepted(0.5, 2.0), "a finite number in [0.5, 2]");
+  EXPECT_EQ(accepted(std::numeric_limits<double>::lowest(),
+                     std::numeric_limits<double>::max()),
+            "a finite number");
 }
 
 TEST(Config, OptionsParse) {
-  const char* argv[] = {"prog", "peers=100", "rate=2.5", "flag=yes", "loose"};
-  Options o(5, argv);
-  EXPECT_EQ(o.get("peers", std::int64_t{0}), 100);
+  const char* argv[] = {"prog", "peers=100", "rate=2.5", "flag=yes", "loose",
+                        "name=", "ports=1,,3,"};
+  Options o(7, argv);
+  EXPECT_EQ(o.get("peers", std::size_t{0}), 100u);
   EXPECT_DOUBLE_EQ(o.get("rate", 0.0), 2.5);
   EXPECT_TRUE(o.get("flag", false));
   EXPECT_EQ(o.get("missing", std::string("dflt")), "dflt");
-  EXPECT_FALSE(o.has("missing"));
-  ASSERT_EQ(o.positional().size(), 1u);
-  EXPECT_EQ(o.positional()[0], "loose");
+  EXPECT_EQ(o.get("name", std::string("dflt")), "");
+  EXPECT_EQ(o.get("ports", std::vector<std::uint16_t>{}, 1, 65535),
+            (std::vector<std::uint16_t>{1, 3}));
+  EXPECT_EQ(o.positional(0), "loose");
+  EXPECT_EQ(o.positional(1, "none"), "none");
+  EXPECT_EQ(o.error(), "");
+  EXPECT_EQ(o.summary(), "flag=yes name= peers=100 ports=1,,3, rate=2.5");
 }
 
-TEST(Config, OptionsBadNumberFallsBack) {
-  const char* argv[] = {"prog", "n=abc"};
-  Options o(2, argv);
+TEST(Config, OptionsRejectMalformedValues) {
+  // A malformed value reads as the fallback, and error() reports the
+  // first one read, naming the key and what it accepts.
+  const char* argv[] = {"prog", "n=abc", "ct=3x", "radius=4294967297",
+                        "ttl=300", "flag=maybe", "empty="};
+  Options o(7, argv);
   EXPECT_EQ(o.get("n", std::int64_t{7}), 7);
-  EXPECT_DOUBLE_EQ(o.get("n", 1.5), 1.5);
+  EXPECT_EQ(o.error(), "n must be an integer in [-9223372036854775808, "
+                       "9223372036854775807], got 'abc'");
+  EXPECT_DOUBLE_EQ(o.get("ct", 5.0), 5.0);
+  EXPECT_EQ(o.get("radius", 1), 1);
+  EXPECT_EQ(o.get("ttl", std::uint8_t{5}, 1, 255), 5);
+  EXPECT_FALSE(o.get("flag", false));
+  EXPECT_DOUBLE_EQ(o.get("empty", 1.5), 1.5);
+  EXPECT_EQ(o.error().rfind("n must be", 0), 0u);
+
+  const char* argv2[] = {"prog", "ct=3x", "ttl=300", "flag=maybe"};
+  Options o2(4, argv2);
+  o2.get("ct", 5.0);
+  EXPECT_EQ(o2.error(), "ct must be a finite number, got '3x'");
+  Options o3(4, argv2);
+  o3.get("ttl", std::uint8_t{5}, 1, 255);
+  EXPECT_EQ(o3.error(), "ttl must be an integer in [1, 255], got '300'");
+  Options o4(4, argv2);
+  o4.get("flag", false);
+  EXPECT_EQ(o4.error(),
+            "flag must be one of 1/0, true/false, yes/no, on/off, got 'maybe'");
+  Options o5(4, argv2);
+  o5.get("ct", std::vector<double>{5.0});
+  EXPECT_EQ(o5.error(),
+            "ct must be a comma-separated list, each a finite number, "
+            "got '3x'");
+}
+
+enum class Shade : std::uint8_t { kLight, kDark };
+std::string_view shade_name(Shade s) noexcept {
+  switch (s) {
+    case Shade::kLight: return "light";
+    case Shade::kDark: return "dark";
+  }
+  return "?";
+}
+
+TEST(Config, OptionsReadEnumsByName) {
+  const char* argv[] = {"prog", "a=dark", "b=Dark"};
+  Options o(3, argv);
+  EXPECT_EQ(o.get("a", Shade::kLight, shade_name), Shade::kDark);
+  EXPECT_EQ(o.get("missing", Shade::kDark, shade_name), Shade::kDark);
+  EXPECT_EQ(o.get("b", Shade::kLight, shade_name), Shade::kLight);
+  EXPECT_EQ(o.error(), "b must be one of light, dark, got 'Dark'");
+}
+
+TEST(Config, OptionsReportUnknownKeysAndStrayArguments) {
+  const char* argv[] = {"prog", "peers=5", "adaptve=1", "2000"};
+  Options o(4, argv);
+  EXPECT_EQ(o.get("peers", std::size_t{600}), 5u);
+  o.get("adaptive", false);
+  EXPECT_EQ(o.error(), "unknown key 'adaptve' (known keys: adaptive, peers)");
+  o.get("adaptve", false);
+  EXPECT_EQ(o.error(), "unexpected argument '2000' (arguments are key=value)");
+  o.positional(0);
+  EXPECT_EQ(o.error(), "");
+}
+
+TEST(Config, OptionsLastDuplicateWins) {
+  // Later keys override earlier ones; an overridden malformed value is
+  // never read.
+  const char* argv[] = {"prog", "ct=abc", "port=0", "ct=7", "port=9"};
+  Options o(5, argv);
+  EXPECT_DOUBLE_EQ(o.get("ct", 5.0), 7.0);
+  EXPECT_EQ(o.get("port", std::uint16_t{1}), 9);
+  EXPECT_EQ(o.error(), "");
+  EXPECT_EQ(o.summary(), "ct=7 port=9");
 }
 
 TEST(Config, EnvSeedFallback) {
+  std::string problem;
   unsetenv("DDP_SEED");
-  EXPECT_EQ(env_seed(42), 42u);
+  EXPECT_EQ(env("DDP_SEED", std::uint64_t{42}, problem), 42u);
+  setenv("DDP_SEED", "", 1);
+  EXPECT_EQ(env("DDP_SEED", std::uint64_t{42}, problem), 42u);
   setenv("DDP_SEED", "777", 1);
-  EXPECT_EQ(env_seed(42), 777u);
+  EXPECT_EQ(env("DDP_SEED", std::uint64_t{42}, problem), 777u);
+  EXPECT_EQ(problem, "");
+  setenv("DDP_SEED", "1.5", 1);
+  EXPECT_EQ(env("DDP_SEED", std::uint64_t{42}, problem), 42u);
+  EXPECT_EQ(problem,
+            "DDP_SEED must be an integer in [0, 18446744073709551615], "
+            "got '1.5'");
   unsetenv("DDP_SEED");
 }
 
