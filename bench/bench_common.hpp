@@ -66,6 +66,36 @@ struct Run {
   std::exit(2);
 }
 
+/// The name of a `--flag=value` or `--flag value` argument.
+inline std::string flag_name(const std::string& arg) {
+  return arg.substr(0, arg.find('='));
+}
+
+/// The value of the flag at argv[i]: the text after its first '=', else
+/// the next argument, which `i` then moves past. An empty value exits 2.
+inline std::string flag_value(int argc, char** argv, int& i) {
+  const std::string arg = argv[i];
+  const std::size_t eq = arg.find('=');
+  std::string value;
+  if (eq != std::string::npos) {
+    value = arg.substr(eq + 1);
+  } else if (i + 1 < argc) {
+    value = argv[++i];
+  }
+  if (value.empty()) usage_error(flag_name(arg) + " needs a value");
+  return value;
+}
+
+/// A `--jobs` value: a whole number in [0, util::kMaxJobs]; else exit 2.
+inline unsigned jobs_flag(const std::string& value) {
+  const auto n = util::parse<unsigned>(value, 0, util::kMaxJobs);
+  if (!n) {
+    usage_error(util::rejection("--jobs", util::accepted(0u, util::kMaxJobs),
+                                value));
+  }
+  return *n;
+}
+
 /// Resolve the run's scale, seed and output directory. The flags are
 /// `--out-dir DIR` (default `results/`) and `--jobs N` (0 = one worker per
 /// hardware thread; overrides DDP_JOBS), each also as `--flag=value`.
@@ -81,26 +111,16 @@ inline Run begin(int argc, char** argv, const std::string& title,
   if (!problem.empty()) usage_error(problem);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const std::size_t eq = arg.find('=');
-    const std::string name = arg.substr(0, eq);
+    const std::string name = flag_name(arg);
     if (name != "--out-dir" && name != "--jobs") {
       usage_error("unknown argument: " + arg +
                   " (expected --out-dir DIR or --jobs N)");
     }
-    std::string value;
-    if (eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-    } else if (i + 1 < argc) {
-      value = argv[++i];
-    }
-    if (value.empty()) usage_error(name + " needs a value");
+    const std::string value = flag_value(argc, argv, i);
     if (name == "--out-dir") {
       run.out_dir = value;
-    } else if (const auto n = util::parse<unsigned>(value, 0, util::kMaxJobs)) {
-      run.scale.jobs = *n;
     } else {
-      usage_error(util::rejection(
-          "--jobs", util::accepted(0u, util::kMaxJobs), value));
+      run.scale.jobs = jobs_flag(value);
     }
   }
   std::printf("%s\n", title.c_str());

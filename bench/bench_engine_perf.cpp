@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -429,7 +430,10 @@ int main(int argc, char** argv) {
   const auto t0 = clock::now();
 
   // Pull the shared bench flags out before google-benchmark parses the
-  // rest (it rejects flags it does not know).
+  // rest (it rejects flags it does not know). `--out-dir` and `--jobs`
+  // take `=value` or the next argument; `--mega` alone means 1,000,000
+  // peers, `--mega=N` N peers. A malformed value, or an argument neither
+  // these flags nor google-benchmark know, exits 2 before any run.
   std::string out_dir = "results";
   unsigned jobs = 1;
   bool headline_only = false;
@@ -437,35 +441,48 @@ int main(int argc, char** argv) {
   std::vector<char*> pass{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--out-dir=", 0) == 0) {
-      out_dir = arg.substr(10);
-    } else if (arg == "--out-dir" && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else if (arg == "--mega") {
-      mega_peers = 1000000;
-    } else if (arg.rfind("--mega=", 0) == 0) {
-      mega_peers = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10));
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--headline-only") {
+    const std::string name = bench::flag_name(arg);
+    if (arg == "--headline-only") {
       headline_only = true;
-    } else {
+      continue;
+    }
+    if (arg == "--mega") {
+      mega_peers = 1000000;
+      continue;
+    }
+    if (name != "--out-dir" && name != "--jobs" && name != "--mega") {
       pass.push_back(argv[i]);
+      continue;
+    }
+    const std::string value = bench::flag_value(argc, argv, i);
+    if (name == "--out-dir") {
+      out_dir = value;
+    } else if (name == "--jobs") {
+      jobs = bench::jobs_flag(value);
+    } else {
+      constexpr std::size_t kMaxPeers = std::numeric_limits<std::size_t>::max();
+      const auto n = util::parse<std::size_t>(value, 1, kMaxPeers);
+      if (!n) {
+        bench::usage_error(util::rejection(
+            "--mega", util::accepted<std::size_t>(1, kMaxPeers), value));
+      }
+      mega_peers = *n;
     }
   }
   if (mega_peers > 0) {
+    // Mega mode skips google-benchmark, so nothing else would read these.
+    if (pass.size() > 1) {
+      bench::usage_error(std::string("unknown argument: ") + pass[1] +
+                         " (mega mode takes --mega[=N] and --jobs N)");
+    }
     return run_mega(mega_peers, jobs == 0 ? 1 : jobs, 3.0);
   }
   int pass_argc = static_cast<int>(pass.size());
   benchmark::Initialize(&pass_argc, pass.data());
-  if (!headline_only) {
-    if (benchmark::ReportUnrecognizedArguments(pass_argc, pass.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
+  if (benchmark::ReportUnrecognizedArguments(pass_argc, pass.data())) {
+    return 2;
   }
+  if (!headline_only) benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
   // Headline pass: fixed workloads, wall-clock timed, machine-readable.

@@ -32,7 +32,8 @@
 #                             # under ASan+UBSan, then a 10-process
 #                             # localhost mini-testbed must cut the
 #                             # attacker and no honest peer from real TCP
-#                             # traffic
+#                             # traffic (four more ungated runs report
+#                             # its pass rate out of 5)
 #   scripts/check.sh --shard  # tier-1 plus the sharded-engine gate:
 #                             # ddpsim trace/CSV byte-identity across
 #                             # flow_jobs/flow_shards combinations, then a
@@ -154,6 +155,9 @@ done
 for bad in "DDP_TRIALS=abc" "DDP_TRIALS=0" "DDP_JOBS=x" "DDP_SEED=1.5"; do
   expect_exit2 env "$bad" "$bn/bench_fig5_capacity" --out-dir out
 done
+expect_exit2 "$bn/bench_engine_perf" --mega=300 --jobs=abc
+expect_exit2 "$bn/bench_engine_perf" --mega=x
+expect_exit2 "$bn/bench_engine_perf" --headline-only --bogus
 for bad in "adaptve=1" "peers=2k" "peers=-5" "ct=3x" "radius=4294967297" \
     "topo=hardcutoff" "jobs=-1" "churn=maybe" "adaptive=2" "2000" \
     "csv=out.csv trace=out.jsonl ct=3x"; do
@@ -421,6 +425,16 @@ if [ "$run_net" -eq 1 ]; then
   # fails the gate unless the attacker is cut and no honest peer is.
   BUILD_DIR="$repo/build" OUT_DIR="$tmp/net_testbed" STRICT=1 \
       scripts/testbed.sh 10 1
+  # Wall-clock scheduling moves the verdicts, so four more runs of the
+  # same testbed report how often it passes. Only the run above gates.
+  passed=1
+  for run in 2 3 4 5; do
+    if BUILD_DIR="$repo/build" OUT_DIR="$tmp/net_testbed_$run" STRICT=1 \
+        scripts/testbed.sh 10 1 > "$tmp/net_testbed_$run.log" 2>&1; then
+      passed=$((passed + 1))
+    fi
+  done
+  echo "testbed STRICT pass rate: $passed/5"
   echo "socket engine gate: OK (validation + loopback suite x2 + LocalPolice under ASan + mini-testbed STRICT)"
 fi
 

@@ -6,11 +6,13 @@
 /// these helpers encode explicitly byte-by-byte so the layout is identical
 /// on any host.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ddp::net {
@@ -18,6 +20,11 @@ namespace ddp::net {
 /// Append-only little-endian encoder.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Append after the bytes already in `buf` (take() hands them all back).
+  explicit ByteWriter(std::vector<std::uint8_t> buf) noexcept
+      : buf_(std::move(buf)) {}
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -27,8 +34,14 @@ class ByteWriter {
   /// query strings are C-strings on the wire).
   void cstring(std::string_view s);
 
-  /// Make room for `n` more bytes, so a frame of known size allocates once.
-  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+  /// Make room for `n` more bytes, so a frame of known size allocates at
+  /// most once. Growth is geometric, so frames appended one by one to a
+  /// long-lived buffer reallocate O(log n) times, not once each.
+  void reserve(std::size_t n) {
+    if (buf_.capacity() - buf_.size() < n) {
+      buf_.reserve(std::max(buf_.size() + n, 2 * buf_.capacity()));
+    }
+  }
 
   const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }

@@ -1,6 +1,7 @@
 #include "net/message.hpp"
 
 #include <limits>
+#include <utility>
 
 namespace ddp::net {
 
@@ -189,7 +190,13 @@ PayloadType Message::type() const noexcept {
 }
 
 std::vector<std::uint8_t> encode(const Message& msg) {
-  ByteWriter w;
+  std::vector<std::uint8_t> out;
+  encode(msg, out);
+  return out;
+}
+
+void encode(const Message& msg, std::vector<std::uint8_t>& out) {
+  ByteWriter w(std::move(out));
   w.reserve(kHeaderSize + std::visit([](const auto& p) { return body_size(p); },
                                      msg.payload));
   w.bytes(std::span<const std::uint8_t>(msg.header.guid.bytes.data(), 16));
@@ -201,7 +208,7 @@ std::vector<std::uint8_t> encode(const Message& msg) {
   const std::size_t body_start = w.size();
   std::visit([&w](const auto& p) { encode_payload(p, w); }, msg.payload);
   w.patch_u32(len_offset, static_cast<std::uint32_t>(w.size() - body_start));
-  return w.take();
+  out = w.take();
 }
 
 std::string_view decode_status_name(DecodeStatus s) noexcept {

@@ -125,6 +125,10 @@ struct Message {
 /// and type are overwritten to match the actual payload.
 std::vector<std::uint8_t> encode(const Message& msg);
 
+/// The same frame appended to `out` after the bytes already there, so a
+/// sender can batch frames in one buffer without a vector per message.
+void encode(const Message& msg, std::vector<std::uint8_t>& out);
+
 /// Parse one complete message from `data`. Returns std::nullopt on any
 /// framing or bounds error; `error` (if non-null) receives a description.
 /// On success exactly header.payload_length + 23 bytes were consumed;

@@ -12,6 +12,10 @@ namespace ddp::netengine {
 
 namespace {
 
+/// An out buffer that grew past this (a burst to a slow reader) is freed
+/// once it drains, so an idle connection holds no burst-sized buffer.
+constexpr std::size_t kKeptOutCapacity = 64 * 1024;
+
 std::uint64_t steady_ms() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -93,71 +97,104 @@ Engine::Conn* Engine::conn_by_fd(int fd) {
 
 std::size_t Engine::write_queue_bytes(ConnId id) const {
   const auto it = conns_.find(id);
-  return it == conns_.end() ? 0 : it->second.queued_bytes;
+  return it == conns_.end() ? 0 : it->second.unsent();
 }
 
 void Engine::close_conn(ConnId id, CloseReason reason) {
   const auto it = conns_.find(id);
   if (it == conns_.end()) return;
+  // Bytes queued this pass get the write a send outside the loop would
+  // have made at once; the outcome does not change the close.
+  if (it->second.dirty) write_out(it->second);
   poller_.remove(it->second.fd.get());
   by_fd_.erase(it->second.fd.get());
   conns_.erase(it);  // Fd destructor closes the socket
   if (handler_.on_close) handler_.on_close(id, reason);
 }
 
-void Engine::update_interest(Conn& conn) {
-  poller_.modify(conn.fd.get(), /*want_read=*/true,
-                 /*want_write=*/!conn.write_queue.empty());
+void Engine::set_write_interest(Conn& conn, bool want_write) {
+  if (conn.write_interest == want_write) return;
+  conn.write_interest = want_write;
+  poller_.modify(conn.fd.get(), /*want_read=*/true, want_write);
+}
+
+void Engine::mark_dirty(Conn& conn) {
+  // A connection waiting on EPOLLOUT is written when the kernel has room.
+  if (conn.dirty || conn.write_interest) return;
+  conn.dirty = true;
+  dirty_.push_back(conn.id);
 }
 
 bool Engine::send(ConnId id, const net::Message& msg) {
   const auto it = conns_.find(id);
   if (it == conns_.end()) return false;
   Conn& conn = it->second;
-  std::vector<std::uint8_t> wire = net::encode(msg);
-  conn.queued_bytes += wire.size();
-  conn.write_queue.push_back(std::move(wire));
+  net::encode(msg, conn.out);
   ++messages_out_;
-  if (conn.queued_bytes > config_.max_write_queue) {
-    // Backpressure by eviction: the peer is not draining its socket and
-    // the flood must not pile up in our memory instead of its.
-    close_conn(id, CloseReason::kSlowPeer);
-    return false;
+  if (conn.unsent() > config_.max_write_queue) {
+    // Backpressure by eviction: once a write leaves more than the bound
+    // unsent, the peer is not draining its socket, and the flood must not
+    // pile up in our memory instead of its.
+    if (!conn.connecting && !flush(conn)) return false;
+    if (conn.unsent() > config_.max_write_queue) {
+      close_conn(id, CloseReason::kSlowPeer);
+      return false;
+    }
+    return true;
   }
-  if (!conn.connecting) {
-    if (!flush_writes(conn)) return false;  // connection died writing
-    const auto again = conns_.find(id);
-    if (again == conns_.end()) return false;
-    update_interest(again->second);
+  if (conn.connecting) return true;  // written once the connect resolves
+  if (!in_pass_) return flush(conn);
+  mark_dirty(conn);
+  return true;
+}
+
+bool Engine::write_out(Conn& conn) {
+  conn.dirty = false;
+  if (conn.unsent() == 0) return true;
+  ssize_t n = 0;
+  do {
+    ++writes_;
+    n = ::send(conn.fd.get(), conn.out.data() + conn.out_off, conn.unsent(),
+               MSG_NOSIGNAL);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) return errno == EAGAIN || errno == EWOULDBLOCK;
+  // A short write means the kernel buffer is full: the rest waits for
+  // EPOLLOUT rather than a second call that would return EAGAIN.
+  bytes_out_ += static_cast<std::uint64_t>(n);
+  conn.out_off += static_cast<std::size_t>(n);
+  if (conn.out_off == conn.out.size()) {
+    conn.out.clear();
+    conn.out_off = 0;
+    if (conn.out.capacity() > kKeptOutCapacity) conn.out.shrink_to_fit();
+  } else if (conn.out_off >= conn.unsent()) {
+    // Drop the written prefix once it outweighs the unsent tail, so each
+    // byte is moved at most once for every byte written before it.
+    conn.out.erase(conn.out.begin(),
+                   conn.out.begin() + static_cast<std::ptrdiff_t>(conn.out_off));
+    conn.out_off = 0;
   }
   return true;
 }
 
-/// Returns false when the connection was closed by a write error.
-bool Engine::flush_writes(Conn& conn) {
-  while (!conn.write_queue.empty()) {
-    const std::vector<std::uint8_t>& front = conn.write_queue.front();
-    const std::size_t len = front.size() - conn.write_off;
-    const ssize_t n =
-        ::send(conn.fd.get(), front.data() + conn.write_off, len,
-               MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-      if (errno == EINTR) continue;
-      close_conn(conn.id, CloseReason::kError);
-      return false;
-    }
-    bytes_out_ += static_cast<std::uint64_t>(n);
-    conn.write_off += static_cast<std::size_t>(n);
-    conn.queued_bytes -= static_cast<std::size_t>(n);
-    if (conn.write_off == front.size()) {
-      conn.write_queue.pop_front();
-      conn.write_off = 0;
-    } else {
-      return true;  // kernel buffer full mid-chunk
-    }
+bool Engine::flush(Conn& conn) {
+  if (!write_out(conn)) {
+    close_conn(conn.id, CloseReason::kError);
+    return false;
   }
+  set_write_interest(conn, conn.unsent() > 0);
   return true;
+}
+
+void Engine::flush_dirty() {
+  // By index: a close callback fired by a failed write may send, which
+  // appends here, and that connection is written in this loop too.
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    const auto it = conns_.find(dirty_[i]);
+    // Gone (closed or evicted this pass), or already written since.
+    if (it == conns_.end() || !it->second.dirty) continue;
+    flush(it->second);
+  }
+  dirty_.clear();
 }
 
 void Engine::handle_accept() {
@@ -198,7 +235,9 @@ void Engine::resolve_connect(Conn& conn) {
   }
   conn.connecting = false;
   set_nodelay(conn.fd);
-  update_interest(conn);
+  poller_.modify(conn.fd.get(), /*want_read=*/true, /*want_write=*/false);
+  conn.write_interest = false;
+  if (conn.unsent() > 0) mark_dirty(conn);  // sent while connecting
   if (handler_.on_connect) handler_.on_connect(id, true);
 }
 
@@ -236,14 +275,11 @@ void Engine::handle_readable(Conn& first) {
       ++messages_in_;
       if (handler_.on_message) handler_.on_message(id, *r.message);
     }
+    // A short read drained the socket. The poller is level-triggered, so
+    // bytes or an EOF arriving from now on are reported next pass; another
+    // recv here would only return EAGAIN.
+    if (static_cast<std::size_t>(n) < sizeof(buf)) return;
   }
-}
-
-void Engine::handle_writable(Conn& conn) {
-  const ConnId id = conn.id;
-  if (!flush_writes(conn)) return;
-  const auto it = conns_.find(id);
-  if (it != conns_.end()) update_interest(it->second);
 }
 
 void Engine::sweep_half_open() {
@@ -271,6 +307,7 @@ bool Engine::poll_once(int timeout_ms) {
     stopped_ = true;
     return false;
   }
+  in_pass_ = true;
   for (const PollEvent& ev : events_) {
     if (listener_.valid() && ev.fd == listener_.get()) {
       handle_accept();
@@ -300,9 +337,11 @@ bool Engine::poll_once(int timeout_ms) {
       conn = conn_by_fd(ev.fd);
       if (conn == nullptr || conn->id != id) continue;
     }
-    if (ev.writable) handle_writable(*conn);
+    if (ev.writable) flush(*conn);
   }
   timers_.advance(now_ms());
+  flush_dirty();
+  in_pass_ = false;
   return !stopped_;
 }
 

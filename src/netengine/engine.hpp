@@ -9,12 +9,24 @@
 ///
 ///   - nonblocking listen / accept / connect on loopback TCP;
 ///   - per-connection incremental framing (net::StreamDecoder), so
-///     messages are reassembled across arbitrary read boundaries;
-///   - per-connection bounded write queues: a peer that cannot drain its
-///     queue (slow reader) is disconnected rather than allowed to grow
-///     the queue without bound — backpressure by eviction, which is the
-///     only kind a flooding defense can afford (blocking the loop on one
-///     peer would let that peer DoS the engine);
+///     messages are reassembled across arbitrary read boundaries; a read
+///     drain stops at the first short recv (the poller is level-triggered,
+///     so bytes or an EOF arriving later are reported on the next pass);
+///   - coalesced writes: each connection has one contiguous out buffer
+///     that send() encodes frames into. Inside poll_once (event handlers
+///     and timer callbacks) a send only queues; after the timers run,
+///     every connection sent to gets one ::send of its whole buffer, so
+///     write syscalls grow with connections per pass, not with messages.
+///     A send from outside poll_once writes at once. What the kernel does
+///     not take waits for EPOLLOUT; epoll_ctl runs only when a
+///     connection's registered interest changes. The bytes on each
+///     connection, and their order, are those of one write per send;
+///   - bounded write buffers: once a connection's unsent bytes pass
+///     max_write_queue, send() writes first and disconnects the peer only
+///     if the kernel still leaves more than the bound unsent (slow
+///     reader) — backpressure by eviction, which is the only kind a
+///     flooding defense can afford (blocking the loop on one peer would
+///     let that peer DoS the engine);
 ///   - a timer wheel driving the owner's cadences (the DD-POLICE minute,
 ///     the police tick, issue pacing, half-open timeouts);
 ///   - half-open sweep: a connection that has not produced a single
@@ -33,7 +45,6 @@
 /// without races or background threads.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -55,7 +66,7 @@ enum class CloseReason : std::uint8_t {
   kPeerClosed,     ///< orderly EOF from the peer
   kError,          ///< socket error (reset, refused, poll error)
   kBadFrame,       ///< stream decoder latched a framing error
-  kSlowPeer,       ///< write queue exceeded the backpressure bound
+  kSlowPeer,       ///< still past the backpressure bound after a write
   kHandshakeTimeout,  ///< no complete message within the half-open window
 };
 
@@ -63,8 +74,9 @@ std::string_view close_reason_name(CloseReason r) noexcept;
 
 struct EngineConfig {
   std::uint16_t listen_port = 0;  ///< 0 = kernel-assigned (read back)
-  /// Backpressure bound per connection, bytes. A queue pushed past this
-  /// closes the connection with kSlowPeer.
+  /// Backpressure bound per connection, bytes. A send that leaves more
+  /// than this unsent after a write attempt closes the connection with
+  /// kSlowPeer.
   std::size_t max_write_queue = 1u << 20;
   /// Half-open window, ms: a connection (either direction) must deliver
   /// one complete message within this or be dropped. 0 disables.
@@ -108,13 +120,21 @@ class Engine {
   /// kInvalidConn when the socket could not even be created.
   ConnId connect(const std::string& host, std::uint16_t port);
 
-  /// Queue one message. False when the connection does not exist or the
-  /// backpressure bound evicted it (the close callback has then already
-  /// fired with kSlowPeer).
+  /// Append one framed message to the connection's out buffer. Inside
+  /// poll_once the buffer is written once, after the pass's events and
+  /// timers; outside it (tests, owner code) it is written at once. Either
+  /// way, bytes the kernel does not take are written when the socket
+  /// reports room. When the unsent bytes pass max_write_queue, send
+  /// writes first and evicts only if more than the bound is still unsent.
+  /// False when the connection does not exist, a write failed, or the
+  /// bound evicted it (the close callback has then already fired with
+  /// kError or kSlowPeer).
   bool send(ConnId id, const net::Message& msg);
 
-  /// Owner-initiated close (flushes nothing: the overlay's messages are
-  /// advisory, a closing peer's last words can be dropped).
+  /// Owner-initiated close. Bytes sent earlier in the same pass get the
+  /// one write attempt they would have had; anything the kernel does not
+  /// take is dropped (the overlay's messages are advisory, a closing
+  /// peer's last words can be lost).
   void close(ConnId id) { close_conn(id, CloseReason::kLocal); }
 
   bool is_open(ConnId id) const { return conns_.count(id) != 0; }
@@ -147,6 +167,8 @@ class Engine {
   std::uint64_t messages_out() const noexcept { return messages_out_; }
   std::uint64_t bytes_in() const noexcept { return bytes_in_; }
   std::uint64_t bytes_out() const noexcept { return bytes_out_; }
+  /// Write syscalls made (every ::send, including one the kernel refused).
+  std::uint64_t writes() const noexcept { return writes_; }
 
  private:
   struct Conn {
@@ -154,24 +176,34 @@ class Engine {
     Fd fd;
     bool connecting = false;   ///< nonblocking connect still in flight
     bool saw_message = false;  ///< a complete frame has arrived
+    bool dirty = false;  ///< queued this pass, not yet written (in dirty_)
+    bool write_interest = false;  ///< EPOLLOUT is registered
     std::uint64_t opened_ms = 0;
     net::StreamDecoder decoder;
-    /// Outbound bytes not yet accepted by the kernel; front `write_off`
-    /// bytes of the first chunk are already gone.
-    std::deque<std::vector<std::uint8_t>> write_queue;
-    std::size_t write_off = 0;
-    std::size_t queued_bytes = 0;
+    /// Encoded frames; the front `out_off` bytes are already written.
+    std::vector<std::uint8_t> out;
+    std::size_t out_off = 0;
+
+    std::size_t unsent() const noexcept { return out.size() - out_off; }
   };
 
   Conn* conn_by_fd(int fd);
   void close_conn(ConnId id, CloseReason reason);
   void handle_accept();
   void handle_readable(Conn& conn);
-  void handle_writable(Conn& conn);
   void resolve_connect(Conn& conn);
   void sweep_half_open();
-  bool flush_writes(Conn& conn);
-  void update_interest(Conn& conn);
+  /// One ::send of the unsent bytes. False on a socket error (the
+  /// connection is left open for the caller to close).
+  bool write_out(Conn& conn);
+  /// write_out, then close on error or register EPOLLOUT for what the
+  /// kernel did not take. False when the connection was closed.
+  bool flush(Conn& conn);
+  /// Register or drop EPOLLOUT; epoll_ctl runs only on a change.
+  void set_write_interest(Conn& conn, bool want_write);
+  /// Queue the connection for the write at the end of this pass.
+  void mark_dirty(Conn& conn);
+  void flush_dirty();
 
   EngineConfig config_;
   EngineHandler handler_;
@@ -186,12 +218,15 @@ class Engine {
   bool stopped_ = false;
   std::uint64_t start_ms_ = 0;
   std::vector<PollEvent> events_;  ///< reused poll scratch
+  bool in_pass_ = false;  ///< inside poll_once: sends queue until flush_dirty
+  std::vector<ConnId> dirty_;  ///< connections sent to during this pass
 
   std::uint64_t accepted_ = 0;
   std::uint64_t messages_in_ = 0;
   std::uint64_t messages_out_ = 0;
   std::uint64_t bytes_in_ = 0;
   std::uint64_t bytes_out_ = 0;
+  std::uint64_t writes_ = 0;
 };
 
 }  // namespace ddp::netengine

@@ -202,8 +202,10 @@ void Node::send_control(std::uint32_t to, const net::Message& msg) {
   }
   std::uint16_t port = 0;
   if (config_.peer_port_base != 0) {
+    // `to` comes from a peer's Neighbor_List: an index past the port
+    // range must not wrap onto another node's port.
     const PeerId index = net::peer_from_address(to);
-    if (index != kInvalidPeer) {
+    if (index != kInvalidPeer && index <= 65535u - config_.peer_port_base) {
       port = static_cast<std::uint16_t>(config_.peer_port_base + index);
     }
   }

@@ -55,8 +55,10 @@ struct NodeConfig {
   std::string host = "127.0.0.1";
   /// Transport ports this node dials at startup (its planned adjacency).
   std::vector<std::uint16_t> bootstrap;
-  /// index -> transport port mapping: port_base + index. 0 disables buddy
-  /// dialing (rounds then rely on members already connected).
+  /// index -> transport port mapping: port_base + index, used only when
+  /// the sum is a port (<= 65535; otherwise the member's advertised port,
+  /// if any). 0 disables it (rounds then rely on members already
+  /// connected or advertised).
   std::uint16_t peer_port_base = 0;
 
   std::uint8_t ttl = 5;

@@ -3,9 +3,10 @@
 /// \file poller.hpp
 /// Thin epoll wrapper: register file descriptors with a read/write
 /// interest mask, wait, get a flat event list back. Level-triggered on
-/// purpose — the engine's read loop drains until EAGAIN anyway, and
-/// level-triggered semantics make the "poll once, handle once" unit tests
-/// deterministic (no lost-edge corner cases).
+/// purpose — the engine's read drain stops at the first short recv and
+/// counts on the next wait to report bytes or an EOF that arrive later,
+/// and level-triggered semantics make the "poll once, handle once" unit
+/// tests deterministic (no lost-edge corner cases).
 
 #include <cstdint>
 #include <vector>
@@ -27,8 +28,8 @@ class Poller {
 
   bool valid() const noexcept { return epoll_.valid(); }
 
-  /// Register `fd`. `want_write` is typically off until the write queue
-  /// is non-empty.
+  /// Register `fd`. `want_write` is typically off until a write leaves
+  /// bytes unsent.
   bool add(int fd, bool want_read, bool want_write);
   bool modify(int fd, bool want_read, bool want_write);
   void remove(int fd);

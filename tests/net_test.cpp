@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <span>
 #include <string>
@@ -190,6 +191,13 @@ TEST_P(MessageRoundTripTest, EncodeDecodeIdentity) {
   EXPECT_EQ(out->header.hops, in.header.hops);
   EXPECT_EQ(out->type(), GetParam());
   EXPECT_EQ(out->header.payload_length, bytes.size() - kHeaderSize);
+
+  // The appending form writes the same frame after the bytes already there.
+  std::vector<std::uint8_t> appended{0xAB};
+  encode(in, appended);
+  ASSERT_EQ(appended.size(), 1 + bytes.size());
+  EXPECT_EQ(appended[0], 0xAB);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), appended.begin() + 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,6 +9,9 @@
 //     than buffer without bound;
 //   - half-open peer timeout: a TCP connection that never completes the
 //     app handshake is dropped;
+//   - the coalesced write path: one write per connection per pass, a
+//     partial write drained on EPOLLOUT, a connection closed or evicted
+//     in its sending pass, and every frame before an EOF delivered;
 //   - SIGTERM clean shutdown with no leaked file descriptors.
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,6 +57,32 @@ net::Message make_ping() {
   net::Message m;
   m.header.guid.bytes[0] = 0x42;
   m.payload = net::Ping{};
+  return m;
+}
+
+/// A message numbered `tag` in its GUID, so a test can check arrival order.
+net::Message tagged(net::Message m, std::uint32_t tag) {
+  for (std::size_t b = 0; b < 4; ++b) {
+    m.header.guid.bytes[b + 1] = static_cast<std::uint8_t>(tag >> (8 * b));
+  }
+  return m;
+}
+
+std::uint32_t tag_of(const net::Message& m) {
+  std::uint32_t tag = 0;
+  for (std::size_t b = 0; b < 4; ++b) {
+    tag |= std::uint32_t{m.header.guid.bytes[b + 1]} << (8 * b);
+  }
+  return tag;
+}
+
+/// An ~8 KB query: a few hundred of them outgrow a loopback socket buffer.
+net::Message big_query() {
+  net::Message m;
+  m.header.guid.bytes[0] = 1;
+  net::Query q;
+  q.search = std::string(8000, 'x');
+  m.payload = std::move(q);
   return m;
 }
 
@@ -121,6 +151,7 @@ struct TestPeer {
     };
     h.on_message = [this](ConnId id, const net::Message& m) {
       messages.push_back({id, m});
+      if (reply) reply(id, m);
     };
     h.on_close = [this](ConnId id, CloseReason r) {
       closed.push_back({id, r});
@@ -128,11 +159,25 @@ struct TestPeer {
     engine.set_handler(std::move(h));
   }
   Engine engine;
+  /// Runs inside poll_once after each message is recorded.
+  std::function<void(ConnId, const net::Message&)> reply;
   std::vector<ConnId> accepted;
   std::vector<std::pair<ConnId, bool>> connected;
   std::vector<std::pair<ConnId, net::Message>> messages;
   std::vector<std::pair<ConnId, CloseReason>> closed;
 };
+
+/// `a` dials `b`; returns a's and b's ids for the connection once both
+/// ends are up.
+std::pair<ConnId, ConnId> connect_pair(TestPeer& a, TestPeer& b) {
+  EXPECT_TRUE(b.engine.listen());
+  const ConnId c = a.engine.connect("127.0.0.1", b.engine.listen_port());
+  EXPECT_TRUE(pump_until({&a.engine, &b.engine}, [&] {
+    return !a.connected.empty() && !b.accepted.empty();
+  }));
+  EXPECT_TRUE(!a.connected.empty() && a.connected[0].second);
+  return {c, b.accepted.empty() ? kInvalidConn : b.accepted[0]};
+}
 
 TEST(Engine, ConnectAcceptAndFramedDelivery) {
   TestPeer a, b;
@@ -209,6 +254,133 @@ TEST(Engine, SlowReaderIsDisconnectedByBackpressure) {
   ASSERT_TRUE(evicted) << "writer never hit the backpressure bound";
   EXPECT_EQ(a.closed[0].second, CloseReason::kSlowPeer);
   EXPECT_FALSE(a.engine.is_open(c));
+}
+
+TEST(Engine, RepliesFromOnePassLeaveInOneWrite) {
+  TestPeer a, b;
+  const auto [ca, cb] = connect_pair(a, b);
+  b.reply = [&](ConnId id, const net::Message&) {
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      EXPECT_TRUE(b.engine.send(id, tagged(make_ping(), i)));
+    }
+  };
+  const std::uint64_t a_writes = a.engine.writes();
+  const std::uint64_t b_writes = b.engine.writes();
+  ASSERT_TRUE(a.engine.send(ca, make_ping()));  // outside poll_once: at once
+  EXPECT_EQ(a.engine.writes(), a_writes + 1);
+  ASSERT_TRUE(
+      pump_until({&b.engine}, [&] { return b.messages.size() == 1; }));
+  EXPECT_EQ(b.engine.writes(), b_writes + 1);
+  EXPECT_EQ(b.engine.messages_out(), 8u);
+  EXPECT_EQ(b.engine.write_queue_bytes(cb), 0u);
+
+  ASSERT_TRUE(
+      pump_until({&a.engine}, [&] { return a.messages.size() >= 8; }));
+  ASSERT_EQ(a.messages.size(), 8u);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(a.messages[i].second.type(), net::PayloadType::kPing);
+    EXPECT_EQ(tag_of(a.messages[i].second), i);
+  }
+}
+
+TEST(Engine, BurstPastTheSocketBuffersDrainsOnWritability) {
+  EngineConfig roomy;
+  roomy.max_write_queue = 64u << 20;
+  TestPeer a, b(roomy);
+  const auto [ca, cb] = connect_pair(a, b);
+  // 1000 x 8 KB is twice the largest send buffer Linux grants by default
+  // (tcp_wmem 4 MiB), so the pass's one write cannot take it all.
+  constexpr std::uint32_t kBurst = 1000;
+  b.reply = [&](ConnId id, const net::Message&) {
+    for (std::uint32_t i = 0; i < kBurst; ++i) {
+      EXPECT_TRUE(b.engine.send(id, tagged(big_query(), i)));
+    }
+  };
+  ASSERT_TRUE(a.engine.send(ca, make_ping()));
+  ASSERT_TRUE(
+      pump_until({&b.engine}, [&] { return b.messages.size() == 1; }));
+  EXPECT_GT(b.engine.write_queue_bytes(cb), 0u) << "no partial write";
+
+  ASSERT_TRUE(pump_until({&a.engine, &b.engine},
+                         [&] { return a.messages.size() >= kBurst; }, 2000));
+  ASSERT_EQ(a.messages.size(), kBurst);
+  for (std::uint32_t i = 0; i < kBurst; ++i) {
+    ASSERT_EQ(tag_of(a.messages[i].second), i) << "frame out of order";
+  }
+  EXPECT_EQ(b.engine.write_queue_bytes(cb), 0u);
+  EXPECT_TRUE(b.closed.empty());
+}
+
+TEST(Engine, CloseInTheSendingPassWritesOnceAndSkipsTheFlush) {
+  TestPeer a, b;
+  const auto [ca, cb] = connect_pair(a, b);
+  b.reply = [&](ConnId id, const net::Message&) {
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(b.engine.send(id, tagged(make_ping(), i)));
+    }
+    b.engine.close(id);
+    EXPECT_FALSE(b.engine.send(id, make_ping()));
+  };
+  ASSERT_TRUE(a.engine.send(ca, make_ping()));
+  ASSERT_TRUE(pump_until({&b.engine}, [&] { return !b.closed.empty(); }));
+  EXPECT_EQ(b.closed[0], std::make_pair(cb, CloseReason::kLocal));
+  EXPECT_EQ(b.engine.connection_count(), 0u);
+
+  // The replies queued before the close still reach the peer, then EOF.
+  ASSERT_TRUE(pump_until({&a.engine}, [&] { return !a.closed.empty(); }));
+  ASSERT_EQ(a.messages.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(tag_of(a.messages[i].second), i);
+  }
+  EXPECT_EQ(a.closed[0].second, CloseReason::kPeerClosed);
+}
+
+TEST(Engine, EvictionInTheSendingPassIsSkippedByTheFlush) {
+  EngineConfig small;
+  small.max_write_queue = 64 * 1024;
+  TestPeer a, b(small);
+  const auto [ca, cb] = connect_pair(a, b);
+  // a stops polling, so the burst fills both kernel buffers and the
+  // bound evicts the connection while it is queued for the flush.
+  int sent = 0;
+  b.reply = [&](ConnId id, const net::Message&) {
+    while (sent < 4000 && b.engine.send(id, big_query())) ++sent;
+  };
+  ASSERT_TRUE(a.engine.send(ca, make_ping()));
+  ASSERT_TRUE(pump_until({&b.engine}, [&] { return !b.closed.empty(); }));
+  ASSERT_LT(sent, 4000) << "writer never hit the backpressure bound";
+  EXPECT_EQ(b.closed[0], std::make_pair(cb, CloseReason::kSlowPeer));
+  EXPECT_FALSE(b.engine.is_open(cb));
+  EXPECT_EQ(b.engine.write_queue_bytes(cb), 0u);
+  b.engine.poll_once(0);  // a later pass has nothing left to flush
+  EXPECT_EQ(b.closed.size(), 1u);
+}
+
+TEST(Engine, FramesBeforeAnEofAreAllDelivered) {
+  TestPeer b;
+  ASSERT_TRUE(b.engine.listen());
+  Fd raw = connect_nonblocking("127.0.0.1", b.engine.listen_port());
+  ASSERT_TRUE(raw.valid());
+  ASSERT_TRUE(pump_until({&b.engine}, [&] { return !b.accepted.empty(); }));
+  // ~160 KB: the engine reads it in several recvs, the last one short.
+  constexpr std::uint32_t kFrames = 20;
+  std::vector<std::uint8_t> wire;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    net::encode(tagged(big_query(), i), wire);
+  }
+  std::size_t off = 0;
+  ASSERT_TRUE(pump_until({&b.engine}, [&] {
+    const ssize_t n = ::write(raw.get(), wire.data() + off, wire.size() - off);
+    if (n > 0) off += static_cast<std::size_t>(n);
+    return off == wire.size();
+  }));
+  raw.reset();  // FIN right behind the last frame
+  ASSERT_TRUE(pump_until({&b.engine}, [&] { return !b.closed.empty(); }));
+  ASSERT_EQ(b.messages.size(), kFrames);
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(tag_of(b.messages[i].second), i);
+  }
+  EXPECT_EQ(b.closed[0].second, CloseReason::kPeerClosed);
 }
 
 TEST(Engine, HalfOpenPeerIsTimedOut) {
@@ -428,6 +600,31 @@ TEST(Node, DuplicateEchoRevokesForwardCredit) {
   ASSERT_TRUE(pump([&] { return p2.messages.size() > before; }))
       << "ttl=2 query was not forwarded";
   EXPECT_EQ(node.link_minute(a2)->out_queries, 0.0);
+}
+
+TEST(Node, BuddyIndexPastThePortRangeIsNeverDialed) {
+  // A Neighbor_List member whose index, added to port_base, wraps past
+  // 65535 onto a listening port must not be dialed in a buddy round.
+  TestPeer victim;
+  ASSERT_TRUE(victim.engine.listen());
+  NodeConfig cfg = quick_node(0);
+  cfg.peer_port_base = 20000;
+  Node node(cfg);
+  ASSERT_TRUE(node.start());
+
+  const std::uint32_t wrapped =
+      65536u + victim.engine.listen_port() - cfg.peer_port_base;
+  const std::uint32_t suspect = net::peer_address(3);
+  const std::uint32_t member = net::peer_address(wrapped);
+  node.police().on_neighbor_list(suspect, {member}, 1.0);
+  node.police().on_minute(1.0, {{suspect, 0.0, 1e6}});
+  ASSERT_EQ(node.police().rounds_run(), 1u);
+
+  for (int i = 0; i < 100; ++i) {
+    node.poll_once(2);
+    victim.engine.poll_once(2);
+  }
+  EXPECT_TRUE(victim.accepted.empty()) << "dialed a wrapped port";
 }
 
 TEST(Node, SigtermShutsDownCleanlyWithoutLeakingFds) {
