@@ -1,6 +1,7 @@
 #include "flow/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -288,27 +289,28 @@ void FlowNetwork::SpanLog::clear() noexcept {
 // (fault injection; 1.0 is an exact multiplicative identity). Canonical
 // sweep order — destinations in PeerId order, in-links in adjacency order —
 // so the floating-point accumulation order is a property of the topology,
-// not of any container's internal layout. Writes arrivals_[to] exclusively;
-// reads only other links' cur vectors, which no phase-1 sweep writes.
+// not of any container's internal layout. Sums into a local vector over
+// the full kMaxTtl width and stores it once into arrivals_[to]; entries at
+// remaining TTL >= ttl are always +0.0, which leaves every sum unchanged.
+// Reads only other links' cur vectors, which no phase-1 sweep writes.
 template <typename Sink>
-void FlowNetwork::phase1_peer(PeerId to, std::size_t ttl, double rel,
-                              Sink& sink) {
-  auto& a = arrivals_[to];
-  a = {};
+void FlowNetwork::phase1_peer(PeerId to, double rel, Sink& sink) {
+  FlowVector a{};
   for (const std::uint32_t in : graph_.in_slots(to)) {
     const EdgeFlow* ef = edge_state_.find(in);
     if (ef == nullptr) continue;
     for (std::size_t c = 0; c < kClasses; ++c) {
-      for (std::size_t k = 0; k < ttl; ++k) a[c][k] += ef->cur[c][k] * rel;
+      for (std::size_t k = 0; k < kMaxTtl; ++k) a[c][k] += ef->cur[c][k] * rel;
     }
     if (rel < 1.0) {
       double in_flight = 0.0;
-      for (std::size_t c = 0; c < kClasses; ++c) {
-        for (std::size_t k = 0; k < ttl; ++k) in_flight += ef->cur[c][k];
+      for (const auto& cls : ef->cur) {
+        for (const double v : cls) in_flight += v;
       }
       sink.add_transport_lost(in_flight * (1.0 - rel));
     }
   }
+  arrivals_[to] = a;
 }
 
 // ---- Phase 2a: service discipline and drop accounting. --------------------
@@ -318,22 +320,22 @@ void FlowNetwork::phase1_peer(PeerId to, std::size_t ttl, double rel,
 // the observable a deployed DD-POLICE works from. Reads arrivals_[v] (own)
 // and, under fair share, in-link cur vectors — which other peers' clamps
 // overwrite, so fair share services every peer in a pass of its own.
-// Writes only arrivals_[v].
+// Writes only arrivals_[v]. Loops run the full kMaxTtl width, like phase 1.
 template <typename Sink>
 std::array<double, kClasses> FlowNetwork::phase2_service(
-    PeerId v, std::size_t ttl, double cap_tick, double service_time,
-    double rel, TickScratch& ts, Sink& sink) {
+    PeerId v, double cap_tick, double service_time, double rel,
+    TickScratch& ts, Sink& sink) {
   const auto nbrs = graph_.neighbors(v);
 
   double in_total = 0.0;
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    for (std::size_t k = 0; k < ttl; ++k) in_total += arrivals_[v][c][k];
+  for (const auto& cls : arrivals_[v]) {
+    for (const double x : cls) in_total += x;
   }
   // Per-class arrival totals, summed separately so in_total keeps its
   // original accumulation order (side accounting must not perturb it).
   std::array<double, kClasses> in_class{};
   for (std::size_t c = 0; c < kClasses; ++c) {
-    for (std::size_t k = 0; k < ttl; ++k) in_class[c] += arrivals_[v][c][k];
+    for (const double x : arrivals_[v][c]) in_class[c] += x;
   }
 
   double survive = in_total > cap_tick ? cap_tick / in_total : 1.0;
@@ -351,15 +353,19 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
     ts.edge_totals.assign(nbrs.size(), 0.0);
     ts.edge_class_totals.assign(nbrs.size(), {});
     for (std::size_t e = 0; e < nbrs.size(); ++e) {
-      if (const EdgeFlow* ef = edge_state_.find(vin[e])) {
-        for (std::size_t c = 0; c < kClasses; ++c) {
-          for (std::size_t k = 0; k < ttl; ++k) {
-            const double vol = ef->cur[c][k] * rel;
-            ts.edge_totals[e] += vol;
-            ts.edge_class_totals[e][c] += vol;
-          }
+      const EdgeFlow* ef = edge_state_.find(vin[e]);
+      if (ef == nullptr) continue;
+      double total = 0.0;
+      std::array<double, kClasses> cls_tot{};
+      for (std::size_t c = 0; c < kClasses; ++c) {
+        for (std::size_t k = 0; k < kMaxTtl; ++k) {
+          const double vol = ef->cur[c][k] * rel;
+          total += vol;
+          cls_tot[c] += vol;
         }
       }
+      ts.edge_totals[e] = total;
+      ts.edge_class_totals[e] = cls_tot;
     }
     double budget = cap_tick;
     ts.done.assign(nbrs.size(), 0);
@@ -377,7 +383,7 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
       }
       if (!changed) break;
     }
-    for (auto& cls : ts.fair_arrivals) cls.fill(0.0);
+    FlowVector fair_arrivals{};
     for (std::size_t e = 0; e < nbrs.size(); ++e) {
       const EdgeFlow* ef = edge_state_.find(vin[e]);
       if (ef == nullptr || ts.edge_totals[e] <= 0.0) continue;
@@ -390,12 +396,12 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
                              [static_cast<std::size_t>(TrafficClass::kAttack)] *
               (1.0 - sc));
       for (std::size_t c = 0; c < kClasses; ++c) {
-        for (std::size_t k = 0; k < ttl; ++k) {
-          ts.fair_arrivals[c][k] += ef->cur[c][k] * rel * sc;
+        for (std::size_t k = 0; k < kMaxTtl; ++k) {
+          fair_arrivals[c][k] += ef->cur[c][k] * rel * sc;
         }
       }
     }
-    arrivals_[v] = ts.fair_arrivals;
+    arrivals_[v] = fair_arrivals;
     survive = 1.0;  // per-edge scaling already applied
     survive_c.fill(1.0);
   } else if (config_.admission == AdmissionPolicy::kPriority &&
@@ -523,44 +529,66 @@ void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
 // receiver already gathered its arrivals in phase 1. Senders in PeerId
 // order, out-links in adjacency order, so the traffic accumulators sum
 // deterministically. Touches only this sender's out-link state.
+//
+// A link's vector is the forwarded one with its issuance slotted in, so it
+// is built, with its total and per-class sums, once per distinct issuance
+// value (compared bitwise) into ts.links. An unclamped link stores that
+// vector as it is (x * 1.0 is x) and its attack-class sum is the attack
+// part; a clamped one stores the vector scaled.
 template <typename Sink>
-void FlowNetwork::phase2_clamp(PeerId from, std::size_t ttl,
-                               const TickScratch& ts, Sink& sink) {
+void FlowNetwork::phase2_clamp(PeerId from, std::size_t ttl, TickScratch& ts,
+                               Sink& sink) {
+  constexpr auto kGood = static_cast<std::size_t>(TrafficClass::kGood);
+  constexpr auto kAttack = static_cast<std::size_t>(TrafficClass::kAttack);
+  std::size_t built = 0;
+  const auto link_vector = [&](double issued) -> const LinkVector& {
+    const auto bits = std::bit_cast<std::uint64_t>(issued);
+    for (std::size_t j = 0; j < built; ++j) {
+      if (ts.links[j].issued_bits == bits) return ts.links[j];
+    }
+    FlowVector v = ts.forward;
+    v[ts.issue_class][ttl - 1] = issued;
+    double total = 0.0;
+    std::array<double, kClasses> cls_tot{};
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      for (std::size_t k = 0; k < kMaxTtl; ++k) {
+        total += v[c][k];
+        cls_tot[c] += v[c][k];
+      }
+    }
+    // Issuance takes at most one value per receiver bandwidth class, so
+    // the table never fills; if it did, its last entry would be reused.
+    LinkVector& lv = ts.links[std::min(built, ts.links.size() - 1)];
+    built = std::min(built + 1, ts.links.size());
+    lv = {bits, v, total, cls_tot};
+    return lv;
+  };
+
   const auto nbrs = graph_.neighbors(from);
   const auto slots = graph_.out_slots(from);
   for (std::size_t i = 0; i < slots.size(); ++i) {
     EdgeFlow& ef = edge_state_.touch(slots[i]);
-    ef.cur = ts.forward;
-    ef.cur[ts.issue_class][ttl - 1] = ts.issued[i];
-    double total = 0.0;
-    std::array<double, kClasses> cls_tot{};
-    for (std::size_t c = 0; c < kClasses; ++c) {
-      for (std::size_t k = 0; k < ttl; ++k) {
-        total += ef.cur[c][k];
-        cls_tot[c] += ef.cur[c][k];
-      }
-    }
-    if (total <= 0.0) continue;
+    const LinkVector& lv = link_vector(ts.issued[i]);
     const double clamp = link_capacity_per_tick(from, nbrs[i]);
-    double scale = 1.0;
-    if (total > clamp) {
-      scale = clamp / total;
-      sink.add_clamp_drop(
-          total - clamp,
-          cls_tot[static_cast<std::size_t>(TrafficClass::kGood)] *
-              (1.0 - scale),
-          cls_tot[static_cast<std::size_t>(TrafficClass::kAttack)] *
-              (1.0 - scale));
-      total = clamp;
-    }
-    double attack_part = 0.0;
-    for (std::size_t c = 0; c < kClasses; ++c) {
-      for (std::size_t k = 0; k < ttl; ++k) {
-        ef.cur[c][k] *= scale;
-        if (c == static_cast<std::size_t>(TrafficClass::kAttack)) {
-          attack_part += ef.cur[c][k];
+    double total = lv.total;
+    double attack_part = lv.cls_tot[kAttack];
+    if (total > 0.0 && total > clamp) {
+      const double scale = clamp / total;
+      sink.add_clamp_drop(total - clamp, lv.cls_tot[kGood] * (1.0 - scale),
+                          attack_part * (1.0 - scale));
+      FlowVector scaled{};
+      for (std::size_t c = 0; c < kClasses; ++c) {
+        for (std::size_t k = 0; k < kMaxTtl; ++k) {
+          scaled[c][k] = lv.v[c][k] * scale;
         }
       }
+      attack_part = 0.0;
+      for (const double x : scaled[kAttack]) attack_part += x;
+      ef.cur = scaled;
+      total = clamp;
+    } else {
+      ef.cur = lv.v;
+      if (total <= 0.0) continue;
     }
     sink.add_traffic(total, attack_part);
     edge_state_.cold(slots[i]).minute_acc += total;
@@ -588,7 +616,7 @@ void FlowNetwork::sweep_spans(std::span<const util::IndexSpan> spans,
   run([&](std::size_t s) {
     auto sink = sink_for(s);
     for (std::size_t to = spans[s].begin; to < spans[s].end; ++to) {
-      phase1_peer(static_cast<PeerId>(to), ttl, rel, sink);
+      phase1_peer(static_cast<PeerId>(to), rel, sink);
     }
   });
 
@@ -599,8 +627,8 @@ void FlowNetwork::sweep_spans(std::span<const util::IndexSpan> spans,
       for (std::size_t v = spans[s].begin; v < spans[s].end; ++v) {
         if (!graph_.is_active(static_cast<PeerId>(v))) continue;
         survive_scratch_[v] =
-            phase2_service(static_cast<PeerId>(v), ttl, cap_tick,
-                           service_time, rel, span_scratch_[s], sink);
+            phase2_service(static_cast<PeerId>(v), cap_tick, service_time,
+                           rel, span_scratch_[s], sink);
       }
     });
   }
@@ -617,7 +645,7 @@ void FlowNetwork::sweep_spans(std::span<const util::IndexSpan> spans,
       if (!graph_.is_active(p)) continue;
       const auto survive_c =
           fair ? survive_scratch_[v]
-               : phase2_service(p, ttl, cap_tick, service_time, rel, ts, sink);
+               : phase2_service(p, cap_tick, service_time, rel, ts, sink);
       phase2_emit(p, ttl, survive_c, ts, sink);
       phase2_clamp(p, ttl, ts, sink);
     }
@@ -943,6 +971,7 @@ void FlowNetwork::load(snapshot::Reader& r) {
   snapshot::load_f64_vector(r, issue_scale_, kMaxPeers);
 
   const topology::EdgeIndex& index = graph_.edge_index();
+  const std::size_t ttl = std::min(config_.ttl, kMaxTtl);
   edge_state_.clear();
   edge_state_.sync();
   const std::size_t entries = r.size(index.capacity());
@@ -953,7 +982,15 @@ void FlowNetwork::load(snapshot::Reader& r) {
     }
     EdgeFlow& ef = edge_state_.touch(slot);
     for (auto& cls : ef.cur) {
-      for (double& v : cls) v = r.f64();
+      for (std::size_t k = 0; k < kMaxTtl; ++k) {
+        cls[k] = r.f64();
+        // The tick kernels run the full width and count on these entries
+        // being zero; no engine running this TTL ever writes them.
+        if (k >= ttl && cls[k] != 0.0) {
+          throw snapshot::SnapshotError(
+              "flow state holds volume past the configured TTL");
+        }
+      }
     }
     for (std::size_t k = 0; k < kClasses * kMaxTtl; ++k) {
       if (r.f64() != 0.0) {

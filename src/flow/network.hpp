@@ -237,17 +237,29 @@ class FlowNetwork {
   struct DirectSink;
   struct SpanLogSink;
 
-  /// Per-span scratch for phase 2 — the peer's emission, which the clamp
-  /// writes onto its out-links, and the fair-share waterfill buffers —
-  /// reused across ticks, one per span so concurrent sweeps never share.
+  /// One out-link vector of the sender being clamped: the forwarded
+  /// vector with one issuance value slotted in, and its sums.
+  struct LinkVector {
+    std::uint64_t issued_bits = 0;  ///< the issuance value, bit for bit
+    FlowVector v{};
+    double total = 0.0;
+    std::array<double, kClasses> cls_tot{};
+  };
+
+  /// Per-span scratch for phase 2 — the peer's emission, the link vectors
+  /// the clamp writes onto its out-links, and the fair-share waterfill
+  /// buffers — reused across ticks, one per span so concurrent sweeps
+  /// never share.
   struct TickScratch {
     FlowVector forward{};         ///< forwarded volume, same on every out-link
     std::vector<double> issued;   ///< fresh issuance per out-link (adjacency order)
     std::size_t issue_class = 0;  ///< traffic class of `issued`
+    /// The sender's distinct link vectors: one for a good sender, at most
+    /// one per receiver bandwidth class for an agent.
+    std::array<LinkVector, topology::kBandwidthClasses> links{};
     std::vector<double> edge_totals;
     std::vector<std::array<double, kClasses>> edge_class_totals;
     std::vector<char> done;
-    FlowVector fair_arrivals{};
   };
 
   // The tick is two passes over the peer spans: phase 1 gathers every
@@ -257,10 +269,9 @@ class FlowNetwork {
   // running accumulators (one span), SpanLogSink records them for the
   // canonical replay (several spans).
   template <typename Sink>
-  void phase1_peer(PeerId to, std::size_t ttl, double rel, Sink& sink);
+  void phase1_peer(PeerId to, double rel, Sink& sink);
   template <typename Sink>
-  std::array<double, kClasses> phase2_service(PeerId v, std::size_t ttl,
-                                              double cap_tick,
+  std::array<double, kClasses> phase2_service(PeerId v, double cap_tick,
                                               double service_time, double rel,
                                               TickScratch& ts, Sink& sink);
   template <typename Sink>
@@ -268,7 +279,7 @@ class FlowNetwork {
                    const std::array<double, kClasses>& survive_c,
                    TickScratch& ts, Sink& sink);
   template <typename Sink>
-  void phase2_clamp(PeerId from, std::size_t ttl, const TickScratch& ts,
+  void phase2_clamp(PeerId from, std::size_t ttl, TickScratch& ts,
                     Sink& sink);
 
   /// Run both passes over `spans` (with the fair-share service pass

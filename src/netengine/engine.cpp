@@ -128,8 +128,18 @@ void Engine::mark_dirty(Conn& conn) {
 bool Engine::send(ConnId id, const net::Message& msg) {
   const auto it = conns_.find(id);
   if (it == conns_.end()) return false;
-  Conn& conn = it->second;
-  net::encode(msg, conn.out);
+  net::encode(msg, it->second.out);
+  return finish_send(it->second);
+}
+
+bool Engine::send(ConnId id, std::span<const std::uint8_t> frame) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return false;
+  it->second.out.insert(it->second.out.end(), frame.begin(), frame.end());
+  return finish_send(it->second);
+}
+
+bool Engine::finish_send(Conn& conn) {
   ++messages_out_;
   if (conn.unsent() > config_.max_write_queue) {
     // Backpressure by eviction: once a write leaves more than the bound
@@ -137,7 +147,7 @@ bool Engine::send(ConnId id, const net::Message& msg) {
     // pile up in our memory instead of its.
     if (!conn.connecting && !flush(conn)) return false;
     if (conn.unsent() > config_.max_write_queue) {
-      close_conn(id, CloseReason::kSlowPeer);
+      close_conn(conn.id, CloseReason::kSlowPeer);
       return false;
     }
     return true;

@@ -13,7 +13,8 @@
 ///     drain stops at the first short recv (the poller is level-triggered,
 ///     so bytes or an EOF arriving later are reported on the next pass);
 ///   - coalesced writes: each connection has one contiguous out buffer
-///     that send() encodes frames into. Inside poll_once (event handlers
+///     that send() encodes frames into (or copies a frame the caller
+///     encoded once for a whole flood). Inside poll_once (event handlers
 ///     and timer callbacks) a send only queues; after the timers run,
 ///     every connection sent to gets one ::send of its whole buffer, so
 ///     write syscalls grow with connections per pass, not with messages.
@@ -46,6 +47,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -131,6 +133,11 @@ class Engine {
   /// kError or kSlowPeer).
   bool send(ConnId id, const net::Message& msg);
 
+  /// send() for a frame encoded once by the caller (net::encode of one
+  /// message), so a flood to k links encodes once, not k times. Same
+  /// bytes, counters, backpressure and result as sending the message.
+  bool send(ConnId id, std::span<const std::uint8_t> frame);
+
   /// Owner-initiated close. Bytes sent earlier in the same pass get the
   /// one write attempt they would have had; anything the kernel does not
   /// take is dropped (the overlay's messages are advisory, a closing
@@ -203,6 +210,9 @@ class Engine {
   void set_write_interest(Conn& conn, bool want_write);
   /// Queue the connection for the write at the end of this pass.
   void mark_dirty(Conn& conn);
+  /// The tail of both send()s, once the frame is in the out buffer:
+  /// count it, then write, queue or evict.
+  bool finish_send(Conn& conn);
   void flush_dirty();
 
   EngineConfig config_;

@@ -467,6 +467,7 @@ void Node::issue_one_query(double now_s) {
   for (const auto& [id, link] : links_) {
     if (link.ready && link.kind == LinkKind::kOverlay) targets.push_back(id);
   }
+  const std::vector<std::uint8_t> frame = net::encode(msg);
   for (const ConnId id : targets) {
     Link* link = link_by_conn(id);
     if (link == nullptr) continue;
@@ -474,7 +475,7 @@ void Node::issue_one_query(double now_s) {
     if (config_.echo_correction && msg.header.ttl <= 1) {
       link->out_revoked.add(now_s);  // TTL-dead at issue: no relay credit
     }
-    engine_.send(id, msg);
+    engine_.send(id, frame);
   }
   ++queries_issued_;
 }
@@ -549,6 +550,8 @@ void Node::handle_query(Link& link, const net::Message& msg) {
       targets.push_back(id);
     }
   }
+  if (targets.empty()) return;
+  const std::vector<std::uint8_t> frame = net::encode(fwd);
   for (const ConnId id : targets) {
     Link* other = link_by_conn(id);
     if (other == nullptr) continue;
@@ -560,7 +563,7 @@ void Node::handle_query(Link& link, const net::Message& msg) {
     if (config_.echo_correction && fwd.header.ttl <= 1) {
       other->out_revoked.add(now_s);
     }
-    engine_.send(id, fwd);
+    engine_.send(id, frame);
     ++queries_forwarded_;
   }
 }

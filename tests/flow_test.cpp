@@ -391,7 +391,9 @@ TEST(FlowNetwork, PriorityAdmissionShedsAttackTrafficFirst) {
 // jobs-invariance tests only compare one-span with multi-span runs, so an
 // engine change that moved both would pass them; these constants would
 // not. A 150-peer overlay with bandwidth limits on and three agents drive
-// both service drops and sender-side clamp drops in every mode.
+// both service drops and sender-side clamp drops in every mode. The ttl1
+// and ttl8 modes run the pooled engine at both ends of the TTL range,
+// where the kernels' fixed-width loops meet the live TTL entries.
 struct PinnedOutputs {
   MinuteReport report;
   double in_flight = 0.0;
@@ -429,6 +431,8 @@ FlowConfig pinned_config(const std::string& mode) {
   if (mode == "priority") cfg.admission = AdmissionPolicy::kPriority;
   if (mode == "lossy") cfg.link_reliability = 0.9;
   if (mode == "duplicating") cfg.link_reliability = 1.1;
+  if (mode == "ttl1") cfg.ttl = 1;
+  if (mode == "ttl8") cfg.ttl = 8;
   return cfg;
 }
 
@@ -489,6 +493,30 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
       0x1.74ecc209f990dp+14, 0x1.74ecc209f990dp+14, 0x1.6e27535b67d5p+14,
       0x1.6e27535b67d5p+14, 0x1.6e27535b67d5p+14, 0x1.6ac83efb1b459p+14,
       0x1.b580000000006p+12, 0x1.6ac83efb1b459p+14}},
+    {"ttl1",
+     {0x1.8p+1, 0x1.7b6b8ccccdfd8p+17, 0x1.7ae800000001ap+17,
+      0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.5fa6cccccccb4p+16,
+      0x1.6d464ef45697p+2, 0x1.0296cbda5b93ap-1, 0x1.ef352562ba4e6p+1,
+      0x1.1ca5404f33d3ep-4, 0x0p+0, 0x0p+0,
+      0x1.6ce4e6411fp+3, 0x1.5f9b65a59ac49p+16},
+     0x1.94b6fc962fdp+11,
+     {0x1.388p+14, 0x1.388p+14, 0x1.b580000000006p+12, 0x1.388p+14,
+      0x1.388p+14, 0x1.388p+14, 0x1.388p+14, 0x1.388p+14, 0x1.388p+14,
+      0x1.b580000000006p+12, 0x1.388p+14}},
+    // Floods cover this overlay before their last hop, so the calibration
+    // forwards nothing into hop 8 and ttl 8 reproduces the pooled ttl-7
+    // values; its issuance still fills the last TTL entry of every link.
+    {"ttl8",
+     {0x1.8p+1, 0x1.9130acb788209p+20, 0x1.8fb051b35ba6fp+20,
+      0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.205e0983fd1b1p+19,
+      0x1.114bcb2e6def2p+5, 0x1.c61192983bcedp-1, 0x1.16b3b5ba73daep+2,
+      0x1.69bdef79fd866p-1, 0x0p+0, 0x0p+0,
+      0x1.7e9ce0303fa81p+10, 0x1.1f9ebb13e4f71p+19},
+     0x1.abefa72a2b047p+14,
+     {0x1.74eaf325904fbp+14, 0x1.74eaf325904fbp+14, 0x1.b580000000006p+12,
+      0x1.74eaf325904fbp+14, 0x1.74eaf325904fbp+14, 0x1.6e211f9e1f114p+14,
+      0x1.6e211f9e1f114p+14, 0x1.6e211f9e1f114p+14, 0x1.6ae65d9584374p+14,
+      0x1.b580000000006p+12, 0x1.6ae65d9584374p+14}},
   };
   for (const PinnedMode& m : modes) {
     SCOPED_TRACE(m.name);

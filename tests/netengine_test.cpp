@@ -12,14 +12,19 @@
 //   - the coalesced write path: one write per connection per pass, a
 //     partial write drained on EPOLLOUT, a connection closed or evicted
 //     in its sending pass, and every frame before an EOF delivered;
+//   - a flood of one encoded frame: the same bytes on every link, one
+//     message out per link, and a slow target evicted mid-flood without
+//     stalling the others;
 //   - SIGTERM clean shutdown with no leaked file descriptors.
 
 #include <gtest/gtest.h>
 
 #include <dirent.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -354,6 +359,74 @@ TEST(Engine, EvictionInTheSendingPassIsSkippedByTheFlush) {
   EXPECT_EQ(b.engine.write_queue_bytes(cb), 0u);
   b.engine.poll_once(0);  // a later pass has nothing left to flush
   EXPECT_EQ(b.closed.size(), 1u);
+}
+
+/// Everything a raw loopback socket has received so far, appended to
+/// `into`, waiting up to ~2 s for `want` bytes in total (0: take what is
+/// there now).
+void read_wire(const Fd& wire, std::vector<std::uint8_t>& into,
+               std::size_t want = 0) {
+  std::uint8_t buf[65536];
+  for (int waited_ms = 0;; ++waited_ms) {
+    ssize_t n = 0;
+    while ((n = ::recv(wire.get(), buf, sizeof(buf), 0)) > 0) {
+      into.insert(into.end(), buf, buf + n);
+    }
+    if (into.size() >= want || waited_ms == 2000) return;
+    ::usleep(1000);
+  }
+}
+
+TEST(Engine, FloodOfOneEncodedFrameReachesEveryLink) {
+  EngineConfig small;
+  small.max_write_queue = 64 * 1024;
+  TestPeer a(small);
+  ASSERT_TRUE(a.engine.listen());
+  std::array<Fd, 3> wires;
+  for (Fd& wire : wires) {
+    wire = connect_nonblocking("127.0.0.1", a.engine.listen_port());
+    ASSERT_TRUE(wire.valid());
+  }
+  ASSERT_TRUE(
+      pump_until({&a.engine}, [&] { return a.accepted.size() == 3; }));
+
+  // One frame to three links: three messages out, the same bytes on each.
+  const std::vector<std::uint8_t> ping = net::encode(make_ping());
+  for (const ConnId id : a.accepted) EXPECT_TRUE(a.engine.send(id, ping));
+  EXPECT_EQ(a.engine.messages_out(), 3u);
+  EXPECT_EQ(a.engine.bytes_out(), 3 * ping.size());
+  for (const Fd& wire : wires) {
+    std::vector<std::uint8_t> got;
+    read_wire(wire, got, ping.size());
+    EXPECT_EQ(got, ping);
+  }
+
+  // Wire 1 stops reading. Its link passes the bound mid-flood and is
+  // evicted; the flood goes on, and wires 0 and 2 get every frame.
+  std::array<std::vector<std::uint8_t>, 3> got;
+  std::vector<std::uint8_t> flood;  // every frame flooded, in order
+  std::uint32_t frames = 0;
+  for (int after_eviction = 0; frames < 4000 && after_eviction < 3;
+       ++frames) {
+    const std::vector<std::uint8_t> frame =
+        net::encode(tagged(big_query(), frames));
+    for (const ConnId id : a.accepted) a.engine.send(id, frame);
+    flood.insert(flood.end(), frame.begin(), frame.end());
+    read_wire(wires[0], got[0]);
+    read_wire(wires[2], got[2]);
+    if (!a.closed.empty()) ++after_eviction;
+  }
+  ASSERT_LT(frames, 4000u) << "the slow link was never evicted";
+  ASSERT_EQ(a.closed.size(), 1u);
+  EXPECT_EQ(a.closed[0].second, CloseReason::kSlowPeer);
+  EXPECT_EQ(a.engine.connection_count(), 2u);
+  // The evicted link misses the two rounds after its eviction.
+  EXPECT_EQ(a.engine.messages_out(), 3u + 3u * frames - 2u);
+  for (const std::size_t w : {0u, 2u}) {
+    read_wire(wires[w], got[w], flood.size());
+    EXPECT_TRUE(got[w] == flood) << "wire " << w << " got " << got[w].size()
+                                 << " of " << flood.size() << " bytes";
+  }
 }
 
 TEST(Engine, FramesBeforeAnEofAreAllDelivered) {

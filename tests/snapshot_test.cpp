@@ -301,7 +301,8 @@ TEST(GuidTableSnapshot, RejectsInvalidLayouts) {
 }
 
 // ---------------------------------------------------------------------------
-// Flow section: round trip and the always-zero nxt block
+// Flow section: round trip, the always-zero nxt block and the always-zero
+// entries past the TTL
 
 struct FlowFixture {
   topology::Graph graph;
@@ -399,6 +400,30 @@ TEST(FlowSnapshot, RejectsNonZeroNxtBlock) {
     FAIL() << "a non-zero nxt block was accepted";
   } catch (const SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("nxt"), std::string::npos) << e.what();
+  }
+}
+
+TEST(FlowSnapshot, RejectsVolumePastTheTtl) {
+  FlowFixture a(util::Rng(4));
+  a.net.run_minutes(1.5);
+  const auto image = flow_image(a.net);
+  std::vector<std::uint8_t> payload(
+      image.begin() + static_cast<long>(kFlowPayloadOffset), image.end());
+  const std::size_t n = a.graph.node_count();
+  const std::size_t cur_at = 8 + n + 8 + 8 * n + 8 + 4;
+
+  // 1.0 as a little-endian double at remaining TTL 7 (the default TTL is
+  // 7, so entries 0-6 are live) of the good class of entry 0.
+  payload[cur_at + 7 * 8 + 6] = 0xf0;
+  payload[cur_at + 7 * 8 + 7] = 0x3f;
+  flow::FlowNetwork victim(a.graph, a.bandwidth, a.content,
+                           flow::FlowConfig{}, util::Rng(1));
+  try {
+    load_flow_image(victim, reframe_flow_payload(payload));
+    FAIL() << "volume past the TTL was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("TTL"), std::string::npos)
+        << e.what();
   }
 }
 
