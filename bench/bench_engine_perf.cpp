@@ -325,7 +325,6 @@ int run_mega(std::size_t peers, unsigned worker_jobs, double sim_minutes) {
   ddp::flow::FlowPort port(net);
   ddp::core::DdPoliceConfig dcfg;
   ddp::core::DdPolice ddp(port, dcfg, rng.fork("ddp"));
-  ddp.set_sweep_pool(net.worker_pool());
   const double build_s =
       std::chrono::duration<double>(clock::now() - t0).count();
   std::printf("mega: build %.1fs, %.0f MiB RSS after construction\n",

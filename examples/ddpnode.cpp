@@ -3,13 +3,15 @@
 /// dials its bootstrap set, floods queries, answers hits, and polices its
 /// neighbours with the per-node judge — the deployment-mode counterpart
 /// of one simulated servent. scripts/testbed.sh launches hundreds of
-/// these against each other on 127.0.0.1.
+/// these against each other on 127.0.0.1. Every node polices, and its
+/// judge reads echo-corrected Out_query credit (netengine/node.hpp);
+/// neither is a setting.
 ///
 /// Usage (all key=value, defaults in parentheses):
 ///   ddpnode index=0 port=42000 bootstrap=42001,42002
 ///       port_base=42000 ttl=5 query_rate=2 hit_prob=0.05
 ///       attacker=0 attack_rate=2000 attack_start=1
-///       minute_seconds=0.5 duration_min=6 police=1 echo_correction=1
+///       minute_seconds=0.5 duration_min=6
 ///       warning=500 ct=5 q=100 capacity=10000 confirmations=2
 ///       suppression_s=5 collect_s=5 exchange_min=2
 ///       stats=results/node0.jsonl seed=1
@@ -50,8 +52,6 @@ int main(int argc, char** argv) {
   cfg.attack_start_minute = opt.get("attack_start", cfg.attack_start_minute);
   cfg.minute_seconds =
       opt.get("minute_seconds", cfg.minute_seconds, 1e-3, 86400.0);
-  cfg.police = opt.get("police", cfg.police);
-  cfg.echo_correction = opt.get("echo_correction", cfg.echo_correction);
   cfg.ddp.warning_threshold = opt.get("warning", cfg.ddp.warning_threshold);
   cfg.ddp.cut_threshold = opt.get("ct", cfg.ddp.cut_threshold);
   cfg.ddp.good_issue_bound = opt.get("q", cfg.ddp.good_issue_bound);

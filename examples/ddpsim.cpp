@@ -45,11 +45,9 @@
 //   csv[-]               write the series to this file
 //   jobs[DDP_JOBS or 1]  >1 runs the baseline and scenario legs on
 //                        separate threads (identical output, less wall)
-//   flow_jobs[1]         worker threads inside the flow engine's sharded
-//                        tick sweeps (0 = one per hardware thread); output
-//                        is byte-identical at any value
-//   flow_shards[0]       peer-span shards for the tick sweeps (0 = one per
-//                        worker); output-invariant like flow_jobs
+//   flow_jobs[1]         worker threads inside the flow engine's tick
+//                        sweeps, one peer span each (0 = one per hardware
+//                        thread); output is byte-identical at any value
 //
 // Observability:
 //   trace[-]             write a JSONL event trace of the scenario run
@@ -163,7 +161,6 @@ int main(int argc, char** argv) {
   cfg.flow.control_reserve_fraction =
       opts.get("control_reserve", cfg.flow.control_reserve_fraction);
   cfg.flow.jobs = opts.get("flow_jobs", cfg.flow.jobs);
-  cfg.flow.shards = opts.get("flow_shards", cfg.flow.shards);
   cfg.repair_partitions = opts.get("repair", cfg.repair_partitions);
 
   campaign.behavior.report = opts.get("cheat", campaign.behavior.report,

@@ -4,8 +4,11 @@
 #   scripts/check.sh          # tier-1: configure, build, ctest, trace check
 #   scripts/check.sh --asan   # tier-1 plus the ASan+UBSan suite (slow)
 #   scripts/check.sh --soak   # tier-1 plus a 2-simulated-hour chaos soak
-#   scripts/check.sh --tsan   # tier-1 plus the threaded sweep harness
-#                             # under ThreadSanitizer (pool + parallel sweeps)
+#   scripts/check.sh --tsan   # tier-1 plus the threaded surface under
+#                             # ThreadSanitizer: the sweep/pool harness, the
+#                             # shard determinism tests and a flow_jobs=4
+#                             # mini-soak (churn + faults + quarantine)
+#                             # byte-compared with its serial leg
 #   scripts/check.sh --snapshot  # tier-1 plus the checkpoint/restore gate:
 #                             # checkpoint mid-run, resume in a fresh
 #                             # process, require byte-identical outputs;
@@ -34,20 +37,16 @@
 #                             # attacker and no honest peer from real TCP
 #                             # traffic (four more ungated runs report
 #                             # its pass rate out of 5)
-#   scripts/check.sh --shard  # tier-1 plus the sharded-engine gate:
-#                             # ddpsim trace/CSV byte-identity across
-#                             # flow_jobs/flow_shards combinations, then a
-#                             # sharded mini-soak (churn + faults +
-#                             # quarantine) and the shard determinism tests
-#                             # under the ThreadSanitizer preset
 #
 # Tier-1 is the contract every PR must keep green: the default-preset
 # build, the full ctest suite, an end-to-end observability check — a
 # small traced scenario run through ddpsim whose JSONL output must be
 # schema-valid per `trace_tool validate`, and deterministic (same seed
 # twice => byte-identical trace files) — the command-line check (unknown
-# keys, stray arguments and malformed values exit 2 before any output)
-# and the golden byte-identity gate.
+# keys, stray arguments and malformed values exit 2 before any output),
+# the golden byte-identity gate, and the flow engine's jobs invariance
+# (ddpsim trace and CSV at flow_jobs 2, 4 and 8 byte-identical to one
+# span).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -59,7 +58,6 @@ run_tsan=0
 run_snapshot=0
 run_bench=0
 run_adaptive=0
-run_shard=0
 run_net=0
 for arg in "$@"; do
   case "$arg" in
@@ -69,9 +67,8 @@ for arg in "$@"; do
     --snapshot) run_snapshot=1 ;;
     --bench) run_bench=1 ;;
     --adaptive) run_adaptive=1 ;;
-    --shard) run_shard=1 ;;
     --net) run_net=1 ;;
-    *) echo "unknown argument: $arg (expected --asan, --soak, --tsan, --snapshot, --bench, --adaptive, --shard or --net)" >&2; exit 2 ;;
+    *) echo "unknown argument: $arg (expected --asan, --soak, --tsan, --snapshot, --bench, --adaptive or --net)" >&2; exit 2 ;;
   esac
 done
 
@@ -160,7 +157,7 @@ expect_exit2 "$bn/bench_engine_perf" --mega=x
 expect_exit2 "$bn/bench_engine_perf" --headline-only --bogus
 for bad in "adaptve=1" "peers=2k" "peers=-5" "ct=3x" "radius=4294967297" \
     "topo=hardcutoff" "jobs=-1" "churn=maybe" "adaptive=2" "2000" \
-    "csv=out.csv trace=out.jsonl ct=3x"; do
+    "csv=out.csv trace=out.jsonl ct=3x" "flow_shards=3"; do
   # shellcheck disable=SC2086
   expect_exit2 "$ex/ddpsim" peers=100 agents=5 minutes=5 $bad
 done
@@ -230,6 +227,21 @@ else
   exit 1
 fi
 
+echo "== flow engine: jobs invariance (trace + CSV) =="
+# Every worker count must produce byte-identical traces and per-minute
+# CSVs. The reference is the golden gate's one-span short run above
+# (flow_jobs=1, no pool constructed); each worker sweeps one peer span.
+for j in 2 4 8; do
+  ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
+      flow_jobs="$j" trace="$tmp/jobs.jsonl" csv="$tmp/jobs.csv" > /dev/null
+  if ! cmp -s "$tmp/golden/ddpsim_short.jsonl" "$tmp/jobs.jsonl" || \
+     ! cmp -s "$tmp/golden/ddpsim_short.csv" "$tmp/jobs.csv"; then
+    echo "FAIL: flow_jobs=$j output differs from one span" >&2
+    exit 1
+  fi
+done
+echo "jobs invariance: OK (flow_jobs 2/4/8 byte-identical to one span)"
+
 if [ "$run_snapshot" -eq 1 ]; then
   echo "== checkpoint/restore determinism gate =="
   # Uninterrupted 8-minute run vs the same schedule checkpointed at minute
@@ -287,22 +299,38 @@ if [ "$run_soak" -eq 1 ]; then
 fi
 
 if [ "$run_tsan" -eq 1 ]; then
-  echo "== ThreadSanitizer: pool + parallel sweep harness =="
+  echo "== ThreadSanitizer: pool, parallel sweeps and the sharded flow step =="
   # Builds the tsan preset and runs the concurrency surface under TSan:
   # the sweep/pool unit tests (which run all 14 studies through the study
-  # runner at jobs 1 and 4 and pin every table's hash) and a fanned-out
-  # mini soak. Any data race aborts the process, so this gate fails loudly.
+  # runner at jobs 1 and 4 and pin every table's hash), a fanned-out mini
+  # soak, the shard determinism suite (span merge, SoA containers,
+  # jobs-invariance up through full DD-POLICE scenario runs) and a
+  # flow_jobs=4 mini-soak: churn + control faults + quarantine with the
+  # flow pool engaged, byte-compared against its own serial leg. Any data
+  # race aborts the process, so this gate fails loudly.
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
       --target sweep_test snapshot_test forensics_test adaptive_test \
-               attack_test bench_soak_chaos
+               attack_test shard_test bench_soak_chaos ddpsim
   ./build-tsan/tests/sweep_test
   ./build-tsan/tests/snapshot_test
   ./build-tsan/tests/forensics_test
   ./build-tsan/tests/adaptive_test
   ./build-tsan/tests/attack_test
+  ./build-tsan/tests/shard_test
   ./build-tsan/bench/bench_soak_chaos minutes=30 soaks=2 jobs=2 > /dev/null
-  echo "tsan sweep harness: OK (no races reported)"
+  mkdir -p "$tmp/tsan"
+  ./build-tsan/examples/ddpsim peers=300 agents=25 minutes=12 seed=11 \
+      cut_policy=quarantine loss=0.05 crash=0.002 stall=0.004 \
+      csv="$tmp/tsan/soak1.csv" > /dev/null
+  ./build-tsan/examples/ddpsim peers=300 agents=25 minutes=12 seed=11 \
+      cut_policy=quarantine loss=0.05 crash=0.002 stall=0.004 \
+      flow_jobs=4 csv="$tmp/tsan/soak4.csv" > /dev/null
+  if ! cmp -s "$tmp/tsan/soak1.csv" "$tmp/tsan/soak4.csv"; then
+    echo "FAIL: flow_jobs=4 TSan mini-soak diverges from its serial leg" >&2
+    exit 1
+  fi
+  echo "tsan gate: OK (no races reported, mini-soak byte-identical)"
 fi
 
 if [ "$run_adaptive" -eq 1 ]; then
@@ -342,63 +370,20 @@ if [ "$run_adaptive" -eq 1 ]; then
   echo "adaptive off-switch: OK (byte-identical to the default run)"
 fi
 
-if [ "$run_shard" -eq 1 ]; then
-  echo "== sharded engine: jobs/shard invariance (release build) =="
-  # The whole point of the deterministic boundary merge: every worker and
-  # shard count must produce byte-identical traces and figure CSVs. The
-  # reference leg is the one-span engine (flow_jobs=1, no pool
-  # constructed); flow_jobs=1 flow_shards=3 runs several spans inline.
-  mkdir -p "$tmp/shard"
-  ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
-      trace="$tmp/shard/ref.jsonl" csv="$tmp/shard/ref.csv" > /dev/null
-  for combo in "1 3" "2 3" "4 0" "8 5"; do
-    j="${combo% *}"
-    s="${combo#* }"
-    ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
-        flow_jobs="$j" flow_shards="$s" \
-        trace="$tmp/shard/par.jsonl" csv="$tmp/shard/par.csv" > /dev/null
-    if ! cmp -s "$tmp/shard/ref.jsonl" "$tmp/shard/par.jsonl" || \
-       ! cmp -s "$tmp/shard/ref.csv" "$tmp/shard/par.csv"; then
-      echo "FAIL: flow_jobs=$j flow_shards=$s output differs from one span" >&2
-      exit 1
-    fi
-  done
-  echo "shard invariance: OK (jobs 1/2/4/8 x shards byte-identical to one span)"
-
-  echo "== sharded engine: TSan mini-soak + shard determinism tests =="
-  # Build the concurrency surface under ThreadSanitizer and run (a) the
-  # shard determinism suite (span merge, SoA containers, jobs-invariance
-  # up through full scenario runs with the sharded DD-POLICE flag scan)
-  # and (b) a sharded mini-soak: churn + control faults + quarantine with
-  # the worker pool engaged, byte-compared against its own serial leg.
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs" --target shard_test ddpsim
-  ./build-tsan/tests/shard_test
-  ./build-tsan/examples/ddpsim peers=300 agents=25 minutes=12 seed=11 \
-      cut_policy=quarantine loss=0.05 crash=0.002 stall=0.004 \
-      csv="$tmp/shard/soak1.csv" > /dev/null
-  ./build-tsan/examples/ddpsim peers=300 agents=25 minutes=12 seed=11 \
-      cut_policy=quarantine loss=0.05 crash=0.002 stall=0.004 \
-      flow_jobs=4 flow_shards=3 csv="$tmp/shard/soak4.csv" > /dev/null
-  if ! cmp -s "$tmp/shard/soak1.csv" "$tmp/shard/soak4.csv"; then
-    echo "FAIL: sharded TSan mini-soak diverges from its serial leg" >&2
-    exit 1
-  fi
-  echo "tsan shard gate: OK (no races, soak byte-identical)"
-fi
-
 if [ "$run_net" -eq 1 ]; then
   echo "== socket engine: ddpnode validation =="
   # Settings the node cannot honour must die with exit 2 and a message
   # naming the knob before the node listens, like ddpsim's validation (see
   # --adaptive): DD-POLICE knobs the per-node judge refuses, and ports,
   # TTLs and minute lengths that would otherwise wrap, abort or run a
-  # degenerate node, and unknown keys or malformed values. Later keys
+  # degenerate node, and unknown keys (police= and echo_correction= among
+  # them: every node polices, on echo-corrected credit) or malformed
+  # values. Later keys
   # override the defaults in front of them. The short duration bounds the
   # run if a regression lets one start.
   for bad in "ct=0" "confirmations=0" "port=70000" "ttl=0" "ttl=300" \
       "bootstrap=x" "bootstrap=70000" "minute_seconds=0" "index=-1" \
-      "confirmatons=1" "ct=abc"; do
+      "confirmatons=1" "ct=abc" "police=0" "echo_correction=0"; do
     # shellcheck disable=SC2086
     expect_exit2 "$ex/ddpnode" port=0 minute_seconds=0.2 duration_min=1 $bad
   done

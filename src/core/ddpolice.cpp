@@ -286,51 +286,20 @@ void DdPolice::detection_phase(double minute) {
   // Scratch buffers persist across minutes: the per-suspect judge vectors
   // keep their capacity, so steady-state detection allocates nothing.
   flagged_.clear();
-  // Each span of judges logs its over-threshold observations; the replay
-  // below walks the logs in span order, which is judge PeerId order, so
-  // counters, first-flag round order and trace emission are bit-identical
-  // at any span count. Without a pool (or on small overlays) the whole
-  // range is one span scanned inline; with one, each worker scans a span.
-  // The scan only does const reads (counters, thresholds, topology); see
-  // set_sweep_pool.
-  const std::size_t n = g.node_count();
-  const bool pooled =
-      sweep_pool_ != nullptr && sweep_pool_->size() > 1 && n >= 256;
-  const auto spans = util::make_spans(n, pooled ? sweep_pool_->size() : 1);
-  if (flag_scratch_.size() < spans.size()) flag_scratch_.resize(spans.size());
-  const auto scan = [this, &g](util::IndexSpan span,
-                               std::vector<FlagHit>& log) {
-    log.clear();
-    for (auto i = static_cast<PeerId>(span.begin); i < span.end; ++i) {
-      if (!g.is_active(i)) continue;
-      for (PeerId j : g.neighbors(i)) {
-        const double out = port_.sent_last_minute(j, i);
-        const double warn = adaptive_ ? adaptive_->warning_threshold(i, j)
-                                      : config_.warning_threshold;
-        if (out > warn) log.push_back({i, j, out});
+  for (PeerId i = 0; i < g.node_count(); ++i) {
+    if (!g.is_active(i)) continue;
+    for (PeerId j : g.neighbors(i)) {
+      const double out = port_.sent_last_minute(j, i);
+      const double warn = adaptive_ ? adaptive_->warning_threshold(i, j)
+                                    : config_.warning_threshold;
+      if (out > warn) {
+        ++suspicions_;
+        auto& judges = judges_scratch_[j];
+        if (judges.empty()) flagged_.push_back(j);
+        judges.push_back(i);
+        DDP_TRACE(tracer_, obs::EventType::kSuspectFlagged, minute * kMinute,
+                  j, i, {{"out", out}});
       }
-    }
-  };
-  if (pooled) {
-    for (std::size_t k = 0; k < spans.size(); ++k) {
-      sweep_pool_->submit([&scan, span = spans[k], &log = flag_scratch_[k]] {
-        scan(span, log);
-      });
-    }
-    sweep_pool_->wait_idle();
-  } else {
-    for (std::size_t k = 0; k < spans.size(); ++k) {
-      scan(spans[k], flag_scratch_[k]);
-    }
-  }
-  for (std::size_t k = 0; k < spans.size(); ++k) {
-    for (const FlagHit& hit : flag_scratch_[k]) {
-      ++suspicions_;
-      auto& judges = judges_scratch_[hit.suspect];
-      if (judges.empty()) flagged_.push_back(hit.suspect);
-      judges.push_back(hit.judge);
-      DDP_TRACE(tracer_, obs::EventType::kSuspectFlagged, minute * kMinute,
-                hit.suspect, hit.judge, {{"out", hit.out}});
     }
   }
   // All rounds of this minute evaluate against the same completed-minute

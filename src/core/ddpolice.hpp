@@ -38,7 +38,6 @@
 #include "topology/edge_index.hpp"
 #include "util/rng.hpp"
 #include "util/spans.hpp"
-#include "util/thread_pool.hpp"
 #include "util/types.hpp"
 
 namespace ddp::snapshot {
@@ -125,16 +124,6 @@ class DdPolice {
 
   /// Timeout/retry/corrupt-reject counters (zeros without a fault plane).
   const fault::ControlCounters& control_stats() const noexcept;
-
-  /// Shard the per-minute flag scan (phase 2's monitor sweep) across the
-  /// pool's workers. Requires the port's sent_last_minute() to be safe for
-  /// concurrent const reads — true of the flow engine's cold counter array,
-  /// NOT of the packet engine's advance-on-read sliding windows, so only
-  /// flow-backed runs should attach a pool. The merge replays per-span hits
-  /// in span (= PeerId) order, so flags, traces, counters and round order
-  /// are bit-identical at any worker count. Null (the default) scans the
-  /// whole range as one span on the calling thread.
-  void set_sweep_pool(util::ThreadPool* pool) noexcept { sweep_pool_ = pool; }
 
   /// Attach a trace sink (null detaches). Emits the control-plane
   /// vocabulary: neighbor_list / list_violation on exchanges,
@@ -236,16 +225,6 @@ class DdPolice {
   /// order — the canonical round order.
   topology::PeerMap<std::vector<PeerId>> judges_scratch_;
   std::vector<PeerId> flagged_;
-  /// One over-threshold observation from the flag scan. Each span records
-  /// hits in judge-scan order; the serial replay walks spans in order, so
-  /// the sequence is judge PeerId order at any span count.
-  struct FlagHit {
-    PeerId judge = kInvalidPeer;
-    PeerId suspect = kInvalidPeer;
-    double out = 0.0;
-  };
-  util::ThreadPool* sweep_pool_ = nullptr;
-  std::vector<std::vector<FlagHit>> flag_scratch_;  ///< per-span hit logs
   /// A peer's largest and second-largest completed-minute send to one
   /// neighbour, and the neighbour receiving the largest: the DD-POLICE-r
   /// (r = 2) floor of a member asked about any suspect is `top` unless

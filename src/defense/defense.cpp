@@ -52,9 +52,4 @@ void NaiveCutDefense::load(snapshot::Reader& r) {
   for (core::Decision& d : decisions_) core::load_decision(r, d);
 }
 
-DdPoliceDefense::DdPoliceDefense(core::OverlayPort& port,
-                                 const core::DdPoliceConfig& config,
-                                 util::Rng rng)
-    : protocol_(port, config, rng) {}
-
 }  // namespace ddp::defense

@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file defense.hpp
-/// Common interface for the defenses evaluated against the overlay DDoS:
+/// The defenses evaluated against the overlay DDoS, and the naive-cut
+/// strawman:
 ///
 ///   * none        — undefended flooding network (the paper's "under DDoS
 ///                   without DD-POLICE" curves);
-///   * ddpolice    — the paper's contribution (Sec. 3);
+///   * dd-police   — the paper's contribution (Sec. 3), core::DdPolice;
 ///   * naive-cut   — disconnect any neighbour whose per-link rate exceeds a
 ///                   threshold, without buddy-group consultation. This is
 ///                   the strawman Sec. 2.1 warns about ("disconnecting all
@@ -14,8 +15,10 @@
 ///   * fair-share  — application-layer load balancing in the style of the
 ///                   related work [21]; no disconnection, per-link max-min
 ///                   capacity shares (implemented inside the flow engine).
+///
+/// The scenario runtime drives DD-POLICE and naive-cut directly; none and
+/// fair-share keep no defense state.
 
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -28,87 +31,25 @@ enum class Kind : std::uint8_t { kNone, kDdPolice, kNaiveCut, kFairShare };
 
 std::string_view kind_name(Kind k) noexcept;
 
-class Defense {
- public:
-  virtual ~Defense() = default;
-  virtual std::string_view name() const = 0;
-  /// Run one protocol step at a completed simulated minute.
-  virtual void on_minute(double minute) = 0;
-  /// Disconnect decisions taken so far (empty for non-cutting defenses).
-  virtual const std::vector<core::Decision>& decisions() const = 0;
-  /// Checkpoint hooks. Stateless defenses (none, fair-share) have nothing
-  /// to persist; stateful ones override both.
-  virtual void save(snapshot::Writer&) const {}
-  virtual void load(snapshot::Reader&) {}
-};
-
-/// Undefended baseline.
-class NoDefense final : public Defense {
- public:
-  std::string_view name() const override { return "none"; }
-  void on_minute(double) override {}
-  const std::vector<core::Decision>& decisions() const override {
-    return decisions_;
-  }
-
- private:
-  std::vector<core::Decision> decisions_;
-};
-
 /// The Sec. 2.1 strawman: per-link rate threshold, immediate disconnect.
 /// Engine-agnostic: reads rates and cuts links through the same
 /// core::OverlayPort seam DD-POLICE uses, so it runs behind any engine.
-class NaiveCutDefense final : public Defense {
+class NaiveCutDefense {
  public:
   NaiveCutDefense(core::OverlayPort& port, double threshold_per_minute);
 
-  std::string_view name() const override { return "naive-cut"; }
-  void on_minute(double minute) override;
-  const std::vector<core::Decision>& decisions() const override {
+  /// Cut every in-link that carried more than the threshold in the last
+  /// completed minute; call at every completed simulated minute.
+  void on_minute(double minute);
+  const std::vector<core::Decision>& decisions() const noexcept {
     return decisions_;
   }
-  void save(snapshot::Writer& w) const override;
-  void load(snapshot::Reader& r) override;
+  void save(snapshot::Writer& w) const;
+  void load(snapshot::Reader& r);
 
  private:
   core::OverlayPort& port_;
   double threshold_;
-  std::vector<core::Decision> decisions_;
-};
-
-/// DD-POLICE wrapped behind the Defense interface. The port is borrowed
-/// (caller-owned, must outlive the defense): which engine sits behind it —
-/// flow, packet, or the real-socket netengine — is the caller's choice.
-class DdPoliceDefense final : public Defense {
- public:
-  DdPoliceDefense(core::OverlayPort& port, const core::DdPoliceConfig& config,
-                  util::Rng rng);
-
-  std::string_view name() const override { return "dd-police"; }
-  void on_minute(double minute) override { protocol_.on_minute(minute); }
-  const std::vector<core::Decision>& decisions() const override {
-    return protocol_.decisions();
-  }
-  void save(snapshot::Writer& w) const override { protocol_.save(w); }
-  void load(snapshot::Reader& r) override { protocol_.load(r); }
-
-  core::DdPolice& protocol() noexcept { return protocol_; }
-
- private:
-  core::DdPolice protocol_;
-};
-
-/// Fair-share load balancing: the behaviour lives in the engine (the
-/// FlowConfig service discipline); this class only carries the label.
-class FairShareDefense final : public Defense {
- public:
-  std::string_view name() const override { return "fair-share"; }
-  void on_minute(double) override {}
-  const std::vector<core::Decision>& decisions() const override {
-    return decisions_;
-  }
-
- private:
   std::vector<core::Decision> decisions_;
 };
 

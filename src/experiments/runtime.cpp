@@ -268,102 +268,83 @@ ScenarioRuntime::ScenarioRuntime(const ScenarioConfig& config)
 
   // The defenses see the engine only through the port seam; the runtime
   // owns the adapter so the core/defense layers never name flow types.
+  // Fair-share lives in the flow engine's service discipline (above) and
+  // none is the bare engine: neither builds defense state.
   port_ = std::make_unique<flow::FlowPort>(*net_);
-  switch (config_.defense) {
-    case defense::Kind::kNone:
-      def_ = std::make_unique<defense::NoDefense>();
-      break;
-    case defense::Kind::kFairShare:
-      def_ = std::make_unique<defense::FairShareDefense>();
-      break;
-    case defense::Kind::kNaiveCut:
-      def_ = std::make_unique<defense::NaiveCutDefense>(
-          *port_, config_.naive_cut_threshold);
-      break;
-    case defense::Kind::kDdPolice: {
-      auto ddp = std::make_unique<defense::DdPoliceDefense>(
-          *port_, config_.ddpolice, master.fork("ddpolice"));
-      // Compromised peers cheat per the configured behaviour (Sec. 3.4).
-      attack::AttackScenario* atk = atk_.get();
-      const attack::AgentBehavior behavior = config_.attack.behavior;
-      ddp->protocol().set_report_policy(
-          [atk, behavior](PeerId reporter, PeerId suspect,
-                          const core::TrafficTruth& truth)
-              -> std::optional<core::TrafficTruth> {
-            if (!atk->is_agent(reporter)) return truth;
-            switch (behavior.report) {
-              case attack::ReportStrategy::kHonest:
-                return truth;
-              case attack::ReportStrategy::kInflate: {
-                core::TrafficTruth t = truth;
+  if (config_.defense == defense::Kind::kNaiveCut) {
+    naive_ = std::make_unique<defense::NaiveCutDefense>(
+        *port_, config_.naive_cut_threshold);
+  }
+  if (config_.defense == defense::Kind::kDdPolice) {
+    ddpolice_ = std::make_unique<core::DdPolice>(*port_, config_.ddpolice,
+                                                 master.fork("ddpolice"));
+    // Compromised peers cheat per the configured behaviour (Sec. 3.4).
+    attack::AttackScenario* atk = atk_.get();
+    const attack::AgentBehavior behavior = config_.attack.behavior;
+    ddpolice_->set_report_policy(
+        [atk, behavior](PeerId reporter, PeerId suspect,
+                        const core::TrafficTruth& truth)
+            -> std::optional<core::TrafficTruth> {
+          if (!atk->is_agent(reporter)) return truth;
+          switch (behavior.report) {
+            case attack::ReportStrategy::kHonest:
+              return truth;
+            case attack::ReportStrategy::kInflate: {
+              core::TrafficTruth t = truth;
+              t.out_to_suspect *= behavior.inflate_factor;
+              return t;
+            }
+            case attack::ReportStrategy::kDeflate: {
+              core::TrafficTruth t = truth;
+              t.out_to_suspect *= behavior.deflate_factor;
+              return t;
+            }
+            case attack::ReportStrategy::kMute:
+              return std::nullopt;
+            case attack::ReportStrategy::kCollude: {
+              // Coordinated lying. Input into the suspect *subtracts* in
+              // the indicators, so a colluder covers a fellow agent by
+              // inflating Q_{m,j} (manufacturing forwardable input that
+              // explains the flood) and frames an honest suspect by
+              // deflating it (its real forwarding then looks like
+              // issuing).
+              core::TrafficTruth t = truth;
+              if (atk->is_agent(suspect)) {
                 t.out_to_suspect *= behavior.inflate_factor;
-                return t;
-              }
-              case attack::ReportStrategy::kDeflate: {
-                core::TrafficTruth t = truth;
+              } else {
                 t.out_to_suspect *= behavior.deflate_factor;
-                return t;
               }
-              case attack::ReportStrategy::kMute:
-                return std::nullopt;
-              case attack::ReportStrategy::kCollude: {
-                // Coordinated lying. Input into the suspect *subtracts*
-                // in the indicators, so a colluder covers a fellow agent
-                // by inflating Q_{m,j} (manufacturing forwardable input
-                // that explains the flood) and frames an honest suspect
-                // by deflating it (its real forwarding then looks like
-                // issuing).
-                core::TrafficTruth t = truth;
-                if (atk->is_agent(suspect)) {
-                  t.out_to_suspect *= behavior.inflate_factor;
-                } else {
-                  t.out_to_suspect *= behavior.deflate_factor;
-                }
-                return t;
-              }
+              return t;
+            }
+          }
+          return truth;
+        });
+    if (config_.attack.behavior.list != attack::ListStrategy::kHonest) {
+      // The liar stream is a member (not captured by value) so it can be
+      // checkpointed; the draw sequence is identical either way.
+      has_liar_rng_ = true;
+      const attack::ListStrategy ls = config_.attack.behavior.list;
+      ddpolice_->set_list_policy(
+          [this, atk, ls](PeerId owner, std::vector<PeerId> truth) {
+            if (!atk->is_agent(owner)) return truth;
+            if (ls == attack::ListStrategy::kWithhold) {
+              if (truth.size() > 1) truth.resize(truth.size() / 2);
+              return truth;
+            }
+            // Fabricate: claim a random non-neighbour as a buddy.
+            const PeerId fake =
+                net_->graph().random_active_node(liar_rng_, owner);
+            if (fake != kInvalidPeer && !net_->graph().has_edge(owner, fake)) {
+              truth.push_back(fake);
             }
             return truth;
           });
-      if (config_.attack.behavior.list != attack::ListStrategy::kHonest) {
-        // The liar stream is a member (not captured by value) so it can be
-        // checkpointed; the draw sequence is identical either way.
-        has_liar_rng_ = true;
-        const attack::ListStrategy ls = config_.attack.behavior.list;
-        ddp->protocol().set_list_policy(
-            [this, atk, ls](PeerId owner, std::vector<PeerId> truth) {
-              if (!atk->is_agent(owner)) return truth;
-              if (ls == attack::ListStrategy::kWithhold) {
-                if (truth.size() > 1) truth.resize(truth.size() / 2);
-                return truth;
-              }
-              // Fabricate: claim a random non-neighbour as a buddy.
-              const PeerId fake =
-                  net_->graph().random_active_node(liar_rng_, owner);
-              if (fake != kInvalidPeer && !net_->graph().has_edge(owner, fake)) {
-                truth.push_back(fake);
-              }
-              return truth;
-            });
-      }
-      // The flow engine's counters live in a plain cold array once the
-      // minute rotates, so the flag scan's reads are const-safe; share the
-      // engine's worker pool (null when flow.jobs <= 1 keeps the serial
-      // scan). The packet-port harnesses never attach a pool: their
-      // sliding-window monitors advance on read.
-      ddp->protocol().set_sweep_pool(net_->worker_pool());
-      def_ = std::move(ddp);
-      break;
     }
-  }
-
-  if (auto* ddp = dynamic_cast<defense::DdPoliceDefense*>(def_.get())) {
-    ledger_ = ddp->protocol().ledger();
+    ledger_ = ddpolice_->ledger();
   }
 
   if (plane_ != nullptr) {
-    if (auto* ddp = dynamic_cast<defense::DdPoliceDefense*>(def_.get())) {
-      ddp->protocol().set_fault_plane(plane_.get());
-    }
+    if (ddpolice_ != nullptr) ddpolice_->set_fault_plane(plane_.get());
     if (ledger_ != nullptr) {
       // A stall resume must not clobber a probation budget: resuming peers
       // come back at whatever rate their ladder standing allows.
@@ -389,10 +370,8 @@ ScenarioRuntime::ScenarioRuntime(const ScenarioConfig& config)
     flow::FlowNetwork* net = net_.get();
     attack::AttackScenario* atk = atk_.get();
     const core::QuarantineLedger* ledger = ledger_;
-    const core::AdaptiveThresholds* adaptive = nullptr;
-    if (auto* ddp = dynamic_cast<defense::DdPoliceDefense*>(def_.get())) {
-      adaptive = ddp->protocol().adaptive();
-    }
+    const core::AdaptiveThresholds* adaptive =
+        ddpolice_ != nullptr ? ddpolice_->adaptive() : nullptr;
     flash_ = std::make_unique<workload::FlashCrowdDriver>(
         config_.flash, graph_.node_count(), master.fork("flash"),
         [net](PeerId p, double scale) { net->set_issue_scale(p, scale); },
@@ -427,8 +406,8 @@ ScenarioRuntime::ScenarioRuntime(const ScenarioConfig& config)
     net_->set_trace_sink(sink_);
     churn_->set_trace_sink(sink_);
     atk_->set_trace_sink(sink_);
-    if (auto* ddp = dynamic_cast<defense::DdPoliceDefense*>(def_.get())) {
-      ddp->protocol().set_trace_sink(sink_);
+    if (ddpolice_ != nullptr) {
+      ddpolice_->set_trace_sink(sink_);
     }
     if (plane_ != nullptr) {
       plane_->peers().set_trace_sink(sink_);
@@ -500,7 +479,10 @@ void ScenarioRuntime::register_hooks() {
     });
   }
   net_->add_minute_hook([this](double m) {
-    timed(ph_defense_, [&] { def_->on_minute(m); });
+    timed(ph_defense_, [&] {
+      if (ddpolice_ != nullptr) ddpolice_->on_minute(m);
+      if (naive_ != nullptr) naive_->on_minute(m);
+    });
   });
   if (config_.maintain_overlay) {
     net_->add_minute_hook([this](double /*m*/) {
@@ -583,7 +565,7 @@ void ScenarioRuntime::register_metrics_hook() {
   const obs::MetricId m_success_hist =
       reg->histogram("flow.success_rate_hist", 0.0, 1.0, 20);
   fault::FaultPlane* plane_raw = plane_.get();
-  auto* ddp_raw = dynamic_cast<defense::DdPoliceDefense*>(def_.get());
+  const core::DdPolice* ddp_raw = ddpolice_.get();
   const core::QuarantineLedger* ledger_raw = ledger_;
   p2p::PartitionHealer* healer_obs = healer_.get();
   workload::FlashCrowdDriver* flash_raw = flash_.get();
@@ -605,11 +587,9 @@ void ScenarioRuntime::register_metrics_hook() {
     reg->set(m_joins, static_cast<double>(churn->joins()));
     reg->set(m_leaves, static_cast<double>(churn->leaves()));
     if (ddp_raw != nullptr) {
-      reg->set(m_rounds, static_cast<double>(ddp_raw->protocol().rounds_run()));
-      reg->set(m_suspicions,
-               static_cast<double>(ddp_raw->protocol().suspicions()));
-      reg->set(m_cuts,
-               static_cast<double>(ddp_raw->protocol().decisions().size()));
+      reg->set(m_rounds, static_cast<double>(ddp_raw->rounds_run()));
+      reg->set(m_suspicions, static_cast<double>(ddp_raw->suspicions()));
+      reg->set(m_cuts, static_cast<double>(ddp_raw->decisions().size()));
     }
     if (plane_raw != nullptr) {
       reg->set(m_timeouts, static_cast<double>(plane_raw->control().timeouts));
@@ -626,7 +606,7 @@ void ScenarioRuntime::register_metrics_hook() {
       reg->set(m_repaired, static_cast<double>(healer_obs->peers_repaired()));
     }
     if (ddp_raw != nullptr) {
-      if (const core::AdaptiveThresholds* ad = ddp_raw->protocol().adaptive()) {
+      if (const core::AdaptiveThresholds* ad = ddp_raw->adaptive()) {
         reg->set(m_adaptive_susp,
                  static_cast<double>(ad->currently_suspicious()));
         reg->set(m_band_reest, static_cast<double>(ad->band_reestimates()));
@@ -713,9 +693,7 @@ ScenarioView ScenarioRuntime::view() const noexcept {
   v.net = net_.get();
   v.attack = atk_.get();
   v.churn = churn_.get();
-  if (auto* ddp = dynamic_cast<defense::DdPoliceDefense*>(def_.get())) {
-    v.ddpolice = &ddp->protocol();
-  }
+  v.ddpolice = ddpolice_.get();
   v.ledger = ledger_;
   v.healer = healer_.get();
   v.fault = plane_.get();
@@ -726,22 +704,23 @@ ScenarioResult ScenarioRuntime::result() const {
   ScenarioResult result;
   result.history = net_->minute_history();
   result.summary = metrics::summarize(result.history, config_.warmup_minutes);
-  result.decisions = def_->decisions();
+  if (ddpolice_ != nullptr) result.decisions = ddpolice_->decisions();
+  if (naive_ != nullptr) result.decisions = naive_->decisions();
   result.is_bad.assign(graph_.node_count(), 0);
   for (PeerId a : atk_->agents()) result.is_bad[a] = 1;
   result.errors = metrics::tally_errors(result.decisions, result.is_bad,
                                         config_.attack.start_minute);
   result.attack_rejoins = atk_->rejoins();
   result.final_active_peers = static_cast<double>(graph_.active_count());
-  if (auto* ddp = dynamic_cast<defense::DdPoliceDefense*>(def_.get())) {
-    result.defense_exchange_messages = ddp->protocol().exchange_messages();
-    result.defense_traffic_messages = ddp->protocol().traffic_messages();
-    result.defense_rounds = ddp->protocol().rounds_run();
-    if (const core::QuarantineLedger* lg = ddp->protocol().ledger()) {
+  if (ddpolice_ != nullptr) {
+    result.defense_exchange_messages = ddpolice_->exchange_messages();
+    result.defense_traffic_messages = ddpolice_->traffic_messages();
+    result.defense_rounds = ddpolice_->rounds_run();
+    if (const core::QuarantineLedger* lg = ddpolice_->ledger()) {
       result.reinstatements = lg->reinstatements();
       result.quarantine = lg->stats();
     }
-    if (const core::AdaptiveThresholds* ad = ddp->protocol().adaptive()) {
+    if (const core::AdaptiveThresholds* ad = ddpolice_->adaptive()) {
       result.band_reestimates = ad->band_reestimates();
       result.suspicion_entries = ad->suspicion_entries();
       result.suspicion_exits = ad->suspicion_exits();
@@ -810,19 +789,19 @@ std::vector<std::uint8_t> ScenarioRuntime::save() const {
     w.end_section();
   }
 
+  // DEFN is empty for none and fair-share, which keep no state.
   w.begin_section(kSecDefense);
-  def_->save(w);
+  if (ddpolice_ != nullptr) ddpolice_->save(w);
+  if (naive_ != nullptr) naive_->save(w);
   w.end_section();
 
   // Adaptive bands ride after DEFN: they reference the same edge slots the
   // defense state does, and the section only exists when the flag built
   // the subsystem (presence is digest-derived, like every other section).
-  if (auto* ddp = dynamic_cast<defense::DdPoliceDefense*>(def_.get())) {
-    if (const core::AdaptiveThresholds* ad = ddp->protocol().adaptive()) {
-      w.begin_section(kSecAdaptive);
-      ad->save(w);
-      w.end_section();
-    }
+  if (ddpolice_ != nullptr && ddpolice_->adaptive() != nullptr) {
+    w.begin_section(kSecAdaptive);
+    ddpolice_->adaptive()->save(w);
+    w.end_section();
   }
 
   if (plane_ != nullptr) {
@@ -951,15 +930,14 @@ void ScenarioRuntime::load(snapshot::Reader& r) {
   }
 
   r.begin_section(kSecDefense);
-  def_->load(r);
+  if (ddpolice_ != nullptr) ddpolice_->load(r);
+  if (naive_ != nullptr) naive_->load(r);
   r.end_section();
 
-  if (auto* ddp = dynamic_cast<defense::DdPoliceDefense*>(def_.get())) {
-    if (core::AdaptiveThresholds* ad = ddp->protocol().adaptive()) {
-      r.begin_section(kSecAdaptive);
-      ad->load(r);
-      r.end_section();
-    }
+  if (ddpolice_ != nullptr && ddpolice_->adaptive() != nullptr) {
+    r.begin_section(kSecAdaptive);
+    ddpolice_->adaptive()->load(r);
+    r.end_section();
   }
 
   if (plane_ != nullptr) {

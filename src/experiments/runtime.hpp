@@ -133,9 +133,12 @@ class ScenarioRuntime {
   std::unique_ptr<flow::ChurnDriver> churn_;
   std::unique_ptr<attack::AttackScenario> atk_;
   std::unique_ptr<workload::FlashCrowdDriver> flash_;  ///< when flash.enabled
-  std::unique_ptr<flow::FlowPort> port_;  ///< engine seam handed to def_
-  std::unique_ptr<defense::Defense> def_;
-  core::QuarantineLedger* ledger_ = nullptr;  ///< borrowed from def_
+  std::unique_ptr<flow::FlowPort> port_;  ///< engine seam the defense reads
+  /// The configured defense's state: DD-POLICE or the naive cut, at most
+  /// one of them; none and fair-share keep none.
+  std::unique_ptr<core::DdPolice> ddpolice_;
+  std::unique_ptr<defense::NaiveCutDefense> naive_;
+  core::QuarantineLedger* ledger_ = nullptr;  ///< borrowed from ddpolice_
   std::unique_ptr<p2p::PartitionHealer> healer_;
   std::shared_ptr<obs::PhaseProfiler> profiler_;
   std::size_t ph_churn_ = 0, ph_attack_ = 0, ph_flash_ = 0, ph_fault_ = 0,

@@ -138,9 +138,6 @@ std::string validate_config(const ScenarioConfig& config) {
   if (config.flow.jobs > 256) {
     return "flow.jobs must be within [0, 256] (0 = one per hardware thread)";
   }
-  if (config.flow.shards > 4096) {
-    return "flow.shards must be within [0, 4096] (0 = one per worker)";
-  }
   const auto& ch = config.fault.channel;
   if (!prob(ch.drop_probability) || !prob(ch.duplicate_probability) ||
       !prob(ch.corrupt_probability)) {

@@ -93,18 +93,14 @@ struct FlowConfig {
   /// so fault-free runs stay bit-identical. Values > 1 model duplication.
   double link_reliability = 1.0;
 
-  /// Worker threads for the sharded tick sweeps. 1 (the default) runs
-  /// every span on the calling thread, with no pool; 0 resolves to one
-  /// worker per hardware thread.
-  /// Output is byte-identical at any value — per-shard contributions are
+  /// Worker threads for the tick sweeps. 1 (the default) sweeps every
+  /// peer as one span on the calling thread, with no pool; more split the
+  /// sweeps into one degree-weighted peer span per worker; 0 resolves to
+  /// one worker per hardware thread.
+  /// Output is byte-identical at any value — per-span contributions are
   /// folded back in canonical peer order, so this is a throughput knob
   /// only and is deliberately excluded from the scenario config digest.
   unsigned jobs = 1;
-
-  /// Contiguous peer-span shards the tick sweeps are partitioned into.
-  /// 0 (the default) means one shard per worker; values above `jobs` let
-  /// the spans load-balance across workers. Output-invariant, like jobs.
-  std::size_t shards = 0;
 };
 
 }  // namespace ddp::flow

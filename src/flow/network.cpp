@@ -689,16 +689,9 @@ void FlowNetwork::replay_span_logs(double& tick_util, std::size_t& util_nodes) {
   }
 }
 
-const std::vector<util::IndexSpan>& FlowNetwork::shard_spans() {
-  refresh_shard_plan();
-  return shard_spans_;
-}
-
 void FlowNetwork::refresh_shard_plan() {
   const std::size_t n = graph_.node_count();
   if (!shard_plan_dirty_ && shard_plan_nodes_ == n) return;
-  const std::size_t workers = pool_ ? pool_->size() : 1;
-  const std::size_t parts = config_.shards > 0 ? config_.shards : workers;
   // Weight each peer by 1 + degree: a span's cost is dominated by the
   // per-link work of its peers, and the +1 keeps isolated peers from
   // collapsing a span to zero weight.
@@ -706,7 +699,7 @@ void FlowNetwork::refresh_shard_plan() {
   for (PeerId v = 0; v < n; ++v) {
     shard_weights_[v] = 1 + static_cast<std::uint64_t>(graph_.degree(v));
   }
-  shard_spans_ = util::make_weighted_spans(shard_weights_, parts);
+  shard_spans_ = util::make_weighted_spans(shard_weights_, pool_->size());
   shard_plan_dirty_ = false;
   shard_plan_nodes_ = n;
 }
@@ -723,16 +716,12 @@ void FlowNetwork::step() {
   if (config_.discipline == ServiceDiscipline::kFairShare) {
     survive_scratch_.resize(n);
   }
-  refresh_shard_plan();
-  const std::size_t spans = shard_spans_.size();
-  if (span_scratch_.size() < std::max<std::size_t>(spans, 1)) {
-    span_scratch_.resize(std::max<std::size_t>(spans, 1));
-  }
 
   double tick_util = 0.0;
   std::size_t util_nodes = 0;
-  if (spans <= 1) {
+  if (pool_ == nullptr) {
     const util::IndexSpan all{0, n};
+    span_scratch_.resize(1);
     clamp_drops_.clear();
     sweep_spans({&all, 1}, ttl, cap_tick, service_time, rel,
                 [&](std::size_t) {
@@ -740,6 +729,9 @@ void FlowNetwork::step() {
                 });
     for (const auto& d : clamp_drops_) add_drop(d[0], d[1], d[2]);
   } else {
+    refresh_shard_plan();
+    const std::size_t spans = shard_spans_.size();
+    if (span_scratch_.size() < spans) span_scratch_.resize(spans);
     span_logs_.resize(spans);
     for (SpanLog& log : span_logs_) log.clear();
     sweep_spans(shard_spans_, ttl, cap_tick, service_time, rel,
@@ -911,8 +903,8 @@ void FlowNetwork::save(snapshot::Writer& w) const {
   // Per-entry layout: slot, cur, a block of kClasses * kMaxTtl zeros,
   // minute_acc, minute_done. The zero block is where the engine once kept
   // next tick's vector, which is always empty between ticks; keeping it
-  // lets images load across that change in both directions. No jobs/shards
-  // setting influences this state.
+  // lets images load across that change in both directions. The jobs
+  // setting does not influence this state.
   std::size_t entries = 0;
   edge_state_.for_each(
       [&entries](std::uint32_t, const EdgeFlow&, const EdgeMinute&) {

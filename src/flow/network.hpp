@@ -184,18 +184,6 @@ class FlowNetwork {
   /// serialized — subscribers re-register on reconstruction.
   void load(snapshot::Reader& r);
 
-  /// The worker pool driving the sharded tick sweeps, or null when the
-  /// engine runs serially (jobs <= 1). Other per-minute sweeps (DD-POLICE
-  /// detection, monitor scans) borrow it so one scenario never stacks two
-  /// pools; they only ever use it between ticks, so there is no contention
-  /// with the flow phases.
-  util::ThreadPool* worker_pool() noexcept { return pool_.get(); }
-
-  /// The current shard plan: contiguous PeerId spans, degree-weighted so
-  /// hub-heavy spans shrink. Recomputed lazily after topology changes.
-  /// Exposed for the defense sweeps that reuse the flow partitioning.
-  const std::vector<util::IndexSpan>& shard_spans();
-
  private:
   /// One link's in-transit volume by (traffic class, remaining TTL).
   using FlowVector = std::array<std::array<double, kMaxTtl>, kClasses>;
@@ -316,10 +304,11 @@ class FlowNetwork {
   /// flow-side erase.
   topology::SplitEdgeMap<EdgeFlow, EdgeMinute> edge_state_;
 
-  /// Span machinery: the worker pool (jobs > 1 only), the degree-weighted
-  /// contiguous peer spans, per-span logs and scratch, the fair-share
-  /// survive carry between passes, and the one-span tick's clamp drops,
-  /// held back so they fold after every service drop.
+  /// Span machinery: the worker pool (jobs > 1 only) and its plan of one
+  /// degree-weighted contiguous peer span per worker, per-span logs and
+  /// scratch, the fair-share survive carry between passes, and the
+  /// one-span tick's clamp drops, held back so they fold after every
+  /// service drop.
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<util::IndexSpan> shard_spans_;
   std::vector<std::uint64_t> shard_weights_;

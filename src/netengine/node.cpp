@@ -149,9 +149,8 @@ Node::Link* Node::ready_link_to(std::uint32_t address) {
 }
 
 double Node::out_credit(Link& link, double now_s) const {
-  const double raw = link.out_queries.total(now_s);
-  if (!config_.echo_correction) return raw;
-  return std::max(0.0, raw - link.out_revoked.total(now_s));
+  return std::max(0.0, link.out_queries.total(now_s) -
+                           link.out_revoked.total(now_s));
 }
 
 std::optional<core::LinkMinute> Node::link_minute(std::uint32_t address) {
@@ -230,7 +229,6 @@ void Node::send_control(std::uint32_t to, const net::Message& msg) {
 // --------------------------------------------------- police transport
 
 void Node::advertise_neighbors() {
-  if (!config_.police) return;
   // Copy: send_neighbor_list can evict a slow peer, which mutates the
   // police neighbour set through on_close -> remove_neighbor.
   const std::vector<std::uint32_t> members = police_.neighbors();
@@ -330,7 +328,7 @@ void Node::handle_hello(Link& link, const net::Pong& pong) {
   if (existing == by_address_.end() || link.kind == LinkKind::kOverlay) {
     by_address_[link.address] = link.conn;
   }
-  if (link.kind == LinkKind::kOverlay && config_.police) {
+  if (link.kind == LinkKind::kOverlay) {
     police_.add_neighbor(link.address);
     // Lists are exchanged at connection setup (Sec. 3.1), not only on the
     // period: a judge cannot address a buddy round at a peer it has no
@@ -377,7 +375,7 @@ void Node::on_message(ConnId id, const net::Message& msg) {
       if (link->ready) handle_query_hit(*link, msg);
       return;
     case net::PayloadType::kNeighborList: {
-      if (!link->ready || !config_.police) return;
+      if (!link->ready) return;
       const auto& nl = std::get<net::NeighborList>(msg.payload);
       std::vector<std::uint32_t> members;
       members.reserve(nl.entries.size());
@@ -389,7 +387,7 @@ void Node::on_message(ConnId id, const net::Message& msg) {
       return;
     }
     case net::PayloadType::kNeighborTraffic: {
-      if (!link->ready || !config_.police) return;
+      if (!link->ready) return;
       const auto& nt = std::get<net::NeighborTraffic>(msg.payload);
       police_.on_neighbor_traffic(nt.source_ip, nt, protocol_minutes());
       return;
@@ -416,7 +414,7 @@ void Node::on_close(ConnId id, CloseReason) {
       }
     }
   }
-  if (link.kind == LinkKind::kOverlay && config_.police) {
+  if (link.kind == LinkKind::kOverlay) {
     bool still_overlay = false;
     for (const auto& [other_id, other] : links_) {
       if (other.ready && other.address == link.address &&
@@ -472,7 +470,7 @@ void Node::issue_one_query(double now_s) {
     Link* link = link_by_conn(id);
     if (link == nullptr) continue;
     link->out_queries.add(now_s);
-    if (config_.echo_correction && msg.header.ttl <= 1) {
+    if (msg.header.ttl <= 1) {
       link->out_revoked.add(now_s);  // TTL-dead at issue: no relay credit
     }
     engine_.send(id, frame);
@@ -508,8 +506,7 @@ void Node::handle_query(Link& link, const net::Message& msg) {
         entry->from == kSelfOrigin
             ? config_.ttl > 1
             : (entry->from & kCreditFlag) != 0;
-    if (config_.echo_correction && credited &&
-        link.kind == LinkKind::kOverlay &&
+    if (credited && link.kind == LinkKind::kOverlay &&
         origin_of(entry->from) != link.address &&
         link.ready_since <= entry->when) {
       link.out_revoked.add_at(now_s, entry->when);
@@ -560,7 +557,7 @@ void Node::handle_query(Link& link, const net::Message& msg) {
     // carries no relay credit (out_credit subtracts it), or a suspect at
     // the flood frontier gets its whole output bound stocked by traffic
     // it provably could not forward. The raw monitor still counts it.
-    if (config_.echo_correction && fwd.header.ttl <= 1) {
+    if (fwd.header.ttl <= 1) {
       other->out_revoked.add(now_s);
     }
     engine_.send(id, frame);
@@ -597,7 +594,7 @@ void Node::on_protocol_minute() {
     lm.in_queries = link.in_queries.total(now_s);
     links.push_back(lm);
   }
-  if (config_.police) police_.on_minute(double(minute_), links);
+  police_.on_minute(double(minute_), links);
   // Dedup horizon: anything older than 3 protocol minutes cannot still be
   // in flight; compacting here bounds the table across a long run.
   seen_.prune(now_s - 3.0 * config_.minute_seconds);

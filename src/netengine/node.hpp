@@ -72,15 +72,6 @@ struct NodeConfig {
   /// Wall seconds per protocol minute (the testbed accelerator).
   double minute_seconds = 60.0;
 
-  bool police = true;
-  /// Echo-corrected output credit (deployment refinement, see node.cpp):
-  /// when a duplicate of a query arrives on a link we had flooded it to,
-  /// that send's Out_query credit is revoked — the peer demonstrably
-  /// already had the query, so the copy was unrelayable. Without this an
-  /// attacker's own flood, racing back through two-hop paths, stocks the
-  /// relay bound (k-1)*input and a high-degree attacker becomes
-  /// arithmetically unconvictable. Off reproduces raw Table-1 counters.
-  bool echo_correction = true;
   core::DdPoliceConfig ddp{};
 
   std::string stats_path;  ///< JSONL stats stream ("" = none)
@@ -187,6 +178,13 @@ class Node final : private core::PoliceTransport {
   Link* ready_link_to(std::uint32_t address);
   /// Out_query minus revoked echo credit, clamped at zero (a burst of
   /// trailing revocations after the flood stops must not go negative).
+  /// This echo-corrected credit, not the raw Table-1 counter, is what the
+  /// judge reads (a deployment refinement, see node.cpp): when a
+  /// duplicate of a query arrives on a link we had flooded it to, that
+  /// send's credit is revoked, because the peer already had the query and
+  /// could not relay the copy. Without it an attacker's own flood, racing
+  /// back through two-hop paths, stocks the relay bound (k-1)*input and a
+  /// high-degree attacker becomes arithmetically unconvictable.
   double out_credit(Link& link, double now_s) const;
 
   double wall_seconds() const { return double(engine_.now_ms()) / 1000.0; }

@@ -19,13 +19,6 @@ void load_guid(snapshot::Reader& r, net::Guid& g) {
 
 }  // namespace
 
-double LinkMonitors::out_per_minute(PeerId from, PeerId to, SimTime now) {
-  const auto slot = graph_->edge_slot(from, to);
-  if (slot == topology::EdgeIndex::kInvalidSlot) return 0.0;
-  util::RateWindow* w = windows_.find(slot);
-  return w == nullptr ? 0.0 : w->per_minute(now);
-}
-
 double LinkMonitors::out_per_minute_at(PeerId from, PeerId to,
                                        SimTime now) const {
   const auto slot = graph_->edge_slot(from, to);

@@ -90,11 +90,10 @@ class LinkMonitors {
   explicit LinkMonitors(const topology::Graph& graph)
       : graph_(&graph), windows_(graph.edge_index()) {}
 
-  double out_per_minute(PeerId from, PeerId to, SimTime now);
-  /// out_per_minute without advancing the window — a pure const read
-  /// (RateWindow::per_minute_at), safe for concurrent sweeps. This is the
-  /// read DD-POLICE's sharded flag scan uses via PacketPort: workers sweep
-  /// disjoint judge spans, each reading its span's in-link windows.
+  /// Queries `from` sent `to` per minute over the window ending at `now`.
+  /// A const read (RateWindow::per_minute_at) that leaves the window
+  /// where it is, because DD-POLICE reads it through PacketPort's const
+  /// OverlayPort::sent_last_minute; windows advance on record().
   double out_per_minute_at(PeerId from, PeerId to, SimTime now) const;
   void record(PeerId from, PeerId to, SimTime now);
   /// Explicitly reset both directions of a live link (slot release already

@@ -24,9 +24,9 @@ class PacketPort final : public core::OverlayPort {
   const topology::Graph& graph() const override { return net_->graph(); }
 
   double sent_last_minute(PeerId from, PeerId to) const override {
-    // Pure const read (no window advance): bit-identical to the mutable
-    // read at the same timestamp, and safe for the concurrent sweeps of
-    // DdPolice::set_sweep_pool. Windows advance on record() instead.
+    // OverlayPort's read is const, so it must not advance the window:
+    // the const read is bit-identical to the advancing one at the same
+    // timestamp. Windows advance on record() instead.
     return net_->monitors().out_per_minute_at(from, to, net_->engine().now());
   }
 

@@ -44,9 +44,9 @@ class RateWindow {
 
   /// total(t) without advancing: expired buckets are subtracted from the
   /// cached sum in the same order advance() would zero them, so the value
-  /// matches the mutable read bit-for-bit. Safe for concurrent reads —
-  /// this is what lets DD-POLICE's sharded flag scan run over the packet
-  /// engine's monitors (windows then advance only on add()).
+  /// matches the mutable read bit-for-bit. This is the read behind the
+  /// packet engine's monitors, which DD-POLICE reads through the const
+  /// OverlayPort::sent_last_minute (windows then advance only on add()).
   double total_at(SimTime t) const noexcept;
 
   /// per_minute(t) without advancing; see total_at().

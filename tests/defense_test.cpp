@@ -1,6 +1,6 @@
 // Defense-layer tests: the naive rate-cut strawman of Sec. 2.1 (cuts
-// innocent forwarders), the fair-share comparator [21], and the DD-POLICE
-// wrapper plumbing.
+// innocent forwarders), the fair-share comparator [21], and DD-POLICE's
+// quarantine ladder at scenario level.
 
 #include <gtest/gtest.h>
 
@@ -41,13 +41,6 @@ TEST(KindNames, AllDistinct) {
   EXPECT_EQ(kind_name(Kind::kFairShare), "fair-share");
 }
 
-TEST(NoDefense, DoesNothing) {
-  NoDefense d;
-  d.on_minute(1.0);
-  EXPECT_TRUE(d.decisions().empty());
-  EXPECT_EQ(d.name(), "none");
-}
-
 TEST(NaiveCut, CutsTheAttackerButAlsoForwarders) {
   World w(120);
   w.net->set_kind(3, PeerKind::kBad);
@@ -74,21 +67,6 @@ TEST(NaiveCut, QuietNetworkUntouched) {
   w.net->add_minute_hook([&](double m) { naive.on_minute(m); });
   w.net->run_minutes(3.0);
   EXPECT_TRUE(naive.decisions().empty());
-}
-
-TEST(DdPoliceDefense, WrapsProtocol) {
-  World w(100);
-  w.net->set_kind(7, PeerKind::kBad);
-  core::DdPoliceConfig cfg;
-  flow::FlowPort port(*w.net);
-  DdPoliceDefense ddp(port, cfg, util::Rng(5));
-  w.net->add_minute_hook([&](double m) { ddp.on_minute(m); });
-  w.net->run_minutes(4.0);
-  EXPECT_EQ(ddp.name(), "dd-police");
-  bool agent_cut = false;
-  for (const auto& d : ddp.decisions()) agent_cut |= d.suspect == 7;
-  EXPECT_TRUE(agent_cut);
-  EXPECT_GT(ddp.protocol().exchange_messages(), 0u);
 }
 
 TEST(FairShare, ScenarioLevelComparisonAgainstNone) {

@@ -140,10 +140,10 @@ TEST(PacketNetwork, MonitorsCountPerMinuteRates) {
   }
   f.engine.run_until(30.0);
   // Peer 0 sent 30 queries to peer 1 within the minute window.
-  EXPECT_NEAR(f.net->monitors().out_per_minute(0, 1, 30.0), 30.0, 1.0);
+  EXPECT_NEAR(f.net->monitors().out_per_minute_at(0, 1, 30.0), 30.0, 1.0);
   // Peer 1 forwarded each to peer 2.
-  EXPECT_NEAR(f.net->monitors().out_per_minute(1, 2, 30.0), 30.0, 1.0);
-  EXPECT_DOUBLE_EQ(f.net->monitors().out_per_minute(2, 1, 30.0), 0.0);
+  EXPECT_NEAR(f.net->monitors().out_per_minute_at(1, 2, 30.0), 30.0, 1.0);
+  EXPECT_DOUBLE_EQ(f.net->monitors().out_per_minute_at(2, 1, 30.0), 0.0);
 }
 
 TEST(PacketNetwork, DisconnectStopsFutureTraffic) {

@@ -1,6 +1,6 @@
 // Sharded-engine determinism tests: span partitioning, the SoA edge-state
 // containers behind the hot/cold split, and — the load-bearing property —
-// byte-identical simulation output at any worker/shard count, from raw
+// byte-identical simulation output at any worker count, from raw
 // FlowNetwork ticks up through full scenario runs and DD-POLICE decisions.
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
-#include <utility>
 #include <vector>
 
 #include "experiments/scenario.hpp"
@@ -325,18 +324,14 @@ void run_jobs_invariance(flow::FlowConfig base) {
   const auto ref_report = ref.net->last_minute_report();
   const double ref_flight = ref.net->total_in_flight();
 
-  // jobs=1 with shards=3 runs several spans inline, without a pool.
-  const std::pair<unsigned, std::size_t> combos[] = {
-      {1, 3}, {2, 0}, {2, 3}, {2, 8}, {4, 0}, {4, 3}, {4, 8}};
-  for (const auto& [jobs, shards] : combos) {
+  // One span per worker: 2, 3, 4 and 8 spans.
+  for (const unsigned jobs : {2u, 3u, 4u, 8u}) {
     flow::FlowConfig cfg = base;
     cfg.jobs = jobs;
-    cfg.shards = shards;
     FlowWorld w(31, cfg);
     w.net->run_minutes(3.0);
     expect_identical_reports(w.net->last_minute_report(), ref_report);
-    EXPECT_EQ(w.net->total_in_flight(), ref_flight)
-        << "jobs=" << jobs << " shards=" << shards;
+    EXPECT_EQ(w.net->total_in_flight(), ref_flight) << "jobs=" << jobs;
     for (PeerId p = 0; p < 8; ++p) {
       for (PeerId q : w.graph.neighbors(p)) {
         EXPECT_EQ(w.net->sent_last_minute(p, q),
@@ -376,9 +371,8 @@ TEST(ShardMerge, UnreliableLinksInvariant) {
 }
 
 TEST(ShardMerge, ScenarioRunIdenticalIncludingDecisions) {
-  // Full stack: sharded tick sweeps AND the sharded DD-POLICE flag scan
-  // (300 peers >= the 256-peer gate) must reproduce the serial run's
-  // series, decisions and counters exactly.
+  // Full stack: the sharded tick sweeps under DD-POLICE must reproduce
+  // the serial run's series, decisions and counters exactly.
   experiments::ScenarioConfig cfg =
       experiments::paper_scenario(300, 20, defense::Kind::kDdPolice, 7);
   cfg.total_minutes = 10.0;
@@ -386,7 +380,6 @@ TEST(ShardMerge, ScenarioRunIdenticalIncludingDecisions) {
   const auto ref = experiments::run_scenario(cfg);
 
   cfg.flow.jobs = 4;
-  cfg.flow.shards = 5;
   const auto par = experiments::run_scenario(cfg);
 
   ASSERT_EQ(par.history.size(), ref.history.size());
@@ -415,7 +408,6 @@ TEST(ShardMerge, SnapshotStateIsShardInvariant) {
 
   flow::FlowConfig sharded_cfg;
   sharded_cfg.jobs = 4;
-  sharded_cfg.shards = 3;
   FlowWorld sharded(13, sharded_cfg);
   sharded.net->run_minutes(2.0);
 

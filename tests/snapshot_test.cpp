@@ -600,5 +600,49 @@ TEST(RuntimeSnapshot, ViewInvariantsHoldAfterRestore) {
   EXPECT_TRUE(v.ledger->consistent(&why)) << why;
 }
 
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(RuntimeSnapshot, EachDefenseKindImageIsPinned) {
+  // DEFN holds DD-POLICE's or naive-cut's state, and nothing for none or
+  // fair-share. Each kind's whole image is pinned by hash, so a change to
+  // how any kind writes its state shows here, and each image must restore
+  // into a fresh runtime and re-serialize to the same bytes.
+  struct Pin {
+    defense::Kind kind;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {defense::Kind::kNone, 0xd916b69bea55ec59ULL},
+      {defense::Kind::kNaiveCut, 0xa0165d8d8332d680ULL},
+      {defense::Kind::kFairShare, 0x9e4bf2cf5dec9cbcULL},
+      {defense::Kind::kDdPolice, 0xb8bcf69865598e40ULL},
+  };
+  for (const Pin& pin : pins) {
+    ScenarioConfig cfg = experiments::paper_scenario(150, 10, pin.kind, 23);
+    cfg.total_minutes = 8.0;
+    cfg.attack.start_minute = 3.0;
+    ScenarioRuntime a(cfg);
+    a.run_all();
+    const bool cuts = pin.kind == defense::Kind::kNaiveCut ||
+                      pin.kind == defense::Kind::kDdPolice;
+    EXPECT_EQ(!a.result().decisions.empty(), cuts)
+        << defense::kind_name(pin.kind);
+    const auto bytes = a.save();
+    EXPECT_EQ(fnv1a(bytes), pin.hash)
+        << defense::kind_name(pin.kind) << " 0x" << std::hex << fnv1a(bytes);
+
+    ScenarioRuntime b(cfg);
+    b.load_bytes(bytes);
+    EXPECT_EQ(b.save(), bytes) << defense::kind_name(pin.kind);
+  }
+}
+
 }  // namespace
 }  // namespace ddp
