@@ -203,7 +203,10 @@ echo "== golden byte-identity gate (figure CSVs + short trace + control plane) =
 # the quarantine inspect hook and the optional columns. The control-plane
 # run covers DD-POLICE-r at r = 2, Neighbor_Traffic over a lossy,
 # corrupting channel, cheating reporters and liars, and the checkpoint
-# bytes (section CRCs included).
+# bytes (section CRCs included). The clean control run repeats it with
+# corrupt=0: the channel still drops and delays, but damages no bytes,
+# so every delivered reply and list takes the path that skips the wire
+# codec.
 mkdir -p "$tmp/golden"
 env -u DDP_FULL -u DDP_SEED ./build/bench/bench_fig5_capacity \
     --out-dir "$tmp/golden" > /dev/null
@@ -214,12 +217,15 @@ done
 ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
     trace="$tmp/golden/ddpsim_short.jsonl" \
     csv="$tmp/golden/ddpsim_short.csv" > /dev/null
-./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 radius=2 \
-    event_driven=1 adaptive=1 cut_policy=quarantine repair=1 loss=0.1 \
-    corrupt=0.02 jitter=2 crash=0.002 cheat=collude lists=fabricate \
-    checkpoint_every=4 csv="$tmp/golden/ddpsim_control.csv" \
-    trace="$tmp/golden/ddpsim_control.jsonl" \
-    checkpoint="$tmp/golden/ddpsim_control.ckpt" > /dev/null
+for run in ddpsim_control:0.02 ddpsim_control_clean:0; do
+  name="${run%%:*}"
+  ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 radius=2 \
+      event_driven=1 adaptive=1 cut_policy=quarantine repair=1 loss=0.1 \
+      corrupt="${run#*:}" jitter=2 crash=0.002 cheat=collude \
+      lists=fabricate checkpoint_every=4 csv="$tmp/golden/$name.csv" \
+      trace="$tmp/golden/$name.jsonl" \
+      checkpoint="$tmp/golden/$name.ckpt" > /dev/null
+done
 if (cd "$tmp/golden" && sha256sum -c "$repo/tests/golden/sha256sums.txt"); then
   echo "golden byte-identity: OK"
 else

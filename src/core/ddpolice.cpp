@@ -23,6 +23,57 @@ std::uint32_t quantize_counter(double v) noexcept {
                    : static_cast<std::uint32_t>(std::llround(v));
 }
 
+// Undamaged wire bytes decode to exactly what was sent, so a transfer runs
+// the codec only when the channel corrupts it. corrupt() is the only draw
+// that depends on the bytes, so skipping the codec moves no rng stream.
+
+/// `advertised` encoded as a Neighbor_List, damaged by `ch` when non-null,
+/// and decoded; nullopt when the receiver cannot decode a list.
+std::optional<std::vector<PeerId>> list_through_codec(
+    const std::vector<PeerId>& advertised, fault::UnreliableChannel* ch) {
+  net::Message m;
+  m.header.type = net::PayloadType::kNeighborList;
+  net::NeighborList nl;
+  nl.entries.reserve(advertised.size());
+  for (PeerId id : advertised) nl.entries.push_back({id, 6346});
+  m.payload = std::move(nl);
+  std::vector<std::uint8_t> bytes = net::encode(m);
+  if (ch != nullptr) ch->corrupt(bytes);
+  const auto decoded = net::decode(bytes);
+  if (!decoded || decoded->type() != net::PayloadType::kNeighborList) {
+    return std::nullopt;
+  }
+  std::vector<PeerId> received;
+  for (const auto& e : std::get<net::NeighborList>(decoded->payload).entries) {
+    received.push_back(e.ip);
+  }
+  return received;
+}
+
+/// Send `reply` as a Neighbor_Traffic message (Table 1) over bytes `ch`
+/// damages. False when the judge rejects what arrives: undecodable,
+/// another type, or identity fields altered in flight (structured
+/// validation). Otherwise `reply` becomes what was decoded, including any
+/// damage validation cannot see.
+bool reply_survives_damage(fault::UnreliableChannel& ch,
+                           net::NeighborTraffic& reply) {
+  net::Message m;
+  m.header.type = net::PayloadType::kNeighborTraffic;
+  m.payload = reply;
+  std::vector<std::uint8_t> bytes = net::encode(m);
+  ch.corrupt(bytes);
+  const auto decoded = net::decode(bytes);
+  if (!decoded || decoded->type() != net::PayloadType::kNeighborTraffic) {
+    return false;
+  }
+  const auto& got = std::get<net::NeighborTraffic>(decoded->payload);
+  if (got.source_ip != reply.source_ip || got.suspect_ip != reply.suspect_ip) {
+    return false;
+  }
+  reply = got;
+  return true;
+}
+
 }  // namespace
 
 DdPolice::DdPolice(OverlayPort& port, const DdPoliceConfig& config, util::Rng rng)
@@ -172,31 +223,22 @@ bool DdPolice::deliver_list_over_faulty_transport(
     port_.report_overhead(1.0);
     const fault::Transfer t = ch.transfer();
     if (!t.delivered) continue;  // no ack will come; retry after backoff
-    // The advertisement crosses the wire as a real Neighbor_List message;
-    // the receiver decodes (and validates) what actually arrived.
-    net::Message m;
-    m.header.type = net::PayloadType::kNeighborList;
-    net::NeighborList nl;
-    nl.entries.reserve(advertised.size());
-    for (PeerId id : advertised) nl.entries.push_back({id, 6346});
-    m.payload = std::move(nl);
-    std::vector<std::uint8_t> bytes = net::encode(m);
-    if (t.corrupted) ch.corrupt(bytes);
-    const auto decoded = net::decode(bytes);
-    if (!decoded || decoded->type() != net::PayloadType::kNeighborList) {
-      ++ctr.corrupt_rejects;  // receiver discards garbage, sends no ack
-      continue;
-    }
-    std::vector<PeerId> received;
-    bool valid = true;
-    for (const auto& e : std::get<net::NeighborList>(decoded->payload).entries) {
-      if (e.ip >= port_.graph().node_count()) {
-        valid = false;  // structured reject: entry names a nonexistent peer
-        break;
+    // The advertisement crosses the wire as a real Neighbor_List message
+    // and the receiver validates what arrived. The codec runs for damaged
+    // bytes, and for a list longer than the wire's u16 entry count.
+    std::optional<std::vector<PeerId>> decoded;
+    if (t.corrupted ||
+        advertised.size() > std::numeric_limits<std::uint16_t>::max()) {
+      decoded = list_through_codec(advertised, t.corrupted ? &ch : nullptr);
+      if (!decoded) {
+        ++ctr.corrupt_rejects;  // receiver discards garbage, sends no ack
+        continue;
       }
-      received.push_back(static_cast<PeerId>(e.ip));
     }
-    if (!valid) {
+    // Structured reject: an entry names a nonexistent peer.
+    const std::size_t n = port_.graph().node_count();
+    if (std::ranges::any_of(decoded ? *decoded : advertised,
+                            [n](PeerId id) { return id >= n; })) {
       ++ctr.corrupt_rejects;
       continue;
     }
@@ -204,7 +246,7 @@ bool DdPolice::deliver_list_over_faulty_transport(
     // first successful delivery wins. Entries whose bit flips survived
     // validation arrive silently altered — exactly the hazard the
     // consistency check downstream has to absorb.
-    advertised = std::move(received);
+    if (decoded) advertised = std::move(*decoded);
     return true;
   }
   ++ctr.timeouts;  // receiver keeps its stale snapshot
@@ -371,28 +413,19 @@ void DdPolice::append_believed_group(PeerId judge, PeerId suspect,
   if (!listed(judge)) out.push_back(judge);
 }
 
-MemberReport DdPolice::collect_report(PeerId member, PeerId suspect,
-                                      double minute) {
-  const auto& g = port_.graph();
-  MemberReport r;
-  r.member = member;
-  const bool reachable = member < g.node_count() && g.is_active(member);
-  std::optional<TrafficTruth> answer;
-  if (reachable) {
-    TrafficTruth truth;
-    truth.out_to_suspect = port_.sent_last_minute(member, suspect);
-    truth.in_from_suspect = port_.sent_last_minute(suspect, member);
-    answer = report_policy_ ? report_policy_(member, suspect, truth)
-                            : std::optional<TrafficTruth>(truth);
-  }
+MemberReport DdPolice::collect_report(
+    PeerId member, PeerId suspect, const std::optional<TrafficTruth>& answer,
+    double minute) {
   if (transport_faulty()) {
     // The judge cannot tell a dead member from a mute one or a lossy link:
     // every silent request runs the full timeout/retry loop.
     return collect_over_faulty_transport(member, suspect, answer, minute);
   }
+  MemberReport r;
+  r.member = member;
   DDP_TRACE(tracer_, obs::EventType::kTrafficRequest, minute * kMinute,
             member, suspect);
-  if (!reachable || !answer) {
+  if (!answer) {
     r.responded = false;  // timeout: counters stay zero (Sec. 3.4)
     DDP_TRACE(tracer_, obs::EventType::kTrafficTimeout, minute * kMinute,
               member, suspect);
@@ -432,31 +465,18 @@ MemberReport DdPolice::collect_over_faulty_transport(
     if (!req.delivered) continue;
     // The member must be up, awake and willing (ReportPolicy) to answer.
     if (!answer || !fault_->peers().is_responsive(member)) continue;
-    // Response leg: the reply crosses the wire as a real Neighbor_Traffic
-    // message (Table 1) and is decoded from whatever bytes arrive.
+    // Response leg: the reply is a Neighbor_Traffic message (Table 1) with
+    // the answer quantized as the wire carries it; damaged bytes are
+    // decoded and validated.
     const fault::Transfer resp = ch.transfer();
     if (!resp.delivered) continue;
-    net::Message m;
-    m.header.type = net::PayloadType::kNeighborTraffic;
-    net::NeighborTraffic nt;
-    nt.source_ip = member;
-    nt.suspect_ip = suspect;
-    nt.timestamp = static_cast<std::uint32_t>(minute * kMinute);
-    nt.outgoing_queries = quantize_counter(answer->out_to_suspect);
-    nt.incoming_queries = quantize_counter(answer->in_from_suspect);
-    m.payload = nt;
-    std::vector<std::uint8_t> bytes = net::encode(m);
-    if (resp.corrupted) ch.corrupt(bytes);
-    const auto decoded = net::decode(bytes);
-    if (!decoded || decoded->type() != net::PayloadType::kNeighborTraffic) {
-      ++ctr.corrupt_rejects;
-      DDP_TRACE(tracer_, obs::EventType::kCorruptReject, minute * kMinute,
-                member, suspect);
-      continue;
-    }
-    const auto& got = std::get<net::NeighborTraffic>(decoded->payload);
-    if (got.source_ip != member || got.suspect_ip != suspect) {
-      // Structured validation: identity fields altered in flight.
+    net::NeighborTraffic reply;
+    reply.source_ip = member;
+    reply.suspect_ip = suspect;
+    reply.timestamp = static_cast<std::uint32_t>(minute * kMinute);
+    reply.outgoing_queries = quantize_counter(answer->out_to_suspect);
+    reply.incoming_queries = quantize_counter(answer->in_from_suspect);
+    if (resp.corrupted && !reply_survives_damage(ch, reply)) {
       ++ctr.corrupt_rejects;
       DDP_TRACE(tracer_, obs::EventType::kCorruptReject, minute * kMinute,
                 member, suspect);
@@ -472,8 +492,8 @@ MemberReport DdPolice::collect_over_faulty_transport(
                 suspect, {{"rtt", rtt}});
       continue;
     }
-    r.out_to_suspect = got.outgoing_queries;
-    r.in_from_suspect = got.incoming_queries;
+    r.out_to_suspect = reply.outgoing_queries;
+    r.in_from_suspect = reply.incoming_queries;
     r.responded = true;
     DDP_TRACE(tracer_, obs::EventType::kTrafficReply, minute * kMinute,
               member, suspect,
@@ -518,12 +538,30 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
   // Neighbor_Traffic once each (suppression collapses duplicates).
   union_scratch_.assign(groups_.begin(), groups_.end());
   std::sort(union_scratch_.begin(), union_scratch_.end());
-  const double u = static_cast<double>(
-      std::unique(union_scratch_.begin(), union_scratch_.end()) -
-      union_scratch_.begin());
+  union_scratch_.erase(
+      std::unique(union_scratch_.begin(), union_scratch_.end()),
+      union_scratch_.end());
+  const double u = static_cast<double>(union_scratch_.size());
   const double msgs = u > 1.0 ? u * (u - 1.0) : 0.0;
   traffic_messages_ += static_cast<std::uint64_t>(msgs);
   port_.report_overhead(msgs);
+
+  // One answer per member per round (Sec. 3.3: one Neighbor_Traffic per
+  // suppression window), shared by every judge that asks. This is exact:
+  // counters and topology hold still through the detection phase, and a
+  // ReportPolicy is pure. A list policy can name any id; such a member
+  // stays silent.
+  answers_.clear();
+  for (PeerId m : union_scratch_) {
+    if (m >= g.node_count() || !g.is_active(m)) {
+      answers_.emplace_back();
+      continue;
+    }
+    const TrafficTruth truth{port_.sent_last_minute(m, suspect),
+                             port_.sent_last_minute(suspect, m)};
+    answers_.push_back(report_policy_ ? report_policy_(m, suspect, truth)
+                                      : std::optional<TrafficTruth>(truth));
+  }
 
   for (std::size_t k = 0; k < judges.size(); ++k) {
     const PeerId judge = judges[k];
@@ -533,12 +571,15 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
     const util::IndexSpan span = group_spans_[k];
     for (std::size_t i = span.begin; i < span.end; ++i) {
       const PeerId m = groups_[i];
-      reports_.push_back(
-          m == judge ? MemberReport{judge,
-                                    port_.sent_last_minute(judge, suspect),
-                                    port_.sent_last_minute(suspect, judge),
-                                    true}
-                     : collect_report(m, suspect, minute));
+      if (m == judge) {
+        reports_.push_back({judge, port_.sent_last_minute(judge, suspect),
+                            port_.sent_last_minute(suspect, judge), true});
+        continue;
+      }
+      const auto row = std::ranges::lower_bound(union_scratch_, m) -
+                       union_scratch_.begin();
+      reports_.push_back(collect_report(
+          m, suspect, answers_[static_cast<std::size_t>(row)], minute));
     }
 
     if (config_.buddy_radius >= 2) {

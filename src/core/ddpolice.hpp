@@ -55,6 +55,10 @@ struct TrafficTruth {
 
 /// What `reporter` answers inside the buddy group of `suspect`;
 /// std::nullopt models refusal / mute (treated as zeros after timeout).
+/// A policy must be a pure function of (reporter, suspect, truth) that
+/// draws no randomness: a member broadcasts one Neighbor_Traffic per round
+/// (Sec. 3.3), so DdPolice asks the policy once per member per round and
+/// hands that answer to every judge of the round.
 using ReportPolicy = std::function<std::optional<TrafficTruth>(
     PeerId reporter, PeerId suspect, const TrafficTruth& truth)>;
 
@@ -103,7 +107,9 @@ class DdPolice {
   DdPolice(OverlayPort& port, const DdPoliceConfig& config, util::Rng rng);
   ~DdPolice();  // out-of-line: AdaptiveThresholds is incomplete here
 
-  /// Install cheating behaviours (defaults are honest).
+  /// Install cheating behaviours (defaults are honest). The report policy
+  /// is called once per (member, suspect) per round, so it must be pure
+  /// and draw nothing (see ReportPolicy).
   void set_report_policy(ReportPolicy policy) { report_policy_ = std::move(policy); }
   void set_list_policy(ListPolicy policy) { list_policy_ = std::move(policy); }
 
@@ -113,11 +119,13 @@ class DdPolice {
   const AdaptiveThresholds* adaptive() const noexcept { return adaptive_.get(); }
 
   /// Attach a fault plane: control messages then traverse its
-  /// UnreliableChannel as real encoded wire bytes (lost, delayed,
-  /// duplicated or corrupted per its config), peers it reports crashed or
-  /// stalled stop answering, and each request runs the per-request
-  /// timeout + bounded-retry + exponential-backoff loop before falling
-  /// back to Sec. 3.4's count-as-zero rule. Null (the default) or a plane
+  /// UnreliableChannel (lost, delayed, duplicated or corrupted per its
+  /// config); a corrupted one crosses as real encoded wire bytes that the
+  /// receiver decodes, and an undamaged one arrives as the codec would
+  /// return it. Peers the plane reports crashed or stalled stop
+  /// answering, and each request runs the per-request timeout +
+  /// bounded-retry + exponential-backoff loop before falling back to
+  /// Sec. 3.4's count-as-zero rule. Null (the default) or a plane
   /// with all probabilities zero keeps the exact fault-free code path, so
   /// decisions stay bit-identical to an unfaulted run.
   void set_fault_plane(fault::FaultPlane* plane) noexcept { fault_ = plane; }
@@ -194,7 +202,10 @@ class DdPolice {
   /// Append `judge`'s believed buddy group of `suspect` to `out`.
   void append_believed_group(PeerId judge, PeerId suspect,
                              std::vector<PeerId>& out) const;
-  MemberReport collect_report(PeerId member, PeerId suspect, double minute);
+  /// One judge's request to `member`, whose answer this round is `answer`.
+  MemberReport collect_report(PeerId member, PeerId suspect,
+                              const std::optional<TrafficTruth>& answer,
+                              double minute);
   /// True when a fault plane with non-zero fault rates is attached.
   bool transport_faulty() const noexcept {
     return fault_ != nullptr && fault_->control_active();
@@ -239,11 +250,14 @@ class DdPolice {
   std::vector<SendPeak> send_peaks_;  ///< by PeerId, active peers only
   /// Round scratch: every judge's believed group, flattened in judge order
   /// (judge k's members are the group_spans_[k] range of groups_; a group
-  /// equal to the previous judge's is stored once and shared), a buffer
-  /// for their union and the report set being judged.
+  /// equal to the previous judge's is stored once and shared), their
+  /// sorted union, each union member's answer this round (answers_[i]
+  /// belongs to union_scratch_[i]; nullopt when the member is unreachable
+  /// or mute) and the report set being judged.
   std::vector<PeerId> groups_;
   std::vector<util::IndexSpan> group_spans_;
   std::vector<PeerId> union_scratch_;
+  std::vector<std::optional<TrafficTruth>> answers_;
   std::vector<MemberReport> reports_;
 
   std::vector<Decision> decisions_;

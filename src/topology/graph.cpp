@@ -9,7 +9,21 @@ namespace ddp::topology {
 
 Graph::Graph(std::size_t node_count)
     : adj_(node_count), out_slots_(node_count), in_slots_(node_count),
-      active_(node_count, 1), active_count_(node_count) {}
+      active_(node_count, 1),
+      active_degrees_(node_count > 0 ? 1 : 0, node_count),
+      active_count_(node_count) {}
+
+void Graph::count_active_degree(std::size_t d) {
+  if (d >= active_degrees_.size()) active_degrees_.resize(d + 1, 0);
+  ++active_degrees_[d];
+}
+
+void Graph::uncount_active_degree(std::size_t d) {
+  --active_degrees_[d];
+  while (!active_degrees_.empty() && active_degrees_.back() == 0) {
+    active_degrees_.pop_back();
+  }
+}
 
 PeerId Graph::add_node() {
   adj_.emplace_back();
@@ -17,6 +31,7 @@ PeerId Graph::add_node() {
   in_slots_.emplace_back();
   active_.push_back(1);
   ++active_count_;
+  count_active_degree(0);
   return static_cast<PeerId>(adj_.size() - 1);
 }
 
@@ -24,11 +39,13 @@ void Graph::set_active(PeerId u, bool active) {
   if (static_cast<bool>(active_[u]) == active) return;
   if (!active) {
     isolate(u);
+    uncount_active_degree(adj_[u].size());
     active_[u] = 0;
     --active_count_;
   } else {
     active_[u] = 1;
     ++active_count_;
+    count_active_degree(adj_[u].size());
   }
 }
 
@@ -39,6 +56,10 @@ bool Graph::add_edge(PeerId u, PeerId v) {
   if (!active_[u] || !active_[v]) return false;
   if (has_edge(u, v)) return false;
   const auto [suv, svu] = index_.acquire_pair(u, v);
+  for (const PeerId x : {u, v}) {
+    count_active_degree(adj_[x].size() + 1);
+    uncount_active_degree(adj_[x].size());
+  }
   adj_[u].push_back(v);
   out_slots_[u].push_back(suv);
   in_slots_[u].push_back(svu);
@@ -58,6 +79,11 @@ bool Graph::remove_edge(PeerId u, PeerId v) {
   // Releasing one direction releases both (and retires any EdgeMap state
   // either direction carried).
   index_.release(out_slots_[u][pu]);
+  for (const PeerId x : {u, v}) {
+    if (!active_[x]) continue;
+    count_active_degree(adj_[x].size() - 1);
+    uncount_active_degree(adj_[x].size());
+  }
   // Swap-erase: neighbour order carries no meaning.
   *iu = au.back();
   au.pop_back();
@@ -127,12 +153,11 @@ PeerId Graph::random_active_node(util::Rng& rng, PeerId exclude) const {
 }
 
 PeerId Graph::random_active_node_by_degree(util::Rng& rng, PeerId exclude) const {
-  // Rejection sampling against the current max degree; with power-law-ish
-  // degree sequences this stays cheap and avoids maintaining a prefix sum.
-  std::size_t max_deg = 0;
-  for (PeerId u = 0; u < adj_.size(); ++u) {
-    if (active_[u]) max_deg = std::max(max_deg, adj_[u].size());
-  }
+  // Rejection sampling against the largest active degree, read from the
+  // per-degree counts; with power-law-ish degree sequences this stays
+  // cheap, and no prefix sum over weights is kept.
+  const std::size_t max_deg =
+      active_degrees_.empty() ? 0 : active_degrees_.size() - 1;
   const double ceiling = static_cast<double>(max_deg) + 1.0;
   for (int attempts = 0; attempts < 65536; ++attempts) {
     const PeerId u = random_active_node(rng, exclude);
@@ -257,24 +282,16 @@ void Graph::load(snapshot::Reader& r) {
   }
   // Rebuild the materialized in-link lists from the validated out-slots
   // (the snapshot format carries only the out direction; the reverse of a
-  // consistent index reconstructs the rest exactly).
+  // consistent index reconstructs the rest exactly), and the per-degree
+  // counts from the adjacency.
+  active_degrees_.clear();
   for (std::size_t u = 0; u < n; ++u) {
     in_slots_[u].resize(out_slots_[u].size());
     for (std::size_t i = 0; i < out_slots_[u].size(); ++i) {
       in_slots_[u][i] = index_.reverse(out_slots_[u][i]);
     }
+    if (active_[u]) count_active_degree(adj_[u].size());
   }
-}
-
-std::vector<std::size_t> Graph::degree_histogram() const {
-  std::vector<std::size_t> hist;
-  for (PeerId u = 0; u < adj_.size(); ++u) {
-    if (!active_[u]) continue;
-    const std::size_t d = adj_[u].size();
-    if (d >= hist.size()) hist.resize(d + 1, 0);
-    ++hist[d];
-  }
-  return hist;
 }
 
 }  // namespace ddp::topology

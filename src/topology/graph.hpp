@@ -97,8 +97,9 @@ class Graph {
   /// Sum of degrees over active nodes / number of active nodes.
   double average_degree() const noexcept;
 
-  /// Degree histogram (index = degree) over active nodes.
-  std::vector<std::size_t> degree_histogram() const;
+  /// Degree histogram (index = degree) over active nodes; its last entry
+  /// is at the largest active degree (empty with no active node).
+  std::vector<std::size_t> degree_histogram() const { return active_degrees_; }
 
   /// Serialize the full graph (adjacency, directed slot table, activity
   /// flags, edge index) into the writer's open section.
@@ -109,6 +110,10 @@ class Graph {
   void load(snapshot::Reader& r);
 
  private:
+  /// Add or drop one active peer of degree `d` in active_degrees_.
+  void count_active_degree(std::size_t d);
+  void uncount_active_degree(std::size_t d);
+
   std::vector<std::vector<PeerId>> adj_;
   /// Parallel to adj_: out_slots_[u][i] is the slot of u -> adj_[u][i].
   std::vector<std::vector<std::uint32_t>> out_slots_;
@@ -116,6 +121,9 @@ class Graph {
   std::vector<std::vector<std::uint32_t>> in_slots_;
   EdgeIndex index_;
   std::vector<char> active_;
+  /// active_degrees_[d] is the number of active peers of degree d, with no
+  /// trailing zero, so its last index is the largest active degree.
+  std::vector<std::size_t> active_degrees_;
   std::size_t edge_count_ = 0;
   std::size_t active_count_ = 0;
 };

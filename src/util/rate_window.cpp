@@ -62,10 +62,6 @@ double RateWindow::total(SimTime t) noexcept {
   return sum_;
 }
 
-double RateWindow::per_minute(SimTime t) noexcept {
-  return total(t) * (kMinute / window_);
-}
-
 double RateWindow::total_at(SimTime t) const noexcept {
   if (!started_) return 0.0;
   const auto target = static_cast<std::int64_t>(std::floor(t / bucket_len_));

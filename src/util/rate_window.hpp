@@ -39,9 +39,6 @@ class RateWindow {
   /// Total events inside [t - window, t]. Also advances the window.
   double total(SimTime t) noexcept;
 
-  /// Events per minute over the window, i.e. total * (60 / window).
-  double per_minute(SimTime t) noexcept;
-
   /// total(t) without advancing: expired buckets are subtracted from the
   /// cached sum in the same order advance() would zero them, so the value
   /// matches the mutable read bit-for-bit. This is the read behind the
@@ -49,7 +46,8 @@ class RateWindow {
   /// OverlayPort::sent_last_minute (windows then advance only on add()).
   double total_at(SimTime t) const noexcept;
 
-  /// per_minute(t) without advancing; see total_at().
+  /// Events per minute over the window at `t`, i.e. total_at(t) *
+  /// (60 / window); reads without advancing, like total_at().
   double per_minute_at(SimTime t) const noexcept;
 
   SimTime window() const noexcept { return window_; }

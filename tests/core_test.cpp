@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -601,6 +602,73 @@ TEST(DdPolice, OneRoundPerSuspectPerMinute) {
   // 2..4: counters need one full minute to fill).
   EXPECT_LE(w.police->rounds_run(), 4u);
   EXPECT_GE(w.police->rounds_run(), 2u);
+}
+
+/// Suspect 0 floods judges 1-3 past the warning threshold and feeds 4 and
+/// 5 a little; every link into it stays under the threshold, so each
+/// minute holds one round with three judges, each asking the four other
+/// members of the suspect's list. Returns the report-policy calls and the
+/// traffic_request events of each minute.
+struct MinuteAsks {
+  std::map<std::pair<PeerId, PeerId>, int> policy_calls;  ///< (reporter, suspect)
+  int requests = 0;
+};
+
+std::vector<MinuteAsks> run_three_judge_rounds(fault::FaultPlane* plane) {
+  test::FakeOverlay port(6);
+  for (PeerId m = 1; m <= 5; ++m) {
+    port.mutable_graph().add_edge(0, m);
+    port.set_rate(0, m, m <= 3 ? 900.0 : 100.0);
+    port.set_rate(m, 0, 40.0 * m);
+  }
+  DdPoliceConfig cfg;
+  cfg.cut_threshold = 1e12;  // never convict: the round repeats each minute
+  cfg.max_exchange_retries = 20;  // every judge receives the suspect's list
+  DdPolice police(port, cfg, util::Rng(1));
+  police.set_fault_plane(plane);
+  MinuteAsks asks;
+  police.set_report_policy(
+      [&asks](PeerId reporter, PeerId suspect, const TrafficTruth& truth) {
+        ++asks.policy_calls[{reporter, suspect}];
+        return std::optional<TrafficTruth>(truth);
+      });
+  obs::RingBufferSink sink(4096);
+  police.set_trace_sink(&sink);
+  std::vector<MinuteAsks> minutes;
+  for (double minute = 1.0; minute <= 3.0; minute += 1.0) {
+    asks = MinuteAsks{};
+    sink.clear();
+    police.on_minute(minute);
+    for (const obs::TraceEvent& e : sink.snapshot()) {
+      if (e.type == obs::EventType::kTrafficRequest) ++asks.requests;
+    }
+    minutes.push_back(asks);
+  }
+  EXPECT_EQ(police.rounds_run(), 3u);
+  EXPECT_TRUE(police.decisions().empty());
+  return minutes;
+}
+
+TEST(DdPolice, ReportPolicyRunsOncePerMemberPerRound) {
+  // A member broadcasts one Neighbor_Traffic per round (Sec. 3.3): the
+  // policy sees each (member, suspect) once, however many judges ask,
+  // while each judge still sends its own requests.
+  fault::FaultConfig lossy;
+  lossy.channel.drop_probability = 0.3;
+  lossy.channel.delay_jitter_seconds = 1.0;
+  fault::FaultPlane plane(lossy, 6, util::Rng(55));
+  for (fault::FaultPlane* transport : {static_cast<fault::FaultPlane*>(nullptr), &plane}) {
+    SCOPED_TRACE(transport == nullptr ? "reliable" : "lossy");
+    for (const MinuteAsks& asks : run_three_judge_rounds(transport)) {
+      ASSERT_EQ(asks.policy_calls.size(), 5u);
+      for (const auto& [pair, calls] : asks.policy_calls) {
+        EXPECT_EQ(pair.second, 0u);
+        EXPECT_EQ(calls, 1) << "member " << pair.first;
+      }
+      EXPECT_EQ(asks.requests, 3 * 4);
+    }
+  }
+  EXPECT_GT(plane.control().retries, 0u);  // the lossy run did retry
 }
 
 TEST(DdPolice, OverheadAccounting) {

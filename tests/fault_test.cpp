@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
 #include "core/ddpolice.hpp"
+#include "fake_overlay.hpp"
 #include "flow/flow_port.hpp"
 #include "fault/plane.hpp"
 #include "flow/network.hpp"
+#include "obs/trace.hpp"
 #include "topology/generators.hpp"
 
 namespace ddp::fault {
@@ -234,6 +237,44 @@ TEST(FaultPlane, CorruptionIsDetectedByWireCodec) {
   // Some corruptions slip through (a bit flip in the GUID or timestamp is
   // invisible to validation) but truncations and id damage must be caught.
   EXPECT_GT(c.corrupt_rejects, 0u);
+}
+
+TEST(FaultPlane, CleanRepliesCarryTheQuantizedCounters) {
+  // A channel that only jitters damages no bytes: every reply carries the
+  // member's counters rounded to whole queries, as the wire's u32 fields
+  // hold them. Judges 1 and 2 flag suspect 0 and ask the three others.
+  test::FakeOverlay port(5);
+  const double out_of_suspect[] = {0.0, 900.4, 612.5, 80.49, 0.5};
+  const double into_suspect[] = {0.0, 0.0, 120.51, 33.5, 7.2};
+  for (PeerId m = 1; m <= 4; ++m) {
+    port.mutable_graph().add_edge(0, m);
+    port.set_rate(0, m, out_of_suspect[m]);
+    port.set_rate(m, 0, into_suspect[m]);
+  }
+  FaultConfig fc;
+  fc.channel.delay_jitter_seconds = 1.0;  // round trips stay under 5 s
+  FaultPlane plane(fc, 5, util::Rng(55));
+  ASSERT_TRUE(plane.control_active());
+  core::DdPolice police(port, core::DdPoliceConfig{}, util::Rng(1));
+  police.set_fault_plane(&plane);
+  obs::RingBufferSink sink(4096);
+  police.set_trace_sink(&sink);
+  police.on_minute(1.0);
+  int replies = 0;
+  for (const obs::TraceEvent& e : sink.snapshot()) {
+    if (e.type != obs::EventType::kTrafficReply) continue;
+    ++replies;
+    const PeerId member = e.a;
+    EXPECT_EQ(e.fields[0].value,
+              static_cast<double>(std::llround(into_suspect[member])))
+        << "member " << member;
+    EXPECT_EQ(e.fields[1].value,
+              static_cast<double>(std::llround(out_of_suspect[member])))
+        << "member " << member;
+  }
+  EXPECT_EQ(replies, 2 * 3);
+  EXPECT_EQ(police.control_stats().corrupt_rejects, 0u);
+  EXPECT_EQ(police.control_stats().timeouts, 0u);
 }
 
 }  // namespace

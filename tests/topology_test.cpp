@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "snapshot/snapshot.hpp"
 #include "topology/bandwidth.hpp"
 #include "topology/coverage.hpp"
 #include "topology/generators.hpp"
@@ -144,6 +145,78 @@ TEST(Graph, DegreeHistogramAndAverage) {
   EXPECT_EQ(h[1], 3u);
   EXPECT_EQ(h[3], 1u);
   EXPECT_DOUBLE_EQ(g.average_degree(), 1.5);
+}
+
+// random_active_node_by_degree as it was before the graph kept per-degree
+// counts: the ceiling comes from a scan of every peer on each call.
+PeerId by_degree_with_scan(const Graph& g, util::Rng& rng, PeerId exclude) {
+  std::size_t max_deg = 0;
+  for (PeerId u = 0; u < g.node_count(); ++u) {
+    if (g.is_active(u)) max_deg = std::max(max_deg, g.degree(u));
+  }
+  const double ceiling = static_cast<double>(max_deg) + 1.0;
+  for (int attempts = 0; attempts < 65536; ++attempts) {
+    const PeerId u = g.random_active_node(rng, exclude);
+    if (u == kInvalidPeer) return kInvalidPeer;
+    const double w = static_cast<double>(g.degree(u)) + 1.0;
+    if (rng.uniform() * ceiling <= w) return u;
+  }
+  return g.random_active_node(rng, exclude);
+}
+
+std::vector<std::size_t> scanned_histogram(const Graph& g) {
+  std::vector<std::size_t> hist;
+  for (PeerId u = 0; u < g.node_count(); ++u) {
+    if (!g.is_active(u)) continue;
+    if (g.degree(u) >= hist.size()) hist.resize(g.degree(u) + 1, 0);
+    ++hist[g.degree(u)];
+  }
+  return hist;
+}
+
+TEST(Graph, DegreeCountsMatchAFullScanThroughChurn) {
+  util::Rng topo_rng(11);
+  Graph g = paper_topology(120, topo_rng);
+  util::Rng script(5);
+  util::Rng kept(9);
+  util::Rng scanned(9);
+  int max_fell = 0;  // steps that lowered the largest active degree
+  for (int step = 0; step < 3000; ++step) {
+    const std::size_t max_before = g.degree_histogram().size();
+    const auto u = static_cast<PeerId>(script.below(120));
+    switch (script.below(5)) {
+      case 0: g.add_edge(u, static_cast<PeerId>(script.below(120))); break;
+      case 1:
+        if (g.degree(u) > 0) g.remove_edge(u, g.neighbors(u)[0]);
+        break;
+      case 2: g.set_active(u, false); break;
+      case 3: g.set_active(u, true); break;
+      default:  // grow a hub, often past the current maximum
+        for (PeerId w = 0; w < 120; w += 7) g.add_edge(u, w);
+        break;
+    }
+    if (step % 100 == 99) {  // save -> load into a fresh graph
+      snapshot::Writer w;
+      w.begin_section(snapshot::section_id("GRPH"));
+      g.save(w);
+      w.end_section();
+      snapshot::Reader r = snapshot::Reader::from_bytes(w.finish(0));
+      r.begin_section(snapshot::section_id("GRPH"));
+      Graph loaded;
+      loaded.load(r);
+      r.end_section();
+      g = std::move(loaded);
+    }
+    if (g.degree_histogram().size() < max_before) ++max_fell;
+    ASSERT_EQ(g.degree_histogram(), scanned_histogram(g)) << "step " << step;
+    const PeerId exclude = step % 3 == 0 ? kInvalidPeer : u;
+    ASSERT_EQ(g.random_active_node_by_degree(kept, exclude),
+              by_degree_with_scan(g, scanned, exclude))
+        << "step " << step;
+    ASSERT_EQ(kept.next_u64(), scanned.next_u64()) << "step " << step;
+  }
+  EXPECT_GT(max_fell, 0);
+  EXPECT_LT(g.active_count(), g.node_count());
 }
 
 // ----------------------------------------------------------- generators

@@ -540,7 +540,7 @@ TEST(RateWindow, CountsWithinWindow) {
   w.add(0.0, 5.0);
   w.add(30.0, 3.0);
   EXPECT_DOUBLE_EQ(w.total(59.0), 8.0);
-  EXPECT_DOUBLE_EQ(w.per_minute(59.0), 8.0);
+  EXPECT_DOUBLE_EQ(w.per_minute_at(59.0), 8.0);
 }
 
 TEST(RateWindow, ExpiresOldEvents) {
@@ -556,7 +556,7 @@ TEST(RateWindow, ExpiresOldEvents) {
 TEST(RateWindow, SubMinuteWindowScalesPerMinute) {
   RateWindow w(30.0, 30);
   w.add(0.0, 10.0);
-  EXPECT_DOUBLE_EQ(w.per_minute(10.0), 20.0);  // 10 in 30 s -> 20/min
+  EXPECT_DOUBLE_EQ(w.per_minute_at(10.0), 20.0);  // 10 in 30 s -> 20/min
 }
 
 TEST(RateWindow, ResetForgets) {
