@@ -59,16 +59,17 @@ bool AdaptiveThresholds::suspicious(PeerId p) const noexcept {
   return s != nullptr && s->suspicious;
 }
 
-double AdaptiveThresholds::warning_threshold(PeerId judge, PeerId suspect) const {
-  const LinkState* s = link(suspect, judge);
+double AdaptiveThresholds::warning_threshold(
+    topology::EdgeIndex::Slot link) const {
+  const LinkState* s = links_.find(link);
   if (s == nullptr || !s->band.mature) return police_.warning_threshold;
   return std::min(police_.warning_threshold, rail1(s->band));
 }
 
-double AdaptiveThresholds::cut_threshold(PeerId judge, PeerId suspect) const {
-  const LinkState* s = link(suspect, judge);
+double AdaptiveThresholds::cut_threshold(topology::EdgeIndex::Slot link,
+                                         double rate) const {
+  const LinkState* s = links_.find(link);
   if (s == nullptr || !s->band.mature) return police_.cut_threshold;
-  const double rate = port_.sent_last_minute(suspect, judge);
   if (rate > rail2(s->band)) {
     // Never looser than the paper's CT, however the knob is set.
     return std::min(police_.adaptive.malicious_ct, police_.cut_threshold);
@@ -82,10 +83,10 @@ void AdaptiveThresholds::feed_samples() {
   links_.sync();
   for (PeerId p = 0; p < g.node_count(); ++p) {
     if (!g.is_active(p)) continue;
-    const auto neighbors = g.neighbors(p);
+    port_.link_minutes(p, readings_);
     const auto slots = g.out_slots(p);
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      const double sample = port_.sent_last_minute(p, neighbors[i]);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const double sample = readings_[i].out_queries;
       LinkState& s = links_.touch(slots[i]);
       if (s.ring.empty()) s.ring.resize(window, 0.0);
       // Poison guard: a mature band refuses samples above its malicious
@@ -148,14 +149,14 @@ void AdaptiveThresholds::step_suspicion(double minute) {
       st.in_band_minutes = 0.0;
       continue;
     }
-    const auto neighbors = g.neighbors(p);
+    port_.link_minutes(p, readings_);
     const auto slots = g.out_slots(p);
     bool over = false;
     double worst_ratio = 0.0;
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
       const LinkState* s = links_.find(slots[i]);
       if (s == nullptr || !s->band.mature) continue;
-      const double rate = port_.sent_last_minute(p, neighbors[i]);
+      const double rate = readings_[i].out_queries;
       const double r1 = rail1(s->band);
       if (rate > r1) {
         over = true;

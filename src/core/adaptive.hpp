@@ -76,14 +76,16 @@ class AdaptiveThresholds final {
   void on_minute(double minute);
 
   // -- Thresholds DdPolice judges against ----------------------------------
-  /// Queries/minute above which `judge` flags its neighbour `suspect`:
-  /// min(static warning, r1) on a mature suspect->judge band; the static
-  /// warning threshold while the band is still immature.
-  double warning_threshold(PeerId judge, PeerId suspect) const;
-  /// The CT `judge` applies to `suspect` this round: malicious_ct (clamped
-  /// to the static CT) when the suspect's current rate into the judge
-  /// exceeds r2; the static CT otherwise.
-  double cut_threshold(PeerId judge, PeerId suspect) const;
+  // Both take `link`, the slot of the directed link suspect -> judge that
+  // the caller already holds (EdgeIndex::kInvalidSlot: no link, no band).
+  /// Queries/minute above which the judge flags the suspect:
+  /// min(static warning, r1) on a mature band; the static warning
+  /// threshold while the band is still immature.
+  double warning_threshold(topology::EdgeIndex::Slot link) const;
+  /// The CT the judge applies to the suspect this round, given `rate`, the
+  /// link's completed-minute count: malicious_ct (clamped to the static
+  /// CT) when `rate` exceeds r2; the static CT otherwise.
+  double cut_threshold(topology::EdgeIndex::Slot link, double rate) const;
 
   // -- Introspection (tests, metrics, the ablation) -------------------------
   /// The learned band on the directed link from -> to (default-constructed,
@@ -136,6 +138,7 @@ class AdaptiveThresholds final {
   obs::Tracer tracer_;
 
   topology::EdgeMap<LinkState> links_;
+  std::vector<LinkMinute> readings_;  ///< one peer's links, reused per peer
   topology::PeerMap<SuspectState> suspects_;
   double next_estimate_minute_ = 0.0;
   std::size_t suspicious_now_ = 0;

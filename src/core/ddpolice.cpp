@@ -182,9 +182,8 @@ void DdPolice::exchange_phase(double minute) {
     } else {
       // Event-driven: advertise whenever the membership changed since the
       // last advertisement (joins/leaves both trigger, Sec. 3.1).
-      std::vector<PeerId> current(g.neighbors(p).begin(), g.neighbors(p).end());
-      std::sort(current.begin(), current.end());
-      if (current != last_advertised_[p]) advertise(p, minute);
+      sort_neighbors(p);
+      if (truth_ != last_advertised_[p]) advertise(p, minute);
     }
   }
 
@@ -199,19 +198,18 @@ void DdPolice::exchange_phase(double minute) {
   }
 }
 
-std::vector<PeerId> DdPolice::advertised_list(PeerId p) const {
-  const auto& g = port_.graph();
-  std::vector<PeerId> truth(g.neighbors(p).begin(), g.neighbors(p).end());
-  std::sort(truth.begin(), truth.end());
-  return list_policy_ ? list_policy_(p, truth) : truth;
+void DdPolice::sort_neighbors(PeerId p) {
+  const auto peers = port_.graph().neighbors(p);
+  truth_.assign(peers.begin(), peers.end());
+  std::sort(truth_.begin(), truth_.end());
 }
 
-bool DdPolice::deliver_list_over_faulty_transport(
-    PeerId sender, std::vector<PeerId>& advertised) {
+const std::vector<PeerId>* DdPolice::deliver_list_over_faulty_transport(
+    PeerId sender, const std::vector<PeerId>& advertised) {
   auto& ch = fault_->channel();
   auto& ctr = fault_->control();
   // A crashed or stalled sender advertises nothing at all.
-  if (!fault_->peers().is_responsive(sender)) return false;
+  if (!fault_->peers().is_responsive(sender)) return nullptr;
   const int attempts = 1 + std::max(0, config_.max_exchange_retries);
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
@@ -226,19 +224,21 @@ bool DdPolice::deliver_list_over_faulty_transport(
     // The advertisement crosses the wire as a real Neighbor_List message
     // and the receiver validates what arrived. The codec runs for damaged
     // bytes, and for a list longer than the wire's u16 entry count.
-    std::optional<std::vector<PeerId>> decoded;
+    const std::vector<PeerId>* arrived = &advertised;
     if (t.corrupted ||
         advertised.size() > std::numeric_limits<std::uint16_t>::max()) {
-      decoded = list_through_codec(advertised, t.corrupted ? &ch : nullptr);
+      std::optional<std::vector<PeerId>> decoded =
+          list_through_codec(advertised, t.corrupted ? &ch : nullptr);
       if (!decoded) {
         ++ctr.corrupt_rejects;  // receiver discards garbage, sends no ack
         continue;
       }
+      received_ = std::move(*decoded);
+      arrived = &received_;
     }
     // Structured reject: an entry names a nonexistent peer.
     const std::size_t n = port_.graph().node_count();
-    if (std::ranges::any_of(decoded ? *decoded : advertised,
-                            [n](PeerId id) { return id >= n; })) {
+    if (std::ranges::any_of(*arrived, [n](PeerId id) { return id >= n; })) {
       ++ctr.corrupt_rejects;
       continue;
     }
@@ -246,76 +246,101 @@ bool DdPolice::deliver_list_over_faulty_transport(
     // first successful delivery wins. Entries whose bit flips survived
     // validation arrive silently altered — exactly the hazard the
     // consistency check downstream has to absorb.
-    if (decoded) advertised = std::move(*decoded);
-    return true;
+    return arrived;
   }
   ++ctr.timeouts;  // receiver keeps its stale snapshot
-  return false;
+  return nullptr;
 }
 
-void DdPolice::advertise_to(PeerId p, PeerId receiver, double minute) {
-  const auto& g = port_.graph();
-  std::vector<PeerId> advertised = advertised_list(p);
+bool DdPolice::advertise_to(PeerId p, PeerId receiver, double minute) {
+  // A list policy runs once per receiver, as a liar would: it may draw.
+  const std::vector<PeerId>* advertised = &truth_;
+  if (list_policy_) {
+    policy_list_ = list_policy_(p, truth_);
+    advertised = &policy_list_;
+  }
   if (transport_faulty()) {
-    if (!deliver_list_over_faulty_transport(p, advertised)) return;
+    advertised = deliver_list_over_faulty_transport(p, *advertised);
+    if (advertised == nullptr) return false;
   } else {
     ++exchange_messages_;
     port_.report_overhead(1.0);
   }
   Snapshot& snap = snapshot_for(receiver, p);
+  // An exact-size copy: a reused buffer would keep the capacity of the
+  // longest list it ever held, which costs more memory than it saves time.
   snap.prev_members = std::move(snap.members);
-  snap.members = advertised;
+  snap.members = *advertised;
   snap.minute = minute;
   DDP_TRACE(tracer_, obs::EventType::kNeighborListSent, minute * kMinute, p,
-            receiver, {{"entries", static_cast<double>(advertised.size())}});
+            receiver, {{"entries", static_cast<double>(snap.members.size())}});
 
-  if (!config_.verify_neighbor_lists) return;
+  if (!config_.verify_neighbor_lists) return false;
   // Consistency check (Sec. 3.1). Fabricated entries: the receiver
   // confirms each claimed pair with the named peer — but only entries
   // that are new relative to the previous advertisement (already-verified
   // pairs need no re-confirmation). Withheld entries: the receiver knows
   // it is p's neighbour, so its own absence from the advertised list is
-  // immediately visible at no message cost.
+  // immediately visible at no message cost. adjacent_ marks p's
+  // neighbours (advertise) and listed_ the previous list's entries; ids
+  // past the node count (fabricated or corrupted) are never marked, so
+  // they take the linear test.
+  const std::size_t n = port_.graph().node_count();
+  listed_.clear(n);
+  for (PeerId m : snap.prev_members) {
+    if (m < n) listed_.set(m);
+  }
   bool violated = false;
+  bool names_receiver = false;
   double verified = 0.0;
-  for (PeerId claimed : advertised) {
+  for (PeerId claimed : snap.members) {
     const bool already_known =
-        std::find(snap.prev_members.begin(), snap.prev_members.end(),
-                  claimed) != snap.prev_members.end();
+        claimed < n ? listed_.has(claimed)
+                    : std::ranges::find(snap.prev_members, claimed) !=
+                          snap.prev_members.end();
     if (!already_known) verified += 1.0;
-    if (claimed != p && !g.has_edge(p, claimed)) {
+    names_receiver = names_receiver || claimed == receiver;
+    if (claimed != p && !adjacent_.has(claimed)) {
       violated = true;
       break;
     }
   }
-  if (!violated && std::find(advertised.begin(), advertised.end(), receiver) ==
-                       advertised.end()) {
-    violated = true;
-  }
+  // Without a violation the loop saw every entry, so names_receiver is
+  // the whole list's answer.
+  if (!violated && !names_receiver) violated = true;
   exchange_messages_ += static_cast<std::uint64_t>(verified);
   port_.report_overhead(verified);
-  if (violated) {
-    Decision d;
-    d.minute = minute;
-    d.judge = receiver;
-    d.suspect = p;
-    d.list_violation = true;
-    decisions_.push_back(d);
-    DDP_TRACE(tracer_, obs::EventType::kListViolation, minute * kMinute, p,
-              receiver);
-    port_.disconnect(receiver, p);
-  }
+  if (!violated) return false;
+  Decision d;
+  d.minute = minute;
+  d.judge = receiver;
+  d.suspect = p;
+  d.list_violation = true;
+  decisions_.push_back(d);
+  DDP_TRACE(tracer_, obs::EventType::kListViolation, minute * kMinute, p,
+            receiver);
+  port_.disconnect(receiver, p);
+  return true;
 }
 
 void DdPolice::advertise(PeerId p, double minute) {
-  const auto& g = port_.graph();
   // Copy: the consistency check may disconnect while we iterate.
-  const std::vector<PeerId> receivers(g.neighbors(p).begin(),
-                                      g.neighbors(p).end());
-  std::vector<PeerId> truth = receivers;
-  std::sort(truth.begin(), truth.end());
-  last_advertised_[p] = truth;
-  for (PeerId n : receivers) advertise_to(p, n, minute);
+  receivers_.assign(port_.graph().neighbors(p).begin(),
+                    port_.graph().neighbors(p).end());
+  list_truth(p);
+  last_advertised_[p] = truth_;
+  for (PeerId n : receivers_) {
+    // A check that cut a link changed p's list for the receivers after it.
+    if (advertise_to(p, n, minute)) list_truth(p);
+  }
+}
+
+void DdPolice::list_truth(PeerId p) {
+  sort_neighbors(p);
+  if (!config_.verify_neighbor_lists) return;
+  const auto& g = port_.graph();
+  adjacent_.clear(g.node_count());
+  for (PeerId n : g.neighbors(p)) adjacent_.set(n);
 }
 
 void DdPolice::detection_phase(double minute) {
@@ -327,12 +352,19 @@ void DdPolice::detection_phase(double minute) {
   // per-minute round sequence is canonical rather than hash-layout-driven.
   // Scratch buffers persist across minutes: the per-suspect judge vectors
   // keep their capacity, so steady-state detection allocates nothing.
+  // Each peer's counters come in one read; at r = 2 its out counters also
+  // give its send peak.
+  const bool peaks = config_.buddy_radius >= 2;
+  if (peaks) send_peaks_.assign(g.node_count(), SendPeak{});
   flagged_.clear();
   for (PeerId i = 0; i < g.node_count(); ++i) {
     if (!g.is_active(i)) continue;
-    for (PeerId j : g.neighbors(i)) {
-      const double out = port_.sent_last_minute(j, i);
-      const double warn = adaptive_ ? adaptive_->warning_threshold(i, j)
+    port_.link_minutes(i, links_);
+    const auto in_slots = g.in_slots(i);
+    for (std::size_t k = 0; k < links_.size(); ++k) {
+      const PeerId j = links_[k].peer;
+      const double out = links_[k].in_queries;
+      const double warn = adaptive_ ? adaptive_->warning_threshold(in_slots[k])
                                     : config_.warning_threshold;
       if (out > warn) {
         ++suspicions_;
@@ -343,6 +375,17 @@ void DdPolice::detection_phase(double minute) {
                   j, i, {{"out", out}});
       }
     }
+    if (!peaks) continue;
+    SendPeak& peak = send_peaks_[i];
+    for (const LinkMinute& l : links_) {
+      if (l.out_queries > peak.top) {
+        peak.second = peak.top;
+        peak.top = l.out_queries;
+        peak.top_to = l.peer;
+      } else if (l.out_queries > peak.second) {
+        peak.second = l.out_queries;
+      }
+    }
   }
   // All rounds of this minute evaluate against the same completed-minute
   // counters and the intact topology; the resulting disconnects apply
@@ -350,7 +393,6 @@ void DdPolice::detection_phase(double minute) {
   // the same suppression window). This also makes the outcome independent
   // of round processing order.
   pending_disconnects_.clear();
-  if (config_.buddy_radius >= 2 && !flagged_.empty()) build_send_peaks();
   for (PeerId suspect : flagged_) {
     run_round(suspect, judges_scratch_[suspect], minute);
   }
@@ -374,39 +416,30 @@ void DdPolice::detection_phase(double minute) {
   }
 }
 
-void DdPolice::build_send_peaks() {
-  const auto& g = port_.graph();
-  send_peaks_.assign(g.node_count(), SendPeak{});
-  for (PeerId p = 0; p < g.node_count(); ++p) {
-    if (!g.is_active(p)) continue;
-    SendPeak& peak = send_peaks_[p];
-    for (PeerId x : g.neighbors(p)) {
-      const double sent = port_.sent_last_minute(p, x);
-      if (sent > peak.top) {
-        peak.second = peak.top;
-        peak.top = sent;
-        peak.top_to = x;
-      } else if (sent > peak.second) {
-        peak.second = sent;
-      }
-    }
-  }
-}
-
 void DdPolice::append_believed_group(PeerId judge, PeerId suspect,
-                                     std::vector<PeerId>& out) const {
+                                     std::vector<PeerId>& out) {
   // Union of the current and previous advertised lists: a feeder that
   // disappeared from the suspect's latest advertisement still carried
   // traffic during the counted minute, so the judge keeps consulting it
   // for one more generation (its monitors remember that minute too).
+  // listed_ marks the group's ids below the node count; ids past it
+  // (fabricated entries) take the linear test.
+  const std::size_t n = port_.graph().node_count();
   const auto first = static_cast<std::ptrdiff_t>(out.size());
-  const auto listed = [&out, first](PeerId m) {
-    return std::find(out.begin() + first, out.end(), m) != out.end();
+  listed_.clear(n);
+  const auto listed = [this, &out, first, n](PeerId m) {
+    return m < n ? listed_.has(m)
+                 : std::find(out.begin() + first, out.end(), m) != out.end();
   };
   if (const Snapshot* snap = find_snapshot(judge, suspect)) {
     out.insert(out.end(), snap->members.begin(), snap->members.end());
+    for (PeerId m : snap->members) {
+      if (m < n) listed_.set(m);
+    }
     for (PeerId m : snap->prev_members) {
-      if (!listed(m)) out.push_back(m);
+      if (listed(m)) continue;
+      out.push_back(m);
+      if (m < n) listed_.set(m);
     }
   }
   // The judge always knows its own membership, snapshot or not.
@@ -546,40 +579,67 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
   traffic_messages_ += static_cast<std::uint64_t>(msgs);
   port_.report_overhead(msgs);
 
+  // The suspect's links in one read, marked by position: a member or judge
+  // adjacent to the suspect finds both of its counters there, and the
+  // mark is its has_edge(member, suspect). Counters and topology hold
+  // still through the detection phase.
+  const std::size_t n = g.node_count();
+  port_.link_minutes(suspect, links_);
+  adjacent_.clear(n);
+  for (std::size_t k = 0; k < links_.size(); ++k) {
+    adjacent_.set(links_[k].peer, static_cast<std::uint32_t>(k));
+  }
+
   // One answer per member per round (Sec. 3.3: one Neighbor_Traffic per
   // suppression window), shared by every judge that asks. This is exact:
   // counters and topology hold still through the detection phase, and a
   // ReportPolicy is pure. A list policy can name any id; such a member
-  // stays silent.
+  // stays silent. listed_ maps each member below the node count to its
+  // row; ids past it take a binary search.
   answers_.clear();
-  for (PeerId m : union_scratch_) {
-    if (m >= g.node_count() || !g.is_active(m)) {
+  listed_.clear(n);
+  for (std::size_t row = 0; row < union_scratch_.size(); ++row) {
+    const PeerId m = union_scratch_[row];
+    if (m >= n) {
       answers_.emplace_back();
       continue;
     }
-    const TrafficTruth truth{port_.sent_last_minute(m, suspect),
-                             port_.sent_last_minute(suspect, m)};
+    listed_.set(m, static_cast<std::uint32_t>(row));
+    if (!g.is_active(m)) {
+      answers_.emplace_back();
+      continue;
+    }
+    // A member no longer adjacent (a stale list) reads the ghost counters.
+    const TrafficTruth truth =
+        adjacent_.has(m)
+            ? TrafficTruth{links_[adjacent_.at(m)].in_queries,
+                           links_[adjacent_.at(m)].out_queries}
+            : TrafficTruth{port_.sent_last_minute(m, suspect),
+                           port_.sent_last_minute(suspect, m)};
     answers_.push_back(report_policy_ ? report_policy_(m, suspect, truth)
                                       : std::optional<TrafficTruth>(truth));
   }
 
   for (std::size_t k = 0; k < judges.size(); ++k) {
     const PeerId judge = judges[k];
-    if (!g.is_active(judge) || !g.has_edge(judge, suspect)) continue;
+    if (!g.is_active(judge) || !adjacent_.has(judge)) continue;
+    const std::uint32_t own_pos = adjacent_.at(judge);
+    const LinkMinute& own = links_[own_pos];
 
     reports_.clear();
     const util::IndexSpan span = group_spans_[k];
     for (std::size_t i = span.begin; i < span.end; ++i) {
       const PeerId m = groups_[i];
       if (m == judge) {
-        reports_.push_back({judge, port_.sent_last_minute(judge, suspect),
-                            port_.sent_last_minute(suspect, judge), true});
+        reports_.push_back({judge, own.in_queries, own.out_queries, true});
         continue;
       }
-      const auto row = std::ranges::lower_bound(union_scratch_, m) -
-                       union_scratch_.begin();
-      reports_.push_back(collect_report(
-          m, suspect, answers_[static_cast<std::size_t>(row)], minute));
+      const std::size_t row =
+          m < n ? listed_.at(m)
+                : static_cast<std::size_t>(
+                      std::ranges::lower_bound(union_scratch_, m) -
+                      union_scratch_.begin());
+      reports_.push_back(collect_report(m, suspect, answers_[row], minute));
     }
 
     if (config_.buddy_radius >= 2) {
@@ -591,16 +651,16 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
       // other links carry X queries/min cannot plausibly have sent the
       // suspect a tiny fraction of X. A colluding deflater (Sec. 3.4,
       // Case 2) is therefore overridden by its own traffic. X comes from
-      // this minute's send-peak table (build_send_peaks).
+      // this minute's send-peak table (filled by the flag scan).
       for (auto& r : reports_) {
-        if (r.member == judge || r.member >= g.node_count()) continue;
+        if (r.member == judge || r.member >= n) continue;
         // A member no longer adjacent to the suspect (a stale list, or a
         // list-violation cut earlier this minute) is still cross-checked:
         // its monitors (and our ghost counters) cover the counted minute,
         // and every one of its links is asked.
         if (!g.is_active(r.member)) continue;
         const std::size_t asked =
-            g.degree(r.member) - (g.has_edge(r.member, suspect) ? 1 : 0);
+            g.degree(r.member) - (adjacent_.has(r.member) ? 1 : 0);
         if (asked == 0) continue;
         const double overhead = static_cast<double>(asked);
         traffic_messages_ += static_cast<std::uint64_t>(overhead);
@@ -617,8 +677,10 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
     // has nobody to corroborate with, so the protocol cannot conclude
     // (the suspect may simply be forwarding for peers unknown to us).
     if (reports_.size() < 2) continue;
-    const double ct = adaptive_ ? adaptive_->cut_threshold(judge, suspect)
-                                : config_.cut_threshold;
+    const double ct =
+        adaptive_ ? adaptive_->cut_threshold(g.out_slots(suspect)[own_pos],
+                                             own.out_queries)
+                  : config_.cut_threshold;
     if (std::optional<Decision> d =
             verdict(reports_, judge, suspect, ct, config_, minute, tracer_)) {
       d->true_degree = static_cast<std::uint32_t>(g.degree(suspect));

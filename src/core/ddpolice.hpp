@@ -23,7 +23,9 @@
 /// behaviour is injected through ReportPolicy / ListPolicy so the
 /// experiment harness can reproduce Sec. 3.4's case analysis.
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -166,9 +168,9 @@ class DdPolice {
   /// Serialize durable protocol state (neighbour-list snapshots, exchange
   /// schedule, decisions, counters, ledger, rng) into the writer's open
   /// section. Per-minute scratch (flagged set, judge lists, send-peak
-  /// table, pending disconnects) is minute-local and excluded —
-  /// checkpoints are taken at minute boundaries where it is empty by
-  /// construction.
+  /// table, membership marks, pending disconnects) is minute-local and
+  /// excluded — checkpoints are taken at minute boundaries where it is
+  /// empty by construction.
   void save(snapshot::Writer& w) const;
 
   /// Restore state saved by save(). The ledger presence (cut policy) must
@@ -192,16 +194,22 @@ class DdPolice {
   Snapshot& snapshot_for(PeerId holder, PeerId about);
 
   void exchange_phase(double minute);
-  std::vector<PeerId> advertised_list(PeerId p) const;
-  void advertise_to(PeerId p, PeerId receiver, double minute);
+  /// truth_ = p's neighbours, sorted.
+  void sort_neighbors(PeerId p);
+  /// sort_neighbors(p), and with verification on, adjacent_ marks p's
+  /// neighbours for the consistency check.
+  void list_truth(PeerId p);
+  /// Send p's list (truth_, or the list policy's version of it) to one
+  /// receiver and run its consistency check; true when the check cut the
+  /// link, which changes p's list.
+  bool advertise_to(PeerId p, PeerId receiver, double minute);
   void advertise(PeerId p, double minute);
   void detection_phase(double minute);
-  void build_send_peaks();
   void run_round(PeerId suspect, const std::vector<PeerId>& judges,
                  double minute);
   /// Append `judge`'s believed buddy group of `suspect` to `out`.
   void append_believed_group(PeerId judge, PeerId suspect,
-                             std::vector<PeerId>& out) const;
+                             std::vector<PeerId>& out);
   /// One judge's request to `member`, whose answer this round is `answer`.
   MemberReport collect_report(PeerId member, PeerId suspect,
                               const std::optional<TrafficTruth>& answer,
@@ -213,8 +221,41 @@ class DdPolice {
   MemberReport collect_over_faulty_transport(
       PeerId member, PeerId suspect,
       const std::optional<TrafficTruth>& answer, double minute);
-  bool deliver_list_over_faulty_transport(PeerId sender,
-                                          std::vector<PeerId>& advertised);
+  /// The list the receiver accepts (`advertised`, or its damaged decoding
+  /// in received_), or null when no delivery succeeded.
+  const std::vector<PeerId>* deliver_list_over_faulty_transport(
+      PeerId sender, const std::vector<PeerId>& advertised);
+
+  /// Per-peer marks that one clear() drops all at once (an epoch stamp):
+  /// O(1) membership tests for the minute's loops, sized to the node count
+  /// and reused, so a hub's list or round costs linear, not quadratic, time.
+  class PeerMarks {
+   public:
+    /// Drop every mark; make room for `peers` peers.
+    void clear(std::size_t peers) {
+      if (marks_.size() < peers) marks_.resize(peers);
+      if (++epoch_ == 0) {  // wrapped: stale stamps would read as current
+        std::ranges::fill(marks_, Mark{});
+        epoch_ = 1;
+      }
+    }
+    void set(PeerId p, std::uint32_t value = 0) noexcept {
+      marks_[p] = {epoch_, value};
+    }
+    bool has(PeerId p) const noexcept {
+      return p < marks_.size() && marks_[p].epoch == epoch_;
+    }
+    /// The value set on a marked peer.
+    std::uint32_t at(PeerId p) const noexcept { return marks_[p].value; }
+
+   private:
+    struct Mark {
+      std::uint32_t epoch = 0;
+      std::uint32_t value = 0;
+    };
+    std::vector<Mark> marks_;
+    std::uint32_t epoch_ = 0;
+  };
 
   OverlayPort& port_;
   DdPoliceConfig config_;
@@ -231,6 +272,22 @@ class DdPolice {
   std::vector<std::pair<PeerId, PeerId>> pending_disconnects_;
   std::vector<double> next_exchange_minute_;
   std::vector<std::vector<PeerId>> last_advertised_;  ///< event-driven diffing
+  /// Exchange scratch, reused: one advertisement's receivers, the
+  /// advertiser's sorted neighbours (also the event-driven comparison),
+  /// a list policy's answer and a damaged list's decoding.
+  std::vector<PeerId> receivers_;
+  std::vector<PeerId> truth_;
+  std::vector<PeerId> policy_list_;
+  std::vector<PeerId> received_;
+  /// One peer's link counters (link_minutes): each judge's in the flag
+  /// scan, then each round's suspect's.
+  std::vector<LinkMinute> links_;
+  /// adjacent_: the advertiser's neighbours in a consistency check, the
+  /// suspect's neighbours with their positions in links_ during a round.
+  /// listed_: the previous list's entries in a check, a believed group
+  /// while it is built, each union member's row in a round.
+  PeerMarks adjacent_;
+  PeerMarks listed_;
   /// Buddy-round scratch, reused across minutes: per-suspect judge lists
   /// (dense, by suspect) plus the suspects of this minute in first-flag
   /// order — the canonical round order.

@@ -54,6 +54,7 @@
 #include "core/config.hpp"
 #include "core/ddpolice.hpp"
 #include "core/indicators.hpp"
+#include "core/overlay_port.hpp"
 #include "net/message.hpp"
 #include "obs/trace.hpp"
 
@@ -75,13 +76,6 @@ class PoliceTransport {
   /// and as the reply to another judge's request.
   virtual void send_neighbor_traffic(std::uint32_t to,
                                      const net::NeighborTraffic& report) = 0;
-};
-
-/// One neighbour link's monitor reading for a completed minute.
-struct LinkMinute {
-  std::uint32_t peer = 0;    ///< neighbour overlay address
-  double out_queries = 0.0;  ///< we -> peer, past minute (Out_query)
-  double in_queries = 0.0;   ///< peer -> we, past minute (In_query)
 };
 
 class LocalPolice {

@@ -20,25 +20,32 @@ NaiveCutDefense::NaiveCutDefense(core::OverlayPort& port,
 
 void NaiveCutDefense::on_minute(double minute) {
   const auto& g = port_.graph();
-  // Collect first: disconnecting mutates adjacency. The in-link counter is
-  // the port's sent_last_minute(neighbour -> i) read.
-  std::vector<std::pair<PeerId, PeerId>> cuts;
+  // Collect first: disconnecting mutates adjacency. Each peer's in-link
+  // counters come in one read, and a cut keeps the count it was flagged
+  // on: the monitors remember the completed minute after a link is torn
+  // down (the flow port's ghost counters read the same value).
+  struct Cut {
+    PeerId judge;
+    PeerId suspect;
+    double rate;
+  };
+  std::vector<Cut> cuts;
+  std::vector<core::LinkMinute> links;
   for (PeerId i = 0; i < g.node_count(); ++i) {
     if (!g.is_active(i)) continue;
-    for (const PeerId j : g.neighbors(i)) {
-      if (port_.sent_last_minute(j, i) > threshold_) {
-        cuts.emplace_back(i, j);
-      }
+    port_.link_minutes(i, links);
+    for (const core::LinkMinute& l : links) {
+      if (l.in_queries > threshold_) cuts.push_back({i, l.peer, l.in_queries});
     }
   }
-  for (const auto& [i, j] : cuts) {
+  for (const Cut& c : cuts) {
     core::Decision d;
     d.minute = minute;
-    d.judge = i;
-    d.suspect = j;
-    d.g = port_.sent_last_minute(j, i) / 100.0;
+    d.judge = c.judge;
+    d.suspect = c.suspect;
+    d.g = c.rate / 100.0;
     decisions_.push_back(d);
-    port_.disconnect(i, j);
+    port_.disconnect(c.judge, c.suspect);
   }
 }
 

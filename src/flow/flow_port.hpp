@@ -21,6 +21,21 @@ class FlowPort final : public core::OverlayPort {
     return net_.sent_last_minute(from, to);
   }
 
+  /// Reads each link by its slot: out_slots(p)[k] is p -> n_k and
+  /// in_slots(p)[k] is n_k -> p.
+  void link_minutes(PeerId p,
+                    std::vector<core::LinkMinute>& out) const override {
+    const auto& g = net_.graph();
+    const auto peers = g.neighbors(p);
+    const auto out_slots = g.out_slots(p);
+    const auto in_slots = g.in_slots(p);
+    out.resize(peers.size());
+    for (std::size_t k = 0; k < peers.size(); ++k) {
+      out[k] = {peers[k], net_.sent_last_minute(p, peers[k], out_slots[k]),
+                net_.sent_last_minute(peers[k], p, in_slots[k])};
+    }
+  }
+
   void disconnect(PeerId a, PeerId b) override { net_.disconnect(a, b); }
 
   bool connect(PeerId a, PeerId b) override {

@@ -142,11 +142,14 @@ void FlowNetwork::refresh_fresh_fractions() noexcept {
 }
 
 double FlowNetwork::sent_last_minute(PeerId from, PeerId to) const noexcept {
-  const auto slot = graph_.edge_slot(from, to);
-  if (slot != topology::EdgeIndex::kInvalidSlot) {
-    if (const EdgeMinute* em = edge_state_.find_cold(slot)) {
-      return em->minute_done;
-    }
+  return sent_last_minute(from, to, graph_.edge_slot(from, to));
+}
+
+double FlowNetwork::sent_last_minute(
+    PeerId from, PeerId to, topology::EdgeIndex::Slot slot) const noexcept {
+  // kInvalidSlot (no such link) finds no state either.
+  if (const EdgeMinute* em = edge_state_.find_cold(slot)) {
+    return em->minute_done;
   }
   // Link gone, but the endpoint monitors still hold the last minute. The
   // ghost list only ever holds this minute's cuts, so a scan is cheap.

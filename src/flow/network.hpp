@@ -118,9 +118,17 @@ class FlowNetwork {
   /// counter a DD-POLICE monitor reports in a Neighbor_Traffic message.
   double sent_last_minute(PeerId from, PeerId to) const noexcept;
 
+  /// The same read for a caller that already holds `slot`, the slot of
+  /// from -> to (from `graph().out_slots(from)` or `in_slots(to)`), so no
+  /// edge lookup runs. A slot with no flow state (a link added since the
+  /// last tick, or cut and re-added this minute) falls back to the ghost
+  /// counters, as the lookup does.
+  double sent_last_minute(PeerId from, PeerId to,
+                          topology::EdgeIndex::Slot slot) const noexcept;
+
   /// Same counter keyed by directed edge slot — O(1), for defense sweeps
   /// that already walk `graph().out_slots()`. Live slots only (a dead or
-  /// recycled slot reads 0; the PeerId overload also consults the ghost
+  /// recycled slot reads 0; the PeerId overloads also consult the ghost
   /// counters of links cut earlier this minute).
   double sent_last_minute(topology::EdgeIndex::Slot slot) const noexcept;
 

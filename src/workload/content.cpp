@@ -27,6 +27,13 @@ ContentModel::ContentModel(const ContentConfig& config, std::size_t peer_count)
   }
 
   // Hit-probability lookup grid: log-spaced reach values 1 .. peer_count.
+  // Each object's popularity mass and miss probability are read once.
+  std::vector<double> mass(replication_.size());
+  std::vector<double> miss(replication_.size());
+  for (std::size_t o = 0; o < replication_.size(); ++o) {
+    mass[o] = popularity_.pmf(o);
+    miss[o] = 1.0 - replication_[o];
+  }
   const std::size_t grid_points = 64;
   grid_n_.reserve(grid_points + 1);
   grid_p_.reserve(grid_points + 1);
@@ -37,8 +44,8 @@ ContentModel::ContentModel(const ContentConfig& config, std::size_t peer_count)
     const double frac = static_cast<double>(i) / static_cast<double>(grid_points - 1);
     const double n = std::exp(std::log(max_n) * frac);  // 1 .. max_n
     double p = 0.0;
-    for (std::size_t o = 0; o < replication_.size(); ++o) {
-      p += popularity_.pmf(o) * (1.0 - std::pow(1.0 - replication_[o], n));
+    for (std::size_t o = 0; o < mass.size(); ++o) {
+      p += mass[o] * (1.0 - std::pow(miss[o], n));
     }
     grid_n_.push_back(n);
     grid_p_.push_back(p);

@@ -130,6 +130,19 @@ DdPoliceConfig tight_config() {
   return cfg;
 }
 
+/// The thresholds `judge` applies to `suspect`, read as DdPolice reads
+/// them: by the slot of suspect -> judge, and that link's rate.
+double warning(const AdaptiveThresholds& adp, const FakeOverlay& port,
+               PeerId judge, PeerId suspect) {
+  return adp.warning_threshold(port.graph().edge_slot(suspect, judge));
+}
+
+double cut(const AdaptiveThresholds& adp, const FakeOverlay& port,
+           PeerId judge, PeerId suspect) {
+  return adp.cut_threshold(port.graph().edge_slot(suspect, judge),
+                           port.sent_last_minute(suspect, judge));
+}
+
 TEST(AdaptiveBands, LearnsBandAndDerivesRails) {
   FakeOverlay port(2);
   port.mutable_graph().add_edge(0, 1);
@@ -142,8 +155,8 @@ TEST(AdaptiveBands, LearnsBandAndDerivesRails) {
   adp.on_minute(2.0);  // re-estimate runs but 2 samples < min_samples
   EXPECT_FALSE(adp.band(0, 1).mature);
   EXPECT_EQ(adp.suspicion_rail(0, 1), kInf);
-  EXPECT_DOUBLE_EQ(adp.warning_threshold(1, 0), 500.0);
-  EXPECT_DOUBLE_EQ(adp.cut_threshold(1, 0), 5.0);
+  EXPECT_DOUBLE_EQ(warning(adp, port, 1, 0), 500.0);
+  EXPECT_DOUBLE_EQ(cut(adp, port, 1, 0), 5.0);
 
   adp.on_minute(3.0);
   adp.on_minute(4.0);  // 4 samples at the minute-4 estimate: mature
@@ -162,7 +175,7 @@ TEST(AdaptiveBands, LearnsBandAndDerivesRails) {
 
   // Unknown links stay static.
   EXPECT_EQ(adp.suspicion_rail(0, 0), kInf);
-  EXPECT_DOUBLE_EQ(adp.warning_threshold(0, 99), 500.0);
+  EXPECT_DOUBLE_EQ(warning(adp, port, 0, 99), 500.0);
 }
 
 TEST(AdaptiveBands, FloorClampsQuietLinks) {
@@ -186,12 +199,12 @@ TEST(AdaptiveBands, ThresholdsTightenOnlyPastTheRails) {
 
   // Mature band at 120: warning drops to r1, CT stays static while the
   // live rate is below the malicious rail...
-  EXPECT_DOUBLE_EQ(adp.warning_threshold(1, 0), 240.0);
-  EXPECT_DOUBLE_EQ(adp.cut_threshold(1, 0), 5.0);
+  EXPECT_DOUBLE_EQ(warning(adp, port, 1, 0), 240.0);
+  EXPECT_DOUBLE_EQ(cut(adp, port, 1, 0), 5.0);
 
   // ...and tightens to malicious_ct the minute the rate crosses r2.
   port.set_rate(0, 1, 600.0);  // > 480
-  EXPECT_DOUBLE_EQ(adp.cut_threshold(1, 0), 2.0);
+  EXPECT_DOUBLE_EQ(cut(adp, port, 1, 0), 2.0);
 }
 
 TEST(AdaptiveBands, MaliciousCtNeverLoosensThePaperCt) {
@@ -203,7 +216,7 @@ TEST(AdaptiveBands, MaliciousCtNeverLoosensThePaperCt) {
   AdaptiveThresholds adp(port, cfg);
   for (double m = 1.0; m <= 4.0; m += 1.0) adp.on_minute(m);
   port.set_rate(0, 1, 600.0);
-  EXPECT_DOUBLE_EQ(adp.cut_threshold(1, 0), 5.0);
+  EXPECT_DOUBLE_EQ(cut(adp, port, 1, 0), 5.0);
 }
 
 // ------------------------------------------------- suspicion state machine
@@ -280,7 +293,7 @@ TEST(AdaptiveSuspicion, PoisonGuardFreezesBandUnderAttack) {
   EXPECT_DOUBLE_EQ(adp.band(0, 1).max, 120.0);
   EXPECT_DOUBLE_EQ(adp.suspicion_rail(0, 1), 240.0);
   EXPECT_TRUE(adp.suspicious(0));
-  EXPECT_DOUBLE_EQ(adp.cut_threshold(1, 0), 2.0);
+  EXPECT_DOUBLE_EQ(cut(adp, port, 1, 0), 2.0);
 }
 
 TEST(AdaptiveSuspicion, DriftBetweenTheRailsKeepsAdapting) {

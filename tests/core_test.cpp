@@ -6,19 +6,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/adaptive.hpp"
 #include "core/ddpolice.hpp"
 #include "fake_overlay.hpp"
 #include "flow/flow_port.hpp"
 #include "core/indicators.hpp"
 #include "flow/network.hpp"
 #include "obs/trace.hpp"
+#include "snapshot/snapshot.hpp"
 #include "topology/generators.hpp"
 
 namespace ddp::core {
@@ -682,6 +686,259 @@ TEST(DdPolice, OverheadAccounting) {
   EXPECT_GT(w.net->last_minute_report().overhead_messages, 0.0);
 }
 
+// ------------------------------------------------- batched counter reads
+
+/// link_minutes(p) against the pair reads it batches, for every peer; the
+/// number of non-zero counters read.
+std::size_t expect_link_minutes_match(const OverlayPort& port) {
+  const auto& g = port.graph();
+  std::vector<LinkMinute> links{{7, 1.0, 2.0}};  // stale entries must go
+  std::size_t nonzero = 0;
+  for (PeerId p = 0; p < g.node_count(); ++p) {
+    port.link_minutes(p, links);
+    const auto peers = g.neighbors(p);
+    EXPECT_EQ(links.size(), peers.size()) << "peer " << p;
+    if (links.size() != peers.size()) continue;
+    for (std::size_t k = 0; k < peers.size(); ++k) {
+      EXPECT_EQ(links[k].peer, peers[k]);
+      EXPECT_EQ(links[k].out_queries, port.sent_last_minute(p, peers[k]))
+          << p << " -> " << peers[k];
+      EXPECT_EQ(links[k].in_queries, port.sent_last_minute(peers[k], p))
+          << peers[k] << " -> " << p;
+      if (links[k].out_queries != 0.0) ++nonzero;
+      if (links[k].in_queries != 0.0) ++nonzero;
+    }
+  }
+  return nonzero;
+}
+
+TEST(LinkMinutes, FlowPortMatchesPairReadsThroughCutsAndNewLinks) {
+  util::Rng rng(41);
+  topology::Graph graph = topology::paper_topology(150, rng);
+  util::Rng bw_rng = rng.fork("bw");
+  const topology::BandwidthMap bandwidth(graph.node_count(), bw_rng);
+  workload::ContentConfig cc;
+  cc.objects = 300;
+  const workload::ContentModel content(cc, graph.node_count());
+  flow::FlowNetwork net(graph, bandwidth, content, flow::FlowConfig{},
+                        rng.fork("flow"));
+  flow::FlowPort port(net);
+  const PeerId agent = 3;
+  net.set_kind(agent, PeerKind::kBad);
+  const PeerId fed = net.graph().neighbors(agent)[0];
+  PeerId a = kInvalidPeer;  // a pair with no link between them
+  PeerId b = kInvalidPeer;
+  for (PeerId u = 10; u < 150 && a == kInvalidPeer; ++u) {
+    for (PeerId v = u + 1; v < 150; ++v) {
+      if (!net.graph().has_edge(u, v)) {
+        a = u;
+        b = v;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(a, kInvalidPeer);
+
+  int checks = 0;
+  net.add_minute_hook([&](double minute) {
+    EXPECT_GT(expect_link_minutes_match(port), 0u) << "minute " << minute;
+    if (minute < 2.5 || checks > 0) return;
+    ++checks;
+    // Cut and re-add inside one minute's hooks: the new slot has carried
+    // no flow, so both reads fall back to the cut link's ghost counters.
+    const double flood = port.sent_last_minute(agent, fed);
+    const double back = port.sent_last_minute(fed, agent);
+    ASSERT_GT(flood, 0.0);
+    port.disconnect(agent, fed);
+    ASSERT_TRUE(port.connect(agent, fed));
+    // A link added after the last tick has no counters and no ghost.
+    ASSERT_TRUE(port.connect(a, b));
+    EXPECT_EQ(port.sent_last_minute(agent, fed), flood);
+    EXPECT_EQ(port.sent_last_minute(fed, agent), back);
+    EXPECT_EQ(port.sent_last_minute(a, b), 0.0);
+    EXPECT_EQ(port.sent_last_minute(b, a), 0.0);
+    expect_link_minutes_match(port);
+  });
+  net.run_minutes(4.0);
+  EXPECT_EQ(checks, 1);
+}
+
+TEST(LinkMinutes, FakeOverlayDefaultReadsPairByPair) {
+  test::FakeOverlay port(5);
+  for (PeerId m = 1; m < 5; ++m) port.mutable_graph().add_edge(0, m);
+  port.mutable_graph().add_edge(1, 2);
+  port.set_rate(0, 2, 900.0);
+  port.set_rate(2, 0, 40.0);
+  port.set_rate(1, 2, 7.5);
+  port.set_rate(3, 4, 5.0);  // no such link: never read
+  // 0 <-> 2 and 1 -> 2, each counter read from both ends.
+  EXPECT_EQ(expect_link_minutes_match(port), 6u);
+  std::vector<LinkMinute> links;
+  port.link_minutes(2, links);
+  ASSERT_EQ(links.size(), 2u);
+  EXPECT_EQ(links[0].peer, 0u);
+  EXPECT_EQ(links[0].out_queries, 40.0);
+  EXPECT_EQ(links[0].in_queries, 900.0);
+  EXPECT_EQ(links[1].peer, 1u);
+  EXPECT_EQ(links[1].in_queries, 7.5);
+}
+
+// ------------------------------------------------------- pinned hub rounds
+
+// A 400-peer BA overlay (m = 4) whose two largest hubs have degree 90 and
+// 65, with adaptive bands on. The largest hub and four degree-4 peers flood
+// from minute 4. The second hub and the same four peers lie in about half
+// of their list advertisements: they withhold one entry, or insert a
+// fabricated one at a random position, half of those past the id range.
+// Each case hashes the decisions, both message counters and the saved
+// protocol and band state. The pins were recorded before the minute's
+// counter reads and membership tests were batched.
+
+enum class HubLists : std::uint8_t { kHonest, kWithhold, kFabricate };
+
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+void fnv_u64(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= kFnvPrime;
+  }
+}
+
+void fnv_f64(std::uint64_t& h, double v) {
+  fnv_u64(h, std::bit_cast<std::uint64_t>(v));
+}
+
+struct HubRun {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::size_t list_violations = 0;
+  bool hub_cut = false;
+  std::uint64_t rounds = 0;
+};
+
+HubRun run_hub_case(HubLists lists, bool corrupting, int radius) {
+  util::Rng rng(7);
+  topology::GeneratorConfig gc;
+  gc.nodes = 400;
+  gc.ba_links_per_node = 4;
+  topology::Graph graph = topology::generate(gc, rng);
+  std::vector<PeerId> by_degree(graph.node_count());
+  std::iota(by_degree.begin(), by_degree.end(), PeerId{0});
+  std::stable_sort(by_degree.begin(), by_degree.end(),
+                   [&graph](PeerId a, PeerId b) {
+                     return graph.degree(a) > graph.degree(b);
+                   });
+  EXPECT_EQ(graph.degree(by_degree[0]), 90u);
+  EXPECT_EQ(graph.degree(by_degree[1]), 65u);
+  const PeerId hub = by_degree[0];
+  const std::vector<PeerId> low{by_degree[399], by_degree[300],
+                                by_degree[200], by_degree[150]};
+  std::vector<PeerId> liars = low;
+  liars.push_back(by_degree[1]);
+
+  DdPoliceConfig cfg;
+  cfg.adaptive.enabled = true;
+  cfg.buddy_radius = radius;
+  if (radius >= 2) cfg.exchange_policy = ExchangePolicy::kEventDriven;
+  fault::FaultConfig fc;
+  if (corrupting) {
+    fc.channel.drop_probability = 0.05;
+    fc.channel.corrupt_probability = 0.05;
+    fc.channel.delay_jitter_seconds = 1.0;
+  }
+  fault::FaultPlane plane(fc, gc.nodes, util::Rng(19));
+  ProtocolWorld w(std::move(graph), cfg, 17);
+  if (corrupting) w.police->set_fault_plane(&plane);
+  util::Rng liar_rng(23);
+  if (lists != HubLists::kHonest) {
+    w.police->set_list_policy(
+        [&liars, &liar_rng, lists](PeerId owner, std::vector<PeerId> truth) {
+          if (std::find(liars.begin(), liars.end(), owner) == liars.end() ||
+              truth.empty() || liar_rng.chance(0.5)) {
+            return truth;
+          }
+          const auto size = static_cast<std::uint32_t>(truth.size());
+          if (lists == HubLists::kWithhold) {
+            truth.erase(truth.begin() + liar_rng.below(size));
+            return truth;
+          }
+          const PeerId fake = liar_rng.chance(0.5) ? 400 + liar_rng.below(100)
+                                                   : liar_rng.below(400);
+          truth.insert(truth.begin() + liar_rng.below(size + 1), fake);
+          return truth;
+        });
+  }
+  w.net->run_minutes(4.0);
+  w.net->set_kind(hub, PeerKind::kBad);
+  for (PeerId p : low) w.net->set_kind(p, PeerKind::kBad);
+  w.net->run_minutes(6.0);
+
+  HubRun run;
+  std::uint64_t& h = run.hash;
+  for (const Decision& d : w.police->decisions()) {
+    fnv_f64(h, d.minute);
+    fnv_u64(h, d.judge);
+    fnv_u64(h, d.suspect);
+    fnv_f64(h, d.g);
+    fnv_f64(h, d.s);
+    fnv_u64(h, d.via_single ? 1 : 0);
+    fnv_u64(h, d.list_violation ? 1 : 0);
+    fnv_u64(h, d.believed_k);
+    fnv_u64(h, d.responders);
+    fnv_u64(h, d.true_degree);
+    if (d.list_violation) ++run.list_violations;
+    if (d.suspect == hub && !d.list_violation) run.hub_cut = true;
+  }
+  fnv_u64(h, w.police->exchange_messages());
+  fnv_u64(h, w.police->traffic_messages());
+  snapshot::Writer writer;
+  writer.begin_section(snapshot::section_id("DDPL"));
+  w.police->save(writer);
+  w.police->adaptive()->save(writer);
+  writer.end_section();
+  for (const std::uint8_t b : writer.finish(0)) {
+    h ^= b;
+    h *= kFnvPrime;
+  }
+  run.rounds = w.police->rounds_run();
+  return run;
+}
+
+TEST(DdPolice, HubRoundsArePinned) {
+  struct Pin {
+    HubLists lists;
+    bool corrupting;
+    int radius;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {HubLists::kHonest, false, 1, 0x72a432d44bddeed1ULL},
+      {HubLists::kHonest, false, 2, 0xda54e57107ee9aa5ULL},
+      {HubLists::kHonest, true, 1, 0x79749e29d989b6b6ULL},
+      {HubLists::kHonest, true, 2, 0x6034712c449a3487ULL},
+      {HubLists::kWithhold, false, 1, 0x55ce02859e24be8bULL},
+      {HubLists::kWithhold, false, 2, 0xed1c2d304477d6d6ULL},
+      {HubLists::kWithhold, true, 1, 0x55e474203813fcbcULL},
+      {HubLists::kWithhold, true, 2, 0x7539501d70dbdcfbULL},
+      {HubLists::kFabricate, false, 1, 0x3476112ea4628117ULL},
+      {HubLists::kFabricate, false, 2, 0xaf30541dd7ff3994ULL},
+      {HubLists::kFabricate, true, 1, 0x4654372d75735866ULL},
+      {HubLists::kFabricate, true, 2, 0x4598cddaf00acaecULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message()
+                 << "lists " << static_cast<int>(pin.lists) << " corrupting "
+                 << pin.corrupting << " r " << pin.radius);
+    const HubRun run = run_hub_case(pin.lists, pin.corrupting, pin.radius);
+    EXPECT_EQ(run.hash, pin.hash) << "0x" << std::hex << run.hash;
+    EXPECT_TRUE(run.hub_cut);
+    EXPECT_GT(run.rounds, 0u);
+    // Bit flips that survive validation make honest lists look forged.
+    EXPECT_EQ(run.list_violations > 0,
+              pin.lists != HubLists::kHonest || pin.corrupting);
+  }
+}
+
 }  // namespace
 }  // namespace ddp::core
 
@@ -727,6 +984,30 @@ TEST(PacketPortDdPolice, DetectsAgentAtMessageGranularity) {
   EXPECT_EQ(good_cut, 0u);
   EXPECT_EQ(net.graph().degree(3), 0u);
   EXPECT_GT(net.totals().overhead_messages, 0.0);
+}
+
+TEST(LinkMinutes, PacketPortMatchesPairReads) {
+  util::Rng rng(79);
+  topology::Graph g = topology::paper_topology(60, rng);
+  workload::ContentConfig cc;
+  cc.objects = 200;
+  const workload::ContentModel content(cc, 60);
+  sim::Engine engine;
+  p2p::P2pConfig pc;
+  p2p::PacketNetwork net(g, content, engine, pc, rng.fork("p2p"));
+  p2p::PacketPort port(net);
+  attack::PacketAgent agent(net, 3, 600.0);
+  const PeerId fed = net.graph().neighbors(3)[0];
+  engine.run_until(minutes(1.5));
+  EXPECT_GT(expect_link_minutes_match(port), 0u);
+  // A cut and a re-added link: the packet monitors start the new link
+  // with no history.
+  port.disconnect(3, fed);
+  ASSERT_TRUE(port.connect(3, fed));
+  EXPECT_EQ(port.sent_last_minute(3, fed), 0.0);
+  EXPECT_GT(expect_link_minutes_match(port), 0u);
+  engine.run_until(minutes(2.0));
+  EXPECT_GT(expect_link_minutes_match(port), 0u);
 }
 
 TEST(PacketPortDdPolice, QuietOverlayUndisturbed) {
