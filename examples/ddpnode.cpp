@@ -14,20 +14,24 @@
 ///       minute_seconds=0.5 duration_min=6
 ///       warning=500 ct=5 q=100 capacity=10000 confirmations=2
 ///       suppression_s=5 collect_s=5 exchange_min=2
-///       stats=results/node0.jsonl seed=1
+///       trace=results/node0.jsonl seed=1
 ///
-/// duration_min=0 runs until SIGTERM/SIGINT; either way shutdown is
-/// orderly (final stats line, every fd closed). Settings are read through
-/// util::Options, and a key given twice takes its last value. An unknown
-/// key, a malformed value (ct=abc) or an out-of-range one (port=70000,
-/// ttl=0, bootstrap=x, minute_seconds=0, ct=0, confirmations=0, ...)
-/// exits 2 before anything starts.
+/// trace= writes the node's obs event trace (JSONL, the schema ddpsim
+/// writes; read it with trace_tool); a path that cannot be opened exits 1
+/// before the node listens. duration_min=0 runs until SIGTERM/SIGINT;
+/// either way shutdown is orderly (peer_left traced, every fd closed).
+/// Settings are read through util::Options, and a key given twice takes
+/// its last value. An unknown key, a malformed value (ct=abc) or an
+/// out-of-range one (port=70000, ttl=0, bootstrap=x, minute_seconds=0,
+/// ct=0, confirmations=0, ...) exits 2 before anything starts.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "core/config.hpp"
 #include "netengine/node.hpp"
+#include "obs/trace.hpp"
 #include "util/config.hpp"
 
 int main(int argc, char** argv) {
@@ -66,13 +70,25 @@ int main(int argc, char** argv) {
   // Deployment default: require a second tripping round before cutting.
   // confirmations=1 restores the paper's first-trip verdict.
   cfg.ddp.cut_confirmations = opt.get("confirmations", 2);
-  cfg.stats_path = opt.get("stats", cfg.stats_path);
+  const std::string trace_path = opt.get("trace", std::string{});
   cfg.seed = opt.get("seed", cfg.seed);
   const double duration_min = opt.get("duration_min", 0.0);
 
   const std::string err = opt.error();
   if (util::refuse("ddpnode", err.empty() ? core::validate(cfg.ddp) : err)) {
     return 2;
+  }
+
+  // Declared before the node, which traces peer_left into it on the way out.
+  std::unique_ptr<obs::JsonlFileSink> trace_sink;
+  if (!trace_path.empty()) {
+    trace_sink = std::make_unique<obs::JsonlFileSink>(trace_path);
+    if (!trace_sink->ok()) {
+      std::fprintf(stderr, "ddpnode: cannot open trace file %s\n",
+                   trace_path.c_str());
+      return 1;
+    }
+    cfg.trace_sink = trace_sink.get();
   }
 
   netengine::Node node(cfg);

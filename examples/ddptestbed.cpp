@@ -14,9 +14,10 @@
 ///   ddptestbed report dir=results/testbed [attack_start=1]
 ///       [csv=results/testbed_report.csv] [strict=0]
 ///
-/// aggregates the per-node JSONL stats in `dir` into detection-latency
-/// and cut-correctness numbers. strict=1 exits nonzero unless every
-/// attacker was cut and no honest peer was (the check.sh --net gate).
+/// folds the per-node JSONL traces in `dir` (ddpnode trace=) into
+/// detection-latency and cut-correctness numbers. strict=1 exits nonzero
+/// unless every attacker was cut and no honest peer was (the check.sh
+/// --net gate).
 
 #include <fstream>
 #include <iostream>
@@ -99,7 +100,7 @@ int run_report(ddp::util::Options& opt) {
   if (ddp::util::refuse("ddptestbed", opt.error())) return 2;
   if (dir.empty()) return usage();
 
-  const TestbedReport report = aggregate_stats(dir);
+  const TestbedReport report = aggregate_traces(dir);
   print_report(report, attack_start, std::cout);
 
   if (!csv_path.empty()) {
@@ -113,7 +114,7 @@ int run_report(ddp::util::Options& opt) {
 
   if (strict) {
     if (report.nodes_reporting == 0) {
-      std::cerr << "STRICT FAIL: no stats files\n";
+      std::cerr << "STRICT FAIL: no node traces\n";
       return 1;
     }
     if (report.attackers_cut < report.attackers) {

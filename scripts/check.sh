@@ -29,11 +29,12 @@
 #   scripts/check.sh --net    # tier-1 plus the socket-engine gate:
 #                             # invalid ddpnode settings (DD-POLICE knobs,
 #                             # ports, TTL, minute length, unknown keys,
-#                             # malformed values) must exit 2,
-#                             # the loopback engine suite runs
-#                             # plain and (with the LocalPolice suite)
-#                             # under ASan+UBSan, then a 10-process
-#                             # localhost mini-testbed must cut the
+#                             # malformed values) must exit 2, a trace
+#                             # file that cannot be opened must exit 1,
+#                             # the loopback engine suite (with the
+#                             # LocalPolice suite) runs under ASan+UBSan
+#                             # (tier-1's ctest runs it plain), then a
+#                             # 10-process localhost mini-testbed must cut the
 #                             # attacker and no honest peer from real TCP
 #                             # traffic (four more ungated runs report
 #                             # its pass rate out of 5)
@@ -383,24 +384,30 @@ if [ "$run_net" -eq 1 ]; then
   # --adaptive): DD-POLICE knobs the per-node judge refuses, and ports,
   # TTLs and minute lengths that would otherwise wrap, abort or run a
   # degenerate node, and unknown keys (police= and echo_correction= among
-  # them: every node polices, on echo-corrected credit) or malformed
-  # values. Later keys
+  # them: every node polices, on echo-corrected credit; stats=: the node
+  # writes its trace through trace=) or malformed values. Later keys
   # override the defaults in front of them. The short duration bounds the
   # run if a regression lets one start.
   for bad in "ct=0" "confirmations=0" "port=70000" "ttl=0" "ttl=300" \
       "bootstrap=x" "bootstrap=70000" "minute_seconds=0" "index=-1" \
-      "confirmatons=1" "ct=abc" "police=0" "echo_correction=0"; do
+      "confirmatons=1" "ct=abc" "police=0" "echo_correction=0" "stats=x"; do
     # shellcheck disable=SC2086
     expect_exit2 "$ex/ddpnode" port=0 minute_seconds=0.2 duration_min=1 $bad
   done
-  echo "ddpnode validation: OK (invalid settings exit 2)"
-
-  echo "== socket engine: loopback suite (release build) =="
-  # ddpnode/ddptestbed are part of the default build above; the loopback
-  # suite drives the real epoll engine over 127.0.0.1 sockets — framing
-  # across torn reads, backpressure disconnect, half-open timeout, clean
-  # SIGTERM shutdown with no leaked fds, and the echo-corrected credit.
-  ./build/tests/netengine_test
+  # A trace file that cannot be opened stops the node before it listens
+  # (exit 1 and a message), instead of running a node that records nothing.
+  if "$ex/ddpnode" port=0 minute_seconds=0.2 duration_min=1 \
+      trace="$tmp/no/such/dir/node.jsonl" > "$tmp/ddpnode_trace.log" 2>&1; then
+    rc=0
+  else
+    rc=$?
+  fi
+  if [ "$rc" -ne 1 ] || ! grep -q "cannot open trace file" "$tmp/ddpnode_trace.log"; then
+    echo "FAIL: ddpnode with an unopenable trace= exited $rc, expected 1 and a message" >&2
+    cat "$tmp/ddpnode_trace.log" >&2
+    exit 1
+  fi
+  echo "ddpnode validation: OK (invalid settings exit 2, unopenable trace exits 1)"
 
   echo "== socket engine: loopback + LocalPolice suites under ASan + UBSan =="
   cmake --preset asan-ubsan
@@ -426,7 +433,7 @@ if [ "$run_net" -eq 1 ]; then
     fi
   done
   echo "testbed STRICT pass rate: $passed/5"
-  echo "socket engine gate: OK (validation + loopback suite x2 + LocalPolice under ASan + mini-testbed STRICT)"
+  echo "socket engine gate: OK (validation + loopback and LocalPolice suites under ASan + mini-testbed STRICT)"
 fi
 
 if [ "$run_asan" -eq 1 ]; then

@@ -2,8 +2,8 @@
 # Multi-process localhost testbed for the real-socket deployment mode.
 #
 # Plans an overlay with ddptestbed, launches one ddpnode process per peer
-# on 127.0.0.1, waits for the run to finish, then aggregates the per-node
-# JSONL stats into a detection-latency / cut-correctness report.
+# on 127.0.0.1, waits for the run to finish, then folds the per-node JSONL
+# traces into a detection-latency / cut-correctness report.
 #
 # Usage:
 #   scripts/testbed.sh [peers] [attackers] [extra ddptestbed-plan args...]
@@ -69,7 +69,7 @@ while IFS= read -r line; do
   [[ "$line" == \#* || -z "$line" ]] && continue
   idx="${line#index=}"; idx="${idx%% *}"
   # shellcheck disable=SC2086  # the plan line IS the argument vector
-  "$ddpnode" $line stats="$out_dir/node$idx.jsonl" &
+  "$ddpnode" $line trace="$out_dir/node$idx.jsonl" &
   pids+=($!)
   launched=$((launched + 1))
 done < "$out_dir/plan.txt"

@@ -111,7 +111,6 @@ void LocalPolice::reconcile_rounds(std::uint32_t owner, double now_minutes) {
       }
       report_clock(owner, m) = now_minutes;
       transport_.send_neighbor_traffic(m, mine);
-      ++traffic_sent_;
     }
     r.members = std::move(members);
     const bool complete = std::all_of(
@@ -333,7 +332,6 @@ void LocalPolice::open_round(std::uint32_t suspect, double my_out,
     // suspect; suppress a redundant direct reply to m's request.
     report_clock(suspect, m) = minute;
     transport_.send_neighbor_traffic(m, mine);
-    ++traffic_sent_;
     DDP_TRACE(tracer_, obs::EventType::kTrafficRequest, minutes(minute), m,
               suspect);
   }
@@ -428,7 +426,6 @@ void LocalPolice::maybe_reply(std::uint32_t requester, std::uint32_t suspect,
   if (now_minutes - last < suppression) return;
   last = now_minutes;
   transport_.send_neighbor_traffic(requester, own_report(suspect, now_minutes));
-  ++traffic_sent_;
 }
 
 void LocalPolice::on_tick(double now_minutes) { expire_rounds(now_minutes); }
@@ -459,7 +456,6 @@ void LocalPolice::expire_rounds(double now_minutes) {
             [m](const MemberReport& mr) { return mr.member == m; });
         if (answered) continue;
         transport_.send_neighbor_traffic(m, mine);
-        ++traffic_sent_;
       }
       ++i;
       continue;

@@ -147,7 +147,6 @@ class LocalPolice {
 
   const std::vector<Decision>& decisions() const noexcept { return decisions_; }
   std::uint64_t lists_sent() const noexcept { return lists_sent_; }
-  std::uint64_t traffic_sent() const noexcept { return traffic_sent_; }
   std::uint64_t rounds_run() const noexcept { return rounds_; }
   std::uint64_t suspicions() const noexcept { return suspicions_; }
 
@@ -277,7 +276,6 @@ class LocalPolice {
 
   std::vector<Decision> decisions_;
   std::uint64_t lists_sent_ = 0;
-  std::uint64_t traffic_sent_ = 0;
   std::uint64_t rounds_ = 0;
   std::uint64_t suspicions_ = 0;
 };

@@ -6,59 +6,13 @@
 #include <map>
 #include <ostream>
 #include <set>
-#include <sstream>
-#include <string_view>
 
+#include "net/address.hpp"
+#include "net/bytes.hpp"
+#include "obs/trace_read.hpp"
 #include "util/rng.hpp"
 
 namespace ddp::experiments {
-
-namespace {
-
-// ---- tiny flat-JSON field extractors -------------------------------------
-// The node stats lines are flat except for embedded arrays we don't need
-// per-field access into; keyed scalar extraction is enough and avoids a
-// JSON dependency.
-
-std::string_view find_value(std::string_view line, std::string_view key) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return {};
-  return line.substr(pos + needle.size());
-}
-
-bool json_number(std::string_view line, std::string_view key, double* out) {
-  const std::string_view v = find_value(line, key);
-  if (v.empty()) return false;
-  try {
-    *out = std::stod(std::string(v.substr(0, v.find_first_of(",}]"))));
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-bool json_string(std::string_view line, std::string_view key,
-                 std::string* out) {
-  std::string_view v = find_value(line, key);
-  if (v.empty() || v.front() != '"') return false;
-  v.remove_prefix(1);
-  const auto end = v.find('"');
-  if (end == std::string_view::npos) return false;
-  *out = std::string(v.substr(0, end));
-  return true;
-}
-
-bool json_bool(std::string_view line, std::string_view key, bool* out) {
-  const std::string_view v = find_value(line, key);
-  if (v.empty()) return false;
-  *out = v.substr(0, 4) == "true";
-  return true;
-}
-
-}  // namespace
 
 TestbedPlan make_plan(const TestbedConfig& config) {
   TestbedPlan plan;
@@ -137,83 +91,68 @@ void write_plan(const TestbedPlan& plan, std::ostream& out) {
   }
 }
 
-TestbedReport aggregate_stats(const std::string& stats_dir) {
+TestbedReport aggregate_traces(const std::string& trace_dir) {
   TestbedReport report;
-  // address -> attacker?, gathered from start lines before classifying cuts.
-  std::map<std::string, bool> attacker_by_address;
-  struct RawCut {
-    double index = 0, minute = 0, g = 0, s = 0;
-    std::string suspect;
-  };
-  std::vector<RawCut> raw;
-
   std::vector<std::filesystem::path> files;
   std::error_code ec;
   for (const auto& entry :
-       std::filesystem::directory_iterator(stats_dir, ec)) {
+       std::filesystem::directory_iterator(trace_dir, ec)) {
     if (entry.path().extension() == ".jsonl") files.push_back(entry.path());
   }
   std::sort(files.begin(), files.end());
 
+  std::set<std::string> attackers;  // agent_activated addresses
   for (const auto& path : files) {
     std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      std::string type;
-      if (!json_string(line, "type", &type)) continue;
-      if (type == "start") {
-        ++report.nodes_reporting;
-        std::string address;
-        bool attacker = false;
-        if (json_string(line, "address", &address)) {
-          json_bool(line, "attacker", &attacker);
-          attacker_by_address[address] = attacker;
-          if (attacker) ++report.attackers;
+    for (const obs::TraceRecord& r : obs::read_trace_records(in)) {
+      if (!r.known) continue;
+      const auto total = [&r](const char* key) {
+        return static_cast<std::uint64_t>(r.field(key).value_or(0.0));
+      };
+      switch (*r.known) {
+        case obs::EventType::kPeerJoined:
+          ++report.nodes_reporting;
+          break;
+        case obs::EventType::kAgentActivated:
+          attackers.insert(net::ipv4_to_string(r.a));
+          break;
+        case obs::EventType::kPeerLeft:
+          ++report.finals_reporting;
+          report.total_issued += total("issued");
+          report.total_forwarded += total("forwarded");
+          report.total_hits += total("hits");
+          break;
+        case obs::EventType::kSuspectCut: {
+          CutEvent e;
+          e.judge_index = net::peer_from_address(r.b);
+          e.suspect = net::ipv4_to_string(r.a);
+          e.minute = to_minutes(r.t);
+          e.g = r.field("g").value_or(0.0);
+          e.s = r.field("s").value_or(0.0);
+          report.cuts.push_back(std::move(e));
+          break;
         }
-      } else if (type == "cut") {
-        RawCut c;
-        json_number(line, "index", &c.index);
-        json_number(line, "minute", &c.minute);
-        json_number(line, "g", &c.g);
-        json_number(line, "s", &c.s);
-        json_string(line, "suspect", &c.suspect);
-        raw.push_back(std::move(c));
-      } else if (type == "final") {
-        ++report.finals_reporting;
-        double v = 0;
-        if (json_number(line, "issued", &v))
-          report.total_issued += static_cast<std::uint64_t>(v);
-        if (json_number(line, "forwarded", &v))
-          report.total_forwarded += static_cast<std::uint64_t>(v);
-        if (json_number(line, "hits", &v))
-          report.total_hits += static_cast<std::uint64_t>(v);
+        default:
+          break;
       }
     }
   }
+  report.attackers = attackers.size();
+  std::stable_sort(report.cuts.begin(), report.cuts.end(),
+                   [](const CutEvent& a, const CutEvent& b) {
+                     return a.minute < b.minute;
+                   });
 
   std::map<std::string, double> first_cut;  // attacker address -> minute
   std::set<std::string> honest_suspects;
-  for (const RawCut& c : raw) {
-    CutEvent e;
-    e.judge_index = static_cast<std::uint32_t>(c.index);
-    e.suspect = c.suspect;
-    e.minute = c.minute;
-    e.g = c.g;
-    e.s = c.s;
-    const auto it = attacker_by_address.find(c.suspect);
-    e.suspect_is_attacker = it != attacker_by_address.end() && it->second;
+  for (CutEvent& e : report.cuts) {
+    e.suspect_is_attacker = attackers.count(e.suspect) != 0;
     if (e.suspect_is_attacker) {
-      auto [slot, fresh] = first_cut.try_emplace(c.suspect, c.minute);
-      if (!fresh) slot->second = std::min(slot->second, c.minute);
+      first_cut.try_emplace(e.suspect, e.minute);  // cuts are in minute order
     } else {
-      honest_suspects.insert(c.suspect);
+      honest_suspects.insert(e.suspect);
     }
-    report.cuts.push_back(std::move(e));
   }
-  std::sort(report.cuts.begin(), report.cuts.end(),
-            [](const CutEvent& a, const CutEvent& b) {
-              return a.minute < b.minute;
-            });
 
   report.attackers_cut = first_cut.size();
   report.honest_cut = honest_suspects.size();

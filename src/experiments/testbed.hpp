@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file testbed.hpp
-/// Multi-process localhost testbed: planning and log aggregation for the
+/// Multi-process localhost testbed: planning and trace folding for the
 /// real-socket deployment mode (src/netengine).
 ///
 /// The testbed reproduces the paper's LimeWire micro-experiment at
@@ -9,9 +9,10 @@
 /// generated overlay, with an attacker cohort that starts flooding at a
 /// known protocol minute. This module is deliberately engine-free — it
 /// only *plans* the run (which process listens where, who dials whom,
-/// who is compromised) and *aggregates* the JSONL stats streams the
-/// node processes write, so it lives in ddp_experiments and is usable
-/// from both the ddptestbed CLI and the check.sh --net gate.
+/// who is compromised) and *folds* the JSONL event traces the node
+/// processes write (the obs schema, docs/observability.md), so it lives
+/// in ddp_experiments and is usable from both the ddptestbed CLI and the
+/// check.sh --net gate.
 ///
 /// Plan file format: '#'-prefixed metadata lines followed by one
 /// "key=value ..." argument line per node, consumable verbatim as a
@@ -78,24 +79,25 @@ TestbedPlan make_plan(const TestbedConfig& config);
 /// Render the plan in the plan-file format described above.
 void write_plan(const TestbedPlan& plan, std::ostream& out);
 
-/// One judge->suspect disconnect observed in a stats stream.
+/// One judge->suspect disconnect: a suspect_cut event in a node trace.
 struct CutEvent {
   std::uint32_t judge_index = 0;
   std::string suspect;  ///< overlay address, dotted quad
-  double minute = 0.0;
+  double minute = 0.0;  ///< the judge's protocol minute (t / 60)
   double g = 0.0;
   double s = 0.0;
   bool suspect_is_attacker = false;
 };
 
 /// Aggregated outcome of one testbed run (from a directory of per-node
-/// JSONL stats files).
+/// JSONL traces).
 struct TestbedReport {
-  std::size_t nodes_reporting = 0;  ///< stats files with a start line
-  std::size_t finals_reporting = 0; ///< stats files with a final line
-  std::size_t attackers = 0;
+  std::size_t nodes_reporting = 0;  ///< peer_joined events
+  std::size_t finals_reporting = 0; ///< peer_left events
+  std::size_t attackers = 0;        ///< distinct agent_activated peers
   std::size_t attackers_cut = 0;    ///< attackers cut by >= 1 judge
   std::size_t honest_cut = 0;       ///< distinct honest peers cut (FPs)
+  /// Minute order; cuts in the same minute keep file (then line) order.
   std::vector<CutEvent> cuts;
 
   /// Earliest cut of any attacker, protocol minutes (-1 = none).
@@ -103,13 +105,15 @@ struct TestbedReport {
   /// Mean over attackers of their first cut minute (cut attackers only).
   double mean_detection_minute = -1.0;
 
+  /// Sums over the peer_left events.
   std::uint64_t total_issued = 0;
   std::uint64_t total_forwarded = 0;
   std::uint64_t total_hits = 0;
 };
 
-/// Parse every *.jsonl stats file under `stats_dir`.
-TestbedReport aggregate_stats(const std::string& stats_dir);
+/// Fold every *.jsonl trace under `trace_dir`, in file-name order. Lines
+/// that do not parse and other files are skipped.
+TestbedReport aggregate_traces(const std::string& trace_dir);
 
 /// Per-cut-event CSV (plus a trailing summary comment), for results/.
 void write_report_csv(const TestbedReport& report, double attack_start_minute,

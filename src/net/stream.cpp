@@ -2,15 +2,6 @@
 
 namespace ddp::net {
 
-std::string_view stream_status_name(StreamStatus s) noexcept {
-  switch (s) {
-    case StreamStatus::kMessage: return "message";
-    case StreamStatus::kNeedMore: return "need-more";
-    case StreamStatus::kError: return "error";
-  }
-  return "?";
-}
-
 void StreamDecoder::feed(std::span<const std::uint8_t> data) {
   if (failed_ || data.empty()) return;
   compact();

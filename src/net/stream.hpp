@@ -39,8 +39,6 @@ enum class StreamStatus : std::uint8_t {
   kError,     ///< framing broken (see status/detail); connection is dead
 };
 
-std::string_view stream_status_name(StreamStatus s) noexcept;
-
 struct StreamResult {
   StreamStatus status = StreamStatus::kNeedMore;
   std::optional<Message> message;           ///< engaged iff kMessage

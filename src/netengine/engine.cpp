@@ -25,18 +25,6 @@ std::uint64_t steady_ms() {
 
 }  // namespace
 
-std::string_view close_reason_name(CloseReason r) noexcept {
-  switch (r) {
-    case CloseReason::kLocal: return "local";
-    case CloseReason::kPeerClosed: return "peer-closed";
-    case CloseReason::kError: return "error";
-    case CloseReason::kBadFrame: return "bad-frame";
-    case CloseReason::kSlowPeer: return "slow-peer";
-    case CloseReason::kHandshakeTimeout: return "handshake-timeout";
-  }
-  return "?";
-}
-
 Engine::Engine(const EngineConfig& config)
     : config_(config),
       timers_(config.tick_ms),

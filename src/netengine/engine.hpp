@@ -72,8 +72,6 @@ enum class CloseReason : std::uint8_t {
   kHandshakeTimeout,  ///< no complete message within the half-open window
 };
 
-std::string_view close_reason_name(CloseReason r) noexcept;
-
 struct EngineConfig {
   std::uint16_t listen_port = 0;  ///< 0 = kernel-assigned (read back)
   /// Backpressure bound per connection, bytes. A send that leaves more

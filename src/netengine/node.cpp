@@ -1,7 +1,6 @@
 #include "netengine/node.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace ddp::netengine {
 
@@ -22,13 +21,6 @@ constexpr std::uint32_t origin_of(std::uint32_t from) noexcept {
   return from == kSelfOrigin ? kSelfOrigin : (from & ~kCreditFlag);
 }
 
-std::string address_string(std::uint32_t a) {
-  std::ostringstream os;
-  os << ((a >> 24) & 0xff) << '.' << ((a >> 16) & 0xff) << '.'
-     << ((a >> 8) & 0xff) << '.' << (a & 0xff);
-  return os.str();
-}
-
 }  // namespace
 
 Node::Node(const NodeConfig& config)
@@ -45,10 +37,12 @@ Node::Node(const NodeConfig& config)
   };
   h.on_close = [this](ConnId id, CloseReason r) { on_close(id, r); };
   engine_.set_handler(std::move(h));
-  police_.set_cut_handler([this](std::uint32_t suspect,
-                                 const core::Decision& d) {
-    apply_cut(suspect, d);
-  });
+  tracer_.bind(config.trace_sink);
+  police_.set_trace_sink(config.trace_sink);
+  police_.set_cut_handler(
+      [this](std::uint32_t suspect, const core::Decision&) {
+        apply_cut(suspect);
+      });
   // Answer traffic requests from the live rolling windows: this node's
   // minute boundary is not the requesting judge's, so the last completed
   // minute may predate the traffic being judged.
@@ -62,14 +56,14 @@ Node::~Node() { shutdown(); }
 
 bool Node::start() {
   if (!engine_.listen()) return false;
-  if (!config_.stats_path.empty()) {
-    stats_.open(config_.stats_path, std::ios::out | std::ios::trunc);
-    std::ostringstream os;
-    os << "{\"type\":\"start\",\"index\":" << config_.index
-       << ",\"address\":\"" << address_string(self_) << "\",\"port\":"
-       << engine_.listen_port()
-       << ",\"attacker\":" << (config_.attacker ? "true" : "false") << "}";
-    stats_line(os.str());
+  joined_ = true;
+  const SimTime now = minutes(protocol_minutes());
+  DDP_TRACE(tracer_, obs::EventType::kPeerJoined, now, self_);
+  // Before any attack minute: the report knows every attacker even if
+  // the run ends before this one starts flooding.
+  if (config_.attacker) {
+    DDP_TRACE(tracer_, obs::EventType::kAgentActivated, now, self_,
+              kInvalidPeer, {{"rate", config_.attack_rate_per_minute}});
   }
 
   const auto minute_ms =
@@ -100,32 +94,14 @@ void Node::run() {
 }
 
 void Node::shutdown() {
-  if (shutdown_done_) return;
-  shutdown_done_ = true;
-  if (stats_.is_open()) {
-    std::ostringstream os;
-    os << "{\"type\":\"final\",\"index\":" << config_.index
-       << ",\"minutes\":" << minute_ << ",\"issued\":" << queries_issued_
-       << ",\"forwarded\":" << queries_forwarded_
-       << ",\"hits\":" << hits_received_ << ",\"degree\":" << overlay_degree()
-       << ",\"cuts\":[";
-    for (std::size_t i = 0; i < cuts().size(); ++i) {
-      const core::Decision& d = cuts()[i];
-      if (i != 0) os << ',';
-      os << "{\"minute\":" << d.minute << ",\"suspect\":\""
-         << address_string(d.suspect) << "\",\"g\":" << d.g
-         << ",\"s\":" << d.s << "}";
-    }
-    os << "]}";
-    stats_line(os.str());
-    stats_.close();
-  }
-}
-
-void Node::stats_line(const std::string& json) {
-  if (!stats_.is_open()) return;
-  stats_ << json << '\n';
-  stats_.flush();
+  if (!joined_) return;
+  joined_ = false;
+  DDP_TRACE(tracer_, obs::EventType::kPeerLeft, minutes(protocol_minutes()),
+            self_, kInvalidPeer,
+            {{"issued", double(queries_issued_)},
+             {"forwarded", double(queries_forwarded_)},
+             {"hits", double(hits_received_)}});
+  if (tracer_.on()) tracer_.sink()->flush();
 }
 
 std::size_t Node::overlay_degree() const {
@@ -253,16 +229,6 @@ void Node::send_neighbor_list(std::uint32_t to,
 
 void Node::send_neighbor_traffic(std::uint32_t to,
                                  const net::NeighborTraffic& report) {
-  if (stats_.is_open()) {
-    std::ostringstream os;
-    os << "{\"type\":\"traffic\",\"index\":" << config_.index << ",\"to\":\""
-       << address_string(to) << "\",\"suspect\":\""
-       << address_string(report.suspect_ip)
-       << "\",\"out\":" << report.outgoing_queries
-       << ",\"in\":" << report.incoming_queries
-       << ",\"minute\":" << protocol_minutes() << "}";
-    stats_line(os.str());
-  }
   net::Message msg;
   msg.header.guid = net::Guid::random(rng_);
   msg.header.ttl = 1;
@@ -598,41 +564,12 @@ void Node::on_protocol_minute() {
   // Dedup horizon: anything older than 3 protocol minutes cannot still be
   // in flight; compacting here bounds the table across a long run.
   seen_.prune(now_s - 3.0 * config_.minute_seconds);
-
-  if (stats_.is_open()) {
-    std::ostringstream os;
-    os << "{\"type\":\"minute\",\"minute\":" << minute_
-       << ",\"index\":" << config_.index << ",\"degree\":" << overlay_degree()
-       << ",\"issued\":" << queries_issued_
-       << ",\"forwarded\":" << queries_forwarded_
-       << ",\"dups\":" << dup_dropped_ << ",\"revoked\":" << echo_revoked_
-       << ",\"hits\":" << hits_received_
-       << ",\"conns\":" << engine_.connection_count() << ",\"links\":[";
-    bool first = true;
-    for (const core::LinkMinute& lm : links) {
-      if (!first) os << ',';
-      first = false;
-      os << "{\"peer\":\"" << address_string(lm.peer)
-         << "\",\"out\":" << lm.out_queries << ",\"in\":" << lm.in_queries
-         << "}";
-    }
-    os << "]}";
-    stats_line(os.str());
-  }
+  if (tracer_.on()) tracer_.sink()->flush();
 }
 
-void Node::apply_cut(std::uint32_t suspect, const core::Decision& d) {
+void Node::apply_cut(std::uint32_t suspect) {
   banned_.insert(suspect);
   police_.ban_peer(suspect);
-  if (stats_.is_open()) {
-    std::ostringstream os;
-    os << "{\"type\":\"cut\",\"minute\":" << d.minute << ",\"index\":"
-       << config_.index << ",\"suspect\":\"" << address_string(suspect)
-       << "\",\"g\":" << d.g << ",\"s\":" << d.s
-       << ",\"k\":" << d.believed_k << ",\"responders\":" << d.responders
-       << "}";
-    stats_line(os.str());
-  }
   std::vector<ConnId> doomed;
   for (const auto& [id, link] : links_) {
     if (link.address == suspect ||

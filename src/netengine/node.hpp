@@ -31,10 +31,15 @@
 /// of the honest rate. It still speaks the whole protocol (handshake,
 /// lists, even traffic replies) — detection must come from the
 /// indicators, not from a rigged client.
+///
+/// Trace. With a sink bound, the node and its judge write the obs event
+/// vocabulary the simulator uses, stamped t = protocol minutes × 60:
+/// peer_joined at start (plus agent_activated for an attacker),
+/// LocalPolice's flag, round and cut events, and peer_left at shutdown.
+/// Peers are named by overlay address (docs/observability.md).
 
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -44,6 +49,7 @@
 #include "core/police.hpp"
 #include "net/address.hpp"
 #include "netengine/engine.hpp"
+#include "obs/trace.hpp"
 #include "p2p/guid_table.hpp"
 #include "util/rate_window.hpp"
 #include "util/rng.hpp"
@@ -74,7 +80,9 @@ struct NodeConfig {
 
   core::DdPoliceConfig ddp{};
 
-  std::string stats_path;  ///< JSONL stats stream ("" = none)
+  /// Caller-owned trace sink, bound to the node and its judge and
+  /// flushed every protocol minute; it must outlive the node. Null = off.
+  obs::TraceSink* trace_sink = nullptr;
   std::uint64_t seed = 1;
   EngineConfig engine{};
 };
@@ -96,7 +104,8 @@ class Node final : private core::PoliceTransport {
   bool poll_once(int timeout_ms = 10) { return engine_.poll_once(timeout_ms); }
   void stop() { engine_.stop(); }
 
-  /// Final stats flush (also called by the destructor; idempotent).
+  /// Trace peer_left with the query totals and flush the sink (also
+  /// called by the destructor; idempotent, and a no-op before start()).
   void shutdown();
 
   Engine& engine() noexcept { return engine_; }
@@ -113,9 +122,8 @@ class Node final : private core::PoliceTransport {
   std::uint64_t duplicates_dropped() const noexcept { return dup_dropped_; }
   std::uint64_t echo_revocations() const noexcept { return echo_revoked_; }
   /// The police-facing monitor reading for one neighbour (out is the
-  /// echo-corrected credit). Exposed for tests and stats.
+  /// echo-corrected credit). Exposed for tests.
   std::optional<core::LinkMinute> link_minute(std::uint32_t address);
-  std::uint64_t minute_count() const noexcept { return minute_; }
   const std::vector<core::Decision>& cuts() const noexcept {
     return police_.decisions();
   }
@@ -169,7 +177,7 @@ class Node final : private core::PoliceTransport {
   void issue_queries();
   void issue_one_query(double now_s);
   void on_protocol_minute();
-  void apply_cut(std::uint32_t suspect, const core::Decision& d);
+  void apply_cut(std::uint32_t suspect);
   void maintain_bootstrap();
 
   /// Deliver a control message to `to`, dialing if allowed and needed.
@@ -192,12 +200,11 @@ class Node final : private core::PoliceTransport {
     return wall_seconds() / config_.minute_seconds;
   }
 
-  void stats_line(const std::string& json);
-
   NodeConfig config_;
   std::uint32_t self_;
   Engine engine_;
   core::LocalPolice police_;
+  obs::Tracer tracer_;
   util::Rng rng_;
 
   std::unordered_map<ConnId, Link> links_;
@@ -226,8 +233,7 @@ class Node final : private core::PoliceTransport {
   std::uint64_t dup_dropped_ = 0;
   std::uint64_t echo_revoked_ = 0;
 
-  std::ofstream stats_;
-  bool shutdown_done_ = false;
+  bool joined_ = false;  ///< started and not yet shut down
   bool adverts_dirty_ = false;  ///< neighbour set changed; advertise on tick
 };
 

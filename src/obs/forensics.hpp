@@ -63,7 +63,6 @@ class ForensicsAccumulator final : public TraceSink {
   void add(const TraceRecord& record);
 
   double attack_start_t() const noexcept { return attack_start_t_; }
-  std::uint64_t events_folded() const noexcept { return events_folded_; }
   const std::map<PeerId, AgentForensics>& agents() const noexcept {
     return agents_;
   }
@@ -90,7 +89,7 @@ class ForensicsAccumulator final : public TraceSink {
   void fold(EventType type, double t, PeerId a, double v0, double v1);
 
   double attack_start_t_ = -1.0;
-  std::uint64_t events_folded_ = 0;
+  std::uint64_t events_folded_ = 0;  ///< kept in the checkpoint bytes
   std::map<PeerId, AgentForensics> agents_;
   std::map<PeerId, HonestForensics> honest_;
 };

@@ -66,7 +66,10 @@ double SeriesStore::minute_label(std::size_t back) const noexcept {
   return minutes_[col(back)];
 }
 
-SeriesStore::Band SeriesStore::band_of(const double* row) const noexcept {
+SeriesStore::Band SeriesStore::peer_band(PeerId p) const noexcept {
+  const std::size_t first = static_cast<std::size_t>(p) * window_;
+  if (first + window_ > peer_values_.size()) return Band{};
+  const double* row = peer_values_.data() + first;
   Band band;
   band.samples = depth();
   if (band.samples == 0) return band;
@@ -80,18 +83,6 @@ SeriesStore::Band SeriesStore::band_of(const double* row) const noexcept {
   }
   band.mean = sum / static_cast<double>(band.samples);
   return band;
-}
-
-SeriesStore::Band SeriesStore::peer_band(PeerId p) const noexcept {
-  const std::size_t row = static_cast<std::size_t>(p) * window_;
-  if (row + window_ > peer_values_.size()) return Band{};
-  return band_of(peer_values_.data() + row);
-}
-
-SeriesStore::Band SeriesStore::edge_band(Slot slot) const noexcept {
-  const EdgeSeries* es = edges_.find(slot);
-  if (es == nullptr || es->values.empty()) return Band{};
-  return band_of(es->values.data());
 }
 
 void SeriesStore::save(snapshot::Writer& w) const {

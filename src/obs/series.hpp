@@ -66,7 +66,6 @@ class SeriesStore {
   double minute_label(std::size_t back = 0) const noexcept;
 
   Band peer_band(PeerId p) const noexcept;
-  Band edge_band(Slot slot) const noexcept;
 
   /// Serialize the ring (labels, peer rows, live edge rows in slot order)
   /// into the writer's open section. The graph is saved by its owner;
@@ -86,7 +85,6 @@ class SeriesStore {
   std::size_t col(std::size_t back) const noexcept {
     return (static_cast<std::size_t>(recorded_) - 1 - back) % window_;
   }
-  Band band_of(const double* row) const noexcept;
 
   const topology::Graph* graph_;
   std::size_t window_;

@@ -15,7 +15,9 @@
 //   - a flood of one encoded frame: the same bytes on every link, one
 //     message out per link, and a slow target evicted mid-flood without
 //     stalling the others;
-//   - SIGTERM clean shutdown with no leaked file descriptors.
+//   - SIGTERM clean shutdown with no leaked file descriptors;
+//   - the testbed report's fold of per-node traces, over hand-built
+//     files and over the traces of a live three-node cut.
 
 #include <gtest/gtest.h>
 
@@ -24,19 +26,44 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "experiments/testbed.hpp"
 #include "netengine/engine.hpp"
 #include "netengine/node.hpp"
 #include "netengine/timer_wheel.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_read.hpp"
 
 namespace ddp::netengine {
 namespace {
+
+/// A fresh directory under the system temp dir, removed on scope exit.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() /
+             ("ddp_netengine_" + name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  void write(const std::string& file, const std::string& text) const {
+    std::ofstream(path / file) << text;
+  }
+  std::filesystem::path path;
+};
 
 /// Open fds of this process (the leak detector for the shutdown test).
 std::size_t open_fd_count() {
@@ -536,8 +563,15 @@ TEST(Node, HandshakeQueryHitRoundTrip) {
 TEST(Node, AttackerCohortIsCutOnLoopback) {
   // Star: one honest hub, one honest spoke, one attacker spoke. The
   // attacker floods the hub far past the warning threshold; the hub's
-  // LocalPolice runs a buddy round and cuts + bans it.
+  // LocalPolice runs a buddy round and cuts + bans it. Each node traces
+  // into its own file, and the testbed report folds the three.
+  const ScratchDir dir("cohort");
+  obs::JsonlFileSink hub_trace((dir.path / "node0.jsonl").string());
+  obs::JsonlFileSink spoke_trace((dir.path / "node1.jsonl").string());
+  obs::JsonlFileSink bad_trace((dir.path / "node2.jsonl").string());
+
   NodeConfig hub_cfg = quick_node(0);
+  hub_cfg.trace_sink = &hub_trace;
   hub_cfg.ddp.warning_threshold = 60.0;
   hub_cfg.ddp.cut_threshold = 2.0;
   hub_cfg.ddp.good_issue_bound = 20.0;
@@ -548,6 +582,7 @@ TEST(Node, AttackerCohortIsCutOnLoopback) {
   NodeConfig spoke_cfg = quick_node(1);
   spoke_cfg.bootstrap = {hub.listen_port()};
   spoke_cfg.query_rate_per_minute = 5.0;
+  spoke_cfg.trace_sink = &spoke_trace;
   Node spoke(spoke_cfg);
   ASSERT_TRUE(spoke.start());
 
@@ -556,6 +591,7 @@ TEST(Node, AttackerCohortIsCutOnLoopback) {
   bad_cfg.attacker = true;
   bad_cfg.attack_rate_per_minute = 600.0;
   bad_cfg.attack_start_minute = 1.0;
+  bad_cfg.trace_sink = &bad_trace;
   Node bad(bad_cfg);
   ASSERT_TRUE(bad.start());
 
@@ -580,6 +616,120 @@ TEST(Node, AttackerCohortIsCutOnLoopback) {
   }
   // The ban holds: the attacker's redial attempts never restore the link.
   ASSERT_TRUE(pump([&] { return hub.overlay_degree() == 1; }, 500));
+
+  hub.shutdown();
+  spoke.shutdown();
+  bad.shutdown();
+  const experiments::TestbedReport report =
+      experiments::aggregate_traces(dir.path.string());
+  EXPECT_EQ(report.nodes_reporting, 3u);
+  EXPECT_EQ(report.finals_reporting, 3u);
+  EXPECT_EQ(report.attackers, 1u);
+  EXPECT_EQ(report.attackers_cut, 1u);
+  EXPECT_EQ(report.honest_cut, 0u);
+
+  // Every line is the canonical schema, and the hub's cut names the
+  // attacker with the verdict's indicators.
+  for (const char* file : {"node0.jsonl", "node1.jsonl", "node2.jsonl"}) {
+    std::ifstream in(dir.path / file);
+    std::string line, why;
+    while (std::getline(in, line)) {
+      EXPECT_TRUE(obs::parse_trace_line(line, &why)) << file << ": " << why;
+    }
+  }
+  std::ifstream in(dir.path / "node0.jsonl");
+  const std::vector<obs::TraceRecord> records = obs::read_trace_records(in);
+  const auto cut = std::find_if(
+      records.begin(), records.end(), [](const obs::TraceRecord& r) {
+        return r.known == obs::EventType::kSuspectCut;
+      });
+  ASSERT_NE(cut, records.end());
+  const core::Decision& d = hub.cuts()[0];
+  EXPECT_EQ(cut->a, bad_addr);
+  EXPECT_EQ(cut->b, hub.self_address());
+  // The JSONL carries ten significant digits.
+  EXPECT_NEAR(cut->field("g").value_or(-1.0), d.g, 1e-9 * std::abs(d.g));
+  EXPECT_NEAR(cut->field("s").value_or(-1.0), d.s, 1e-9 * std::abs(d.s));
+}
+
+TEST(Testbed, ReportFoldsHandBuiltNodeTraces) {
+  // Three nodes, 10.0.0.0-2; node 2 floods. Judge 1 cuts the attacker at
+  // minute 2.5, judge 0 at minute 3.5, and judge 1 also cuts honest node 0
+  // at 3.5. The attacker's trace has no peer_left (a node killed before
+  // shutdown), node1's trace has a line that does not parse, and a file
+  // that is not .jsonl is ignored.
+  const ScratchDir dir("fold");
+  dir.write("node0.jsonl",
+            "{\"t\":0,\"type\":\"peer_joined\",\"a\":167772160}\n"
+            "{\"t\":210,\"type\":\"suspect_cut\",\"a\":167772162,"
+            "\"b\":167772160,\"kv\":{\"g\":20,\"s\":18,\"via_single\":1}}\n"
+            "{\"t\":360,\"type\":\"peer_left\",\"a\":167772160,"
+            "\"kv\":{\"issued\":10,\"forwarded\":200,\"hits\":3}}\n");
+  dir.write("node1.jsonl",
+            "{\"t\":0,\"type\":\"peer_joined\",\"a\":167772161}\n"
+            "{\"t\":150,\"type\":\"suspect_cut\",\"a\":167772162\n"
+            "{\"t\":150,\"type\":\"suspect_cut\",\"a\":167772162,"
+            "\"b\":167772161,\"kv\":{\"g\":12.5,\"s\":9,\"via_single\":0}}\n"
+            "{\"t\":210,\"type\":\"suspect_cut\",\"a\":167772160,"
+            "\"b\":167772161,\"kv\":{\"g\":6,\"s\":5.5,\"via_single\":0}}\n"
+            "{\"t\":360,\"type\":\"peer_left\",\"a\":167772161,"
+            "\"kv\":{\"issued\":12,\"forwarded\":150,\"hits\":4}}\n");
+  dir.write("node2.jsonl",
+            "{\"t\":0,\"type\":\"peer_joined\",\"a\":167772162}\n"
+            "{\"t\":0,\"type\":\"agent_activated\",\"a\":167772162,"
+            "\"kv\":{\"rate\":600}}\n"
+            "{\"t\":120,\"type\":\"suspect_flagged\",\"a\":167772160,"
+            "\"b\":167772162,\"kv\":{\"out\":700}}\n");
+  dir.write("notes.txt",
+            "{\"t\":0,\"type\":\"peer_joined\",\"a\":167772163}\n"
+            "{\"t\":0,\"type\":\"agent_activated\",\"a\":167772163}\n");
+
+  const experiments::TestbedReport r =
+      experiments::aggregate_traces(dir.path.string());
+  EXPECT_EQ(r.nodes_reporting, 3u);
+  EXPECT_EQ(r.finals_reporting, 2u);
+  EXPECT_EQ(r.attackers, 1u);
+  EXPECT_EQ(r.attackers_cut, 1u);
+  EXPECT_EQ(r.honest_cut, 1u);
+  EXPECT_EQ(r.first_detection_minute, 2.5);
+  EXPECT_EQ(r.mean_detection_minute, 2.5);
+  EXPECT_EQ(r.total_issued, 22u);
+  EXPECT_EQ(r.total_forwarded, 350u);
+  EXPECT_EQ(r.total_hits, 7u);
+
+  // Minute order; the two minute-3.5 cuts keep file order (node0 first),
+  // though a suspect-keyed order would put 10.0.0.0 first.
+  struct Want {
+    double minute;
+    std::uint32_t judge;
+    const char* suspect;
+    bool attacker;
+    double g, s;
+  };
+  const std::vector<Want> want = {{2.5, 1, "10.0.0.2", true, 12.5, 9.0},
+                                  {3.5, 0, "10.0.0.2", true, 20.0, 18.0},
+                                  {3.5, 1, "10.0.0.0", false, 6.0, 5.5}};
+  ASSERT_EQ(r.cuts.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(r.cuts[i].minute, want[i].minute);
+    EXPECT_EQ(r.cuts[i].judge_index, want[i].judge);
+    EXPECT_EQ(r.cuts[i].suspect, want[i].suspect);
+    EXPECT_EQ(r.cuts[i].suspect_is_attacker, want[i].attacker);
+    EXPECT_EQ(r.cuts[i].g, want[i].g);
+    EXPECT_EQ(r.cuts[i].s, want[i].s);
+  }
+}
+
+TEST(Testbed, EmptyDirReportsNoNodes) {
+  const ScratchDir dir("empty");
+  const experiments::TestbedReport r =
+      experiments::aggregate_traces(dir.path.string());
+  EXPECT_EQ(r.nodes_reporting, 0u);
+  EXPECT_EQ(r.finals_reporting, 0u);
+  EXPECT_EQ(r.attackers, 0u);
+  EXPECT_TRUE(r.cuts.empty());
+  EXPECT_EQ(r.first_detection_minute, -1.0);
 }
 
 TEST(Node, DuplicateEchoRevokesForwardCredit) {
