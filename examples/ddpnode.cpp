@@ -22,8 +22,8 @@
 /// either way shutdown is orderly (peer_left traced, every fd closed).
 /// Settings are read through util::Options, and a key given twice takes
 /// its last value. An unknown key, a malformed value (ct=abc) or an
-/// out-of-range one (port=70000, ttl=0, bootstrap=x, minute_seconds=0,
-/// ct=0, confirmations=0, ...) exits 2 before anything starts.
+/// out-of-range one (port=70000, ttl=0, bootstrap=x, minute_seconds below
+/// 0.1, ct=0, confirmations=0, ...) exits 2 before anything starts.
 
 #include <cstdio>
 #include <memory>
@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
   cfg.attack_rate_per_minute =
       opt.get("attack_rate", cfg.attack_rate_per_minute);
   cfg.attack_start_minute = opt.get("attack_start", cfg.attack_start_minute);
-  cfg.minute_seconds =
-      opt.get("minute_seconds", cfg.minute_seconds, 1e-3, 86400.0);
+  cfg.minute_seconds = opt.get("minute_seconds", cfg.minute_seconds,
+                               ddp::netengine::kMinMinuteSeconds, 86400.0);
   cfg.ddp.warning_threshold = opt.get("warning", cfg.ddp.warning_threshold);
   cfg.ddp.cut_threshold = opt.get("ct", cfg.ddp.cut_threshold);
   cfg.ddp.good_issue_bound = opt.get("q", cfg.ddp.good_issue_bound);

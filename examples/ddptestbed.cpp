@@ -25,6 +25,7 @@
 
 #include "core/config.hpp"
 #include "experiments/testbed.hpp"
+#include "netengine/node.hpp"
 #include "topology/generators.hpp"
 #include "util/config.hpp"
 
@@ -48,8 +49,8 @@ int run_plan(ddp::util::Options& opt) {
                       std::size_t{65536} - cfg.port_base);
   cfg.attackers = opt.get("attackers", cfg.attackers);
   cfg.model = opt.get("model", cfg.model, ddp::topology::model_name);
-  cfg.minute_seconds =
-      opt.get("minute_seconds", cfg.minute_seconds, 1e-3, 86400.0);
+  cfg.minute_seconds = opt.get("minute_seconds", cfg.minute_seconds,
+                               ddp::netengine::kMinMinuteSeconds, 86400.0);
   cfg.duration_minutes = opt.get("duration_min", cfg.duration_minutes);
   cfg.query_rate_per_minute = opt.get("query_rate", cfg.query_rate_per_minute);
   cfg.hit_probability = opt.get("hit_prob", cfg.hit_probability);

@@ -164,7 +164,7 @@ for bad in "adaptve=1" "peers=2k" "peers=-5" "ct=3x" "radius=4294967297" \
 done
 expect_exit2 env DDP_JOBS=x "$ex/ddpsim" peers=100 agents=5 minutes=5
 for bad in "port_base=70000 ttl=300" "ct=0" "peers=-1" "model=smallworld" \
-    "model=cutoff" "peers=2" "minute_seconds=0"; do
+    "model=cutoff" "peers=2" "minute_seconds=0" "minute_seconds=0.05"; do
   # shellcheck disable=SC2086
   expect_exit2 "$ex/ddptestbed" plan out=plan.txt $bad
 done
@@ -389,7 +389,8 @@ if [ "$run_net" -eq 1 ]; then
   # override the defaults in front of them. The short duration bounds the
   # run if a regression lets one start.
   for bad in "ct=0" "confirmations=0" "port=70000" "ttl=0" "ttl=300" \
-      "bootstrap=x" "bootstrap=70000" "minute_seconds=0" "index=-1" \
+      "bootstrap=x" "bootstrap=70000" "minute_seconds=0" \
+      "minute_seconds=0.05" "index=-1" \
       "confirmatons=1" "ct=abc" "police=0" "echo_correction=0" "stats=x"; do
     # shellcheck disable=SC2086
     expect_exit2 "$ex/ddpnode" port=0 minute_seconds=0.2 duration_min=1 $bad

@@ -111,6 +111,8 @@ void LocalPolice::reconcile_rounds(std::uint32_t owner, double now_minutes) {
       }
       report_clock(owner, m) = now_minutes;
       transport_.send_neighbor_traffic(m, mine);
+      DDP_TRACE(tracer_, obs::EventType::kTrafficRequest, minutes(now_minutes),
+                m, owner);
     }
     r.members = std::move(members);
     const bool complete = std::all_of(
@@ -456,6 +458,8 @@ void LocalPolice::expire_rounds(double now_minutes) {
             [m](const MemberReport& mr) { return mr.member == m; });
         if (answered) continue;
         transport_.send_neighbor_traffic(m, mine);
+        DDP_TRACE(tracer_, obs::EventType::kTrafficRetry, minutes(now_minutes),
+                  m, r.suspect, {{"attempt", 1.0}});
       }
       ++i;
       continue;

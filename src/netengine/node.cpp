@@ -68,7 +68,9 @@ bool Node::start() {
 
   const auto minute_ms =
       static_cast<std::uint64_t>(config_.minute_seconds * 1000.0);
-  engine_.timers().schedule_every(std::max<std::uint64_t>(minute_ms, 100),
+  constexpr auto kMinuteFloorMs =
+      static_cast<std::uint64_t>(kMinMinuteSeconds * 1000.0);
+  engine_.timers().schedule_every(std::max(minute_ms, kMinuteFloorMs),
                                   [this] { on_protocol_minute(); });
   // Police tick: ~20 per protocol minute, floor 50 ms — fine enough to hit
   // collect timeouts promptly even at high acceleration.
@@ -208,7 +210,12 @@ void Node::advertise_neighbors() {
   // Copy: send_neighbor_list can evict a slow peer, which mutates the
   // police neighbour set through on_close -> remove_neighbor.
   const std::vector<std::uint32_t> members = police_.neighbors();
-  for (const std::uint32_t n : members) send_neighbor_list(n, members);
+  const SimTime now = minutes(protocol_minutes());
+  for (const std::uint32_t n : members) {
+    send_neighbor_list(n, members);
+    DDP_TRACE(tracer_, obs::EventType::kNeighborListSent, now, self_, n,
+              {{"entries", double(members.size())}});
+  }
 }
 
 void Node::send_neighbor_list(std::uint32_t to,

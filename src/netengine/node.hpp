@@ -56,6 +56,9 @@
 
 namespace ddp::netengine {
 
+/// Shortest protocol minute a node runs correctly, in wall seconds.
+inline constexpr double kMinMinuteSeconds = 0.1;
+
 struct NodeConfig {
   std::uint32_t index = 0;        ///< overlay identity; address = 10.x.y.z
   std::string host = "127.0.0.1";
@@ -75,7 +78,9 @@ struct NodeConfig {
   double attack_rate_per_minute = 2000.0;
   double attack_start_minute = 1.0;
 
-  /// Wall seconds per protocol minute (the testbed accelerator).
+  /// Wall seconds per protocol minute (the testbed accelerator), at least
+  /// kMinMinuteSeconds: the minute timer fires at most every 100 ms, so a
+  /// shorter minute would let protocol time run ahead of the minute events.
   double minute_seconds = 60.0;
 
   core::DdPoliceConfig ddp{};

@@ -189,12 +189,12 @@ class EdgeMap {
 
 /// EdgeMap with the value split into a *hot* and a *cold* half stored in
 /// separate parallel arrays under one shared generation array. The flow
-/// engine keys its 128-byte in-flight flow vectors (read/written every
-/// tick) as Hot and its 16-byte minute counters (read by monitors, swept
-/// once a minute) as Cold: per-tick phases stream the hot array without
-/// dragging minute state through cache, and the minute rotation plus
-/// every DD-POLICE counter sweep touch only the cold array — 9x less
-/// memory traffic than sweeping the fused records.
+/// engine keys its 4-byte references to each link's in-flight vector
+/// (read and written every tick) as Hot and its 16-byte minute counters
+/// (read by monitors, swept once a minute) as Cold: per-tick phases
+/// stream the hot array without dragging minute state through cache, and
+/// the minute rotation plus every DD-POLICE counter sweep touch only the
+/// cold array.
 ///
 /// Incarnation semantics are identical to EdgeMap (one generation guards
 /// both halves; a touch that detects a stale generation resets both).

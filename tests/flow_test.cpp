@@ -387,17 +387,36 @@ TEST(FlowNetwork, PriorityAdmissionShedsAttackTrafficFirst) {
 
 // --------------------------------------------- pinned absolute outputs
 
+// One FNV-1a hash of the bytes FlowNetwork::save writes: roles, every
+// link's in-flight vector and minute counters, the calibration, the minute
+// accumulators, the report history and the rng position.
+std::uint64_t saved_state_hash(const FlowNetwork& net) {
+  snapshot::Writer w;
+  w.begin_section(1);
+  net.save(w);
+  w.end_section();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : w.finish(0)) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 // Flow modes the golden gate never runs, pinned bit-for-bit. The
 // jobs-invariance tests only compare one-span with multi-span runs, so an
 // engine change that moved both would pass them; these constants would
 // not. A 150-peer overlay with bandwidth limits on and three agents drive
 // both service drops and sender-side clamp drops in every mode. The ttl1
 // and ttl8 modes run the pooled engine at both ends of the TTL range,
-// where the kernels' fixed-width loops meet the live TTL entries.
+// where the kernels' fixed-width loops meet the live TTL entries. The
+// state hash pins every link's in-flight vector and minute counters after
+// the run, which the report and the sums above see only in aggregate.
 struct PinnedOutputs {
   MinuteReport report;
   double in_flight = 0.0;
   std::vector<double> agent_sent;  ///< agent out-links, adjacency order
+  std::uint64_t state_hash = 0;    ///< saved_state_hash after the run
 };
 
 constexpr std::array<PeerId, 3> kPinnedAgents{40, 90, 140};
@@ -415,6 +434,7 @@ PinnedOutputs run_pinned(const FlowConfig& cfg) {
       out.agent_sent.push_back(w.net->sent_last_minute(a, q));
     }
   }
+  out.state_hash = saved_state_hash(*w.net);
   return out;
 }
 
@@ -423,6 +443,7 @@ struct PinnedMode {
   MinuteReport report;  ///< fields in declaration order
   double in_flight;
   std::vector<double> agent_sent;
+  std::uint64_t state_hash;
 };
 
 FlowConfig pinned_config(const std::string& mode) {
@@ -448,7 +469,8 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
      {0x1.74eaf325904fbp+14, 0x1.74eaf325904fbp+14, 0x1.b580000000006p+12,
       0x1.74eaf325904fbp+14, 0x1.74eaf325904fbp+14, 0x1.6e211f9e1f114p+14,
       0x1.6e211f9e1f114p+14, 0x1.6e211f9e1f114p+14, 0x1.6ae65d9584374p+14,
-      0x1.b580000000006p+12, 0x1.6ae65d9584374p+14}},
+      0x1.b580000000006p+12, 0x1.6ae65d9584374p+14},
+     0x558ced0157229d16ull},
     {"fair",
      {0x1.8p+1, 0x1.df5cc7b421b68p+19, 0x1.d5a46623b27efp+19,
       0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.1238e0e3c7758p+18,
@@ -459,7 +481,8 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
      {0x1.6c8ebe246d33ep+14, 0x1.6c8ebe246d33ep+14, 0x1.b580000000006p+12,
       0x1.6c8ebe246d33ep+14, 0x1.6c8ebe246d33ep+14, 0x1.5d24fc55cac5ap+14,
       0x1.5d24fc55cac5ap+14, 0x1.5d24fc55cac5ap+14, 0x1.5c95be07157d8p+14,
-      0x1.b580000000006p+12, 0x1.5c95be07157d8p+14}},
+      0x1.b580000000006p+12, 0x1.5c95be07157d8p+14},
+     0x7680887865d4efd4ull},
     {"priority",
      {0x1.8p+1, 0x1.7b4d5dec161d2p+20, 0x1.7388a1d49a881p+20,
       0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.12697674e0fedp+19,
@@ -470,7 +493,8 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
      {0x1.71c6bbde77befp+14, 0x1.71c6bbde77befp+14, 0x1.b580000000006p+12,
       0x1.71c6bbde77befp+14, 0x1.71c6bbde77befp+14, 0x1.6b8814f721a26p+14,
       0x1.6b8814f721a26p+14, 0x1.6b8814f721a26p+14, 0x1.6887c10c6cfd9p+14,
-      0x1.b580000000006p+12, 0x1.6887c10c6cfd9p+14}},
+      0x1.b580000000006p+12, 0x1.6887c10c6cfd9p+14},
+     0x0cbd84480c757d83ull},
     {"lossy",
      {0x1.8p+1, 0x1.8d62f5c845692p+20, 0x1.8bf9f5b19e91cp+20,
       0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.d40b9fbeb1829p+18,
@@ -481,7 +505,8 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
      {0x1.74ec1901644bfp+14, 0x1.74ec1901644bfp+14, 0x1.b580000000006p+12,
       0x1.74ec1901644bfp+14, 0x1.74ec1901644bfp+14, 0x1.6e197b3469b96p+14,
       0x1.6e197b3469b96p+14, 0x1.6e197b3469b96p+14, 0x1.6b0b84aa74404p+14,
-      0x1.b580000000006p+12, 0x1.6b0b84aa74404p+14}},
+      0x1.b580000000006p+12, 0x1.6b0b84aa74404p+14},
+     0x4d1ec71a2fa851d2ull},
     {"duplicating",
      {0x1.8p+1, 0x1.94c9b10c26dd4p+20, 0x1.9331eab372732p+20,
       0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.590390c754289p+19,
@@ -492,7 +517,8 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
      {0x1.74ecc209f990dp+14, 0x1.74ecc209f990dp+14, 0x1.b580000000006p+12,
       0x1.74ecc209f990dp+14, 0x1.74ecc209f990dp+14, 0x1.6e27535b67d5p+14,
       0x1.6e27535b67d5p+14, 0x1.6e27535b67d5p+14, 0x1.6ac83efb1b459p+14,
-      0x1.b580000000006p+12, 0x1.6ac83efb1b459p+14}},
+      0x1.b580000000006p+12, 0x1.6ac83efb1b459p+14},
+     0x0b6ca35823935661ull},
     {"ttl1",
      {0x1.8p+1, 0x1.7b6b8ccccdfd8p+17, 0x1.7ae800000001ap+17,
       0x1.60ccccccccf0fp+5, 0x1.7ae8000000004p+17, 0x1.5fa6cccccccb4p+16,
@@ -502,7 +528,8 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
      0x1.94b6fc962fdp+11,
      {0x1.388p+14, 0x1.388p+14, 0x1.b580000000006p+12, 0x1.388p+14,
       0x1.388p+14, 0x1.388p+14, 0x1.388p+14, 0x1.388p+14, 0x1.388p+14,
-      0x1.b580000000006p+12, 0x1.388p+14}},
+      0x1.b580000000006p+12, 0x1.388p+14},
+     0x078b2629abccbfa1ull},
     // Floods cover this overlay before their last hop, so the calibration
     // forwards nothing into hop 8 and ttl 8 reproduces the pooled ttl-7
     // values; its issuance still fills the last TTL entry of every link.
@@ -516,7 +543,8 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
      {0x1.74eaf325904fbp+14, 0x1.74eaf325904fbp+14, 0x1.b580000000006p+12,
       0x1.74eaf325904fbp+14, 0x1.74eaf325904fbp+14, 0x1.6e211f9e1f114p+14,
       0x1.6e211f9e1f114p+14, 0x1.6e211f9e1f114p+14, 0x1.6ae65d9584374p+14,
-      0x1.b580000000006p+12, 0x1.6ae65d9584374p+14}},
+      0x1.b580000000006p+12, 0x1.6ae65d9584374p+14},
+     0x0517a3712fbf1cd2ull},
   };
   for (const PinnedMode& m : modes) {
     SCOPED_TRACE(m.name);
@@ -539,31 +567,19 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
     EXPECT_EQ(r.dropped_attack, e.dropped_attack);
     EXPECT_EQ(o.in_flight, m.in_flight);
     EXPECT_EQ(o.agent_sent, m.agent_sent);
+    EXPECT_EQ(o.state_hash, m.state_hash);
   }
 }
 
 // The damping calibration pinned bit-for-bit. FlowNetwork::save holds the
 // coverage profile, the per-hop damping, the calibration minute and the
-// rng position, so one FNV-1a hash of its bytes covers every calibration
-// output and the draws it made. Each mode is hashed right after
+// rng position, so saved_state_hash covers every calibration output and
+// the draws it made. Each mode is hashed right after
 // construction and again after an in-run recalibration on a churned
 // overlay: a tenth of the peers offline, some isolated and some cut to
 // degree 1. TTLs 1, 7 and 8 cover the empty, the paper's and the longest
 // impulse; the sample counts fall on both sides of a 64-origin batch and
 // of the active count (where average_coverage floods every origin).
-std::uint64_t saved_state_hash(const FlowNetwork& net) {
-  snapshot::Writer w;
-  w.begin_section(1);
-  net.save(w);
-  w.end_section();
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::uint8_t b : w.finish(0)) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 struct CalibrationPin {
   std::size_t ttl;
   std::size_t samples;

@@ -499,6 +499,63 @@ TEST(LocalPolice, RoundSuppressionPreventsBackToBackRounds) {
   EXPECT_EQ(police.rounds_run(), 2u);
 }
 
+// Each list and request the judge sends leaves exactly one trace event,
+// named as the simulation judge names it: the periodic list
+// (neighbor_list), the round's request and the one to a member joining
+// mid-round (traffic_request), and the re-request of a silent member
+// (traffic_retry, attempt 1). Nobody asks this judge for a report, so it
+// sends no reply, which has no event type in either judge.
+TEST(LocalPolice, EachSendHasExactlyOneEvent) {
+  const std::uint32_t kJudge = ip(0), kM1 = ip(1), kM2 = ip(2), kBad = ip(9);
+  LoopTransport wire(kJudge);
+  DdPoliceConfig cfg = test_config();
+  cfg.collect_timeout_seconds = 6.0;  // 0.1 protocol minutes
+  LocalPolice police(kJudge, cfg, wire);
+  obs::RingBufferSink sink(64);
+  police.set_trace_sink(&sink);
+  police.add_neighbor(kBad);
+  police.on_neighbor_list(kBad, {kJudge, kM1}, 0.0);
+
+  police.on_minute(0.0, {});                     // list to the suspect
+  police.on_minute(1.0, {{kBad, 0.0, 1500.0}});  // request to M1
+  police.on_neighbor_list(kBad, {kJudge, kM1, kM2}, 1.02);  // request to M2
+  police.on_tick(1.11);  // both silent: one re-request each
+  police.on_tick(1.25);  // the round closes without a send
+
+  ASSERT_EQ(wire.lists.size(), 1u);
+  EXPECT_EQ(wire.lists[0].to, kBad);
+  std::vector<std::uint32_t> traffic_to;
+  for (const auto& t : wire.traffic) {
+    EXPECT_EQ(t.body.suspect_ip, kBad);
+    traffic_to.push_back(t.to);
+  }
+  EXPECT_EQ(traffic_to, (std::vector<std::uint32_t>{kM1, kM2, kM1, kM2}));
+
+  using Send = std::tuple<obs::EventType, std::uint32_t, std::uint32_t>;
+  std::vector<Send> sends;
+  for (const obs::TraceEvent& e : sink.snapshot()) {
+    if (e.type != obs::EventType::kNeighborListSent &&
+        e.type != obs::EventType::kTrafficRequest &&
+        e.type != obs::EventType::kTrafficRetry) {
+      continue;
+    }
+    sends.emplace_back(e.type, e.a, e.b);
+    if (e.type == obs::EventType::kTrafficRetry) {
+      ASSERT_EQ(e.n_fields, 1u);
+      EXPECT_STREQ(e.fields[0].key, "attempt");
+      EXPECT_EQ(e.fields[0].value, 1.0);
+    }
+  }
+  const std::vector<Send> expected = {
+      {obs::EventType::kNeighborListSent, kJudge, kBad},
+      {obs::EventType::kTrafficRequest, kM1, kBad},
+      {obs::EventType::kTrafficRequest, kM2, kBad},
+      {obs::EventType::kTrafficRetry, kM1, kBad},
+      {obs::EventType::kTrafficRetry, kM2, kBad},
+  };
+  EXPECT_EQ(sends, expected);
+}
+
 // ------------------------------ differential: DdPolice vs LocalPolice
 
 // Both judges run the one Definition 2.3 step (core::verdict) over report

@@ -310,11 +310,11 @@ struct FlowFixture {
   workload::ContentModel content;
   flow::FlowNetwork net;
 
-  explicit FlowFixture(util::Rng topo_rng)
+  explicit FlowFixture(util::Rng topo_rng, const flow::FlowConfig& cfg = {})
       : graph(topology::paper_topology(120, topo_rng)),
         bandwidth(graph.node_count(), topo_rng),
         content(workload::ContentConfig{}, graph.node_count()),
-        net(graph, bandwidth, content, flow::FlowConfig{}, util::Rng(5)) {
+        net(graph, bandwidth, content, cfg, util::Rng(5)) {
     for (PeerId a = 0; a < 4; ++a) net.set_kind(a, PeerKind::kBad);
   }
 };
@@ -362,6 +362,40 @@ TEST(FlowSnapshot, MidRunSectionRoundTripsByteIdentically) {
   a.net.run_minutes(1.0);
   b.run_minutes(1.0);
   EXPECT_EQ(flow_image(b), flow_image(a.net));
+}
+
+// The jobs setting leaves no mark on a flow image: a mid-minute image saved
+// at one worker count loads at another, and each restored engine carries on
+// exactly like a run at either count that was never saved.
+TEST(FlowSnapshot, ImageRestoresAcrossJobs) {
+  flow::FlowConfig one;
+  one.jobs = 1;
+  flow::FlowConfig four;
+  four.jobs = 4;
+  FlowFixture saved_at_one(util::Rng(6), one);
+  FlowFixture saved_at_four(util::Rng(6), four);
+  FlowFixture never_saved(util::Rng(6), one);
+  saved_at_one.net.run_minutes(1.5);
+  saved_at_four.net.run_minutes(1.5);
+  never_saved.net.run_minutes(2.5);
+  const auto image_one = flow_image(saved_at_one.net);
+  const auto image_four = flow_image(saved_at_four.net);
+  EXPECT_EQ(image_one, image_four);
+
+  flow::FlowNetwork at_four(saved_at_one.graph, saved_at_one.bandwidth,
+                            saved_at_one.content, four, util::Rng(99));
+  load_flow_image(at_four, image_one);
+  flow::FlowNetwork at_one(saved_at_four.graph, saved_at_four.bandwidth,
+                           saved_at_four.content, one, util::Rng(99));
+  load_flow_image(at_one, image_four);
+  EXPECT_EQ(flow_image(at_four), image_one);
+  EXPECT_EQ(flow_image(at_one), image_four);
+
+  at_four.run_minutes(1.0);
+  at_one.run_minutes(1.0);
+  const auto expected = flow_image(never_saved.net);
+  EXPECT_EQ(flow_image(at_four), expected);
+  EXPECT_EQ(flow_image(at_one), expected);
 }
 
 TEST(FlowSnapshot, RejectsNonZeroNxtBlock) {
