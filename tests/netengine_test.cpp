@@ -16,6 +16,7 @@
 //     message out per link, and a slow target evicted mid-flood without
 //     stalling the others;
 //   - SIGTERM clean shutdown with no leaked file descriptors;
+//   - one neighbor_list trace event per Neighbor_List a node sends;
 //   - the testbed report's fold of per-node traces, over hand-built
 //     files and over the traces of a live three-node cut.
 
@@ -33,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -515,6 +517,18 @@ NodeConfig quick_node(std::uint32_t index) {
   return cfg;
 }
 
+/// The hello a script-driven peer sends to open an overlay link.
+net::Message overlay_hello(std::uint32_t ip, std::uint16_t port) {
+  net::Message m;
+  m.header.ttl = 1;
+  net::Pong p;
+  p.ip = ip;
+  p.port = port;
+  p.files_shared = 0;  // overlay link
+  m.payload = p;
+  return m;
+}
+
 TEST(Node, HandshakeQueryHitRoundTrip) {
   // b answers every query; a is a bystander neighbour of b that proves
   // forwarding; c issues queries and must get the hit back.
@@ -761,21 +775,11 @@ TEST(Node, DuplicateEchoRevokesForwardCredit) {
 
   const std::uint32_t a1 = net::peer_address(1);
   const std::uint32_t a2 = net::peer_address(2);
-  auto hello = [](std::uint32_t ip, std::uint16_t port) {
-    net::Message m;
-    m.header.ttl = 1;
-    net::Pong p;
-    p.ip = ip;
-    p.port = port;
-    p.files_shared = 0;  // overlay link
-    m.payload = p;
-    return m;
-  };
   ASSERT_TRUE(pump([&] {
     return !p1.connected.empty() && !p2.connected.empty();
   }));
-  p1.engine.send(c1, hello(a1, 1));
-  p2.engine.send(c2, hello(a2, 2));
+  p1.engine.send(c1, overlay_hello(a1, 1));
+  p2.engine.send(c2, overlay_hello(a2, 2));
   ASSERT_TRUE(pump([&] { return node.overlay_degree() == 2; }));
 
   auto query = [](std::uint8_t tag, std::uint8_t ttl) {
@@ -823,6 +827,75 @@ TEST(Node, DuplicateEchoRevokesForwardCredit) {
   ASSERT_TRUE(pump([&] { return p2.messages.size() > before; }))
       << "ttl=2 query was not forwarded";
   EXPECT_EQ(node.link_minute(a2)->out_queries, 0.0);
+}
+
+TEST(Node, EveryNeighborListSentIsTraced) {
+  // Two script-driven peers join one node. Every Neighbor_List they
+  // receive is one neighbor_list event in the node's trace, whether the
+  // node sent it because its neighbour set changed or the judge sent it
+  // on the periodic exchange (every 2 protocol minutes, 1 s here).
+  for (const core::ExchangePolicy policy :
+       {core::ExchangePolicy::kEventDriven, core::ExchangePolicy::kPeriodic}) {
+    const bool periodic = policy == core::ExchangePolicy::kPeriodic;
+    SCOPED_TRACE(periodic ? "periodic" : "event-driven");
+    obs::RingBufferSink trace(4096);
+    NodeConfig cfg = quick_node(0);
+    cfg.ddp.exchange_policy = policy;
+    cfg.trace_sink = &trace;
+    Node node(cfg);
+    ASSERT_TRUE(node.start());
+
+    TestPeer p1, p2;
+    const ConnId c1 = p1.engine.connect("127.0.0.1", node.listen_port());
+    const ConnId c2 = p2.engine.connect("127.0.0.1", node.listen_port());
+    ASSERT_NE(c1, kInvalidConn);
+    ASSERT_NE(c2, kInvalidConn);
+    auto pump = [&](auto done) {
+      for (int i = 0; i < 4000; ++i) {
+        if (done()) return true;
+        node.poll_once(2);
+        p1.engine.poll_once(2);
+        p2.engine.poll_once(2);
+      }
+      return done();
+    };
+    const auto lists = [](const TestPeer& p) {
+      std::size_t n = 0;
+      for (const auto& [id, m] : p.messages) {
+        if (m.type() == net::PayloadType::kNeighborList) ++n;
+      }
+      return n;
+    };
+
+    const std::uint32_t a1 = net::peer_address(1);
+    const std::uint32_t a2 = net::peer_address(2);
+    ASSERT_TRUE(pump([&] {
+      return !p1.connected.empty() && !p2.connected.empty();
+    }));
+    p1.engine.send(c1, overlay_hello(a1, 1));
+    p2.engine.send(c2, overlay_hello(a2, 2));
+    // The lists of the joins, and under the periodic policy two more.
+    const std::size_t want = periodic ? 3 : 1;
+    ASSERT_TRUE(pump([&] { return lists(p1) >= want && lists(p2) >= want; }))
+        << "the node sent too few lists";
+
+    // The node stops sending; its peers read everything it wrote.
+    for (int i = 0; i < 100; ++i) {
+      p1.engine.poll_once(2);
+      p2.engine.poll_once(2);
+    }
+    std::map<std::uint32_t, std::size_t> traced;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const obs::TraceEvent& e = trace.at(i);
+      if (e.type == obs::EventType::kNeighborListSent &&
+          e.a == node.self_address()) {
+        ++traced[e.b];
+      }
+    }
+    EXPECT_EQ(traced.size(), 2u);
+    EXPECT_EQ(traced[a1], lists(p1));
+    EXPECT_EQ(traced[a2], lists(p2));
+  }
 }
 
 TEST(Node, BuddyIndexPastThePortRangeIsNeverDialed) {
