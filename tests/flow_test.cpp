@@ -571,6 +571,79 @@ TEST(FlowPinned, AbsoluteOutputsMatchRecordedValues) {
   }
 }
 
+// Mid-minute rewiring pinned bit-for-bit. Scenario runs change the graph
+// only in the minute hooks, right after the rotation zeroed every running
+// per-link counter, so they never carry a link's running minute across a
+// topology change or tick a recycled slot with half a minute behind it.
+// Here, 1.5 minutes into the pooled run, links are cut (one of them an
+// agent's), new links recycle the freed slots, one link is added through
+// the graph alone with no on_edge_added, and a peer next to an agent goes
+// offline. The state hash is pinned right after the rewiring, before any
+// tick, and at minute 2, where the cut minute's counters have completed;
+// the outputs are pinned again at minute 3.
+TEST(FlowPinned, MidMinuteRewiringMatchesRecordedValues) {
+  util::Rng rng(77);
+  World w(topology::paper_topology(150, rng), FlowConfig{}, 5);
+  for (const PeerId a : kPinnedAgents) w.net->set_kind(a, PeerKind::kBad);
+  w.net->run_minutes(1.5);
+
+  // The first peer after `p` that is active and not yet p's neighbour.
+  const auto stranger = [&w](PeerId p) {
+    PeerId q = (p + 1) % 150;
+    while (!w.graph.is_active(q) || q == p || w.graph.has_edge(p, q)) {
+      q = (q + 1) % 150;
+    }
+    return q;
+  };
+  for (const PeerId p : {PeerId{12}, PeerId{40}, PeerId{77}}) {
+    w.net->disconnect(p, w.graph.neighbors(p).front());
+  }
+  for (const PeerId p : {PeerId{5}, PeerId{60}, PeerId{101}}) {
+    const PeerId q = stranger(p);
+    ASSERT_TRUE(w.graph.add_edge(p, q));
+    w.net->on_edge_added(p, q);
+  }
+  ASSERT_TRUE(w.net->mutable_graph().add_edge(90, stranger(90)));
+  const PeerId offline = w.graph.neighbors(140).back();
+  w.net->on_peer_offline(offline);
+  w.graph.set_active(offline, false);
+  EXPECT_EQ(saved_state_hash(*w.net), 0x055296328d827fdcull);
+
+  w.net->run_until_minute(2.0);
+  EXPECT_EQ(saved_state_hash(*w.net), 0xd7de7476cfd51162ull);
+
+  w.net->run_until_minute(3.0);
+  const MinuteReport& r = w.net->last_minute_report();
+  const std::vector<double> report = {
+      r.minute,           r.traffic_messages,  r.attack_messages,
+      r.good_issued,      r.attack_issued,     r.dropped,
+      r.reach_per_query,  r.success_rate,      r.response_time,
+      r.mean_utilization, r.overhead_messages, r.transport_lost,
+      r.dropped_good,     r.dropped_attack};
+  EXPECT_EQ(report,
+            (std::vector<double>{
+                0x1.8p+1, 0x1.6cb77330acd22p+20, 0x1.6b11fbf79fe6ap+20,
+                0x1.5e66666666893p+5, 0x1.53d8p+17, 0x1.f5173e3c48961p+18,
+                0x1.2e1876314b01p+5, 0x1.cdff0dc6a7fc7p-1,
+                0x1.0d56c3691d29fp+2, 0x1.52d213f622f1p-1, 0x0p+0, 0x0p+0,
+                0x1.764f1bb10e589p+10, 0x1.f3a0ef2097873p+18}));
+  EXPECT_EQ(w.net->total_in_flight(), 0x1.8507f24c0d014p+14);
+  std::vector<double> agent_sent;
+  for (const PeerId a : kPinnedAgents) {
+    for (const PeerId q : w.graph.neighbors(a)) {
+      agent_sent.push_back(w.net->sent_last_minute(a, q));
+    }
+  }
+  EXPECT_EQ(agent_sent,
+            (std::vector<double>{
+                0x1.70f7eb4ad21bap+14, 0x1.70f7eb4ad21bap+14,
+                0x1.b580000000006p+12, 0x1.70f7eb4ad21bap+14,
+                0x1.74ea4a21875c2p+14, 0x1.74ea4a21875c2p+14,
+                0x1.74ea4a21875c2p+14, 0x1.74ea4a21875c2p+14,
+                0x1.5232e9641ba04p+14, 0x1.b580000000006p+12}));
+  EXPECT_EQ(saved_state_hash(*w.net), 0xaeda3d5523153f91ull);
+}
+
 // The damping calibration pinned bit-for-bit. FlowNetwork::save holds the
 // coverage profile, the per-hop damping, the calibration minute and the
 // rng position, so saved_state_hash covers every calibration output and
