@@ -80,6 +80,8 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "experiments/runtime.hpp"
 #include "experiments/scenario.hpp"
@@ -294,6 +296,11 @@ int main(int argc, char** argv) {
   } catch (const snapshot::SnapshotError& e) {
     std::fprintf(stderr, "ddpsim: snapshot rejected: %s\n", e.what());
     return 3;
+  } catch (const std::length_error& e) {
+    // The flow engine's slot ceiling, on an overlay validate_config could
+    // not size up front (models other than BA).
+    std::fprintf(stderr, "ddpsim: invalid configuration: %s\n", e.what());
+    return 2;
   }
 
   std::signal(SIGINT, on_signal);
@@ -336,9 +343,16 @@ int main(int argc, char** argv) {
   // plane), so jobs>1 runs them on separate threads. Either way the
   // results — and every file written from them — are identical.
   experiments::SweepRunner runner(jobs > 1 ? 2u : 1u);
-  auto legs = runner.map(2, [&](std::size_t i) {
-    return i == 0 ? experiments::run_baseline(cfg) : run_scenario_leg();
-  });
+  std::vector<experiments::ScenarioResult> legs;
+  try {
+    legs = runner.map(2, [&](std::size_t i) {
+      return i == 0 ? experiments::run_baseline(cfg) : run_scenario_leg();
+    });
+  } catch (const std::length_error& e) {
+    // An overlay that grew past the flow engine's slot ceiling mid-run.
+    std::fprintf(stderr, "ddpsim: %s\n", e.what());
+    return 2;
+  }
   const auto baseline = std::move(legs[0]);
   const auto r = std::move(legs[1]);
 

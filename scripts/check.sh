@@ -158,7 +158,8 @@ expect_exit2 "$bn/bench_engine_perf" --mega=x
 expect_exit2 "$bn/bench_engine_perf" --headline-only --bogus
 for bad in "adaptve=1" "peers=2k" "peers=-5" "ct=3x" "radius=4294967297" \
     "topo=hardcutoff" "jobs=-1" "churn=maybe" "adaptive=2" "2000" \
-    "csv=out.csv trace=out.jsonl ct=3x" "flow_shards=3"; do
+    "csv=out.csv trace=out.jsonl ct=3x" "flow_shards=3" \
+    "peers=1500000 agents=0 minutes=1"; do
   # shellcheck disable=SC2086
   expect_exit2 "$ex/ddpsim" peers=100 agents=5 minutes=5 $bad
 done

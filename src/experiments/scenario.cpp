@@ -1,8 +1,10 @@
 #include "experiments/scenario.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "experiments/runtime.hpp"
+#include "flow/network.hpp"
 
 namespace ddp::experiments {
 
@@ -18,6 +20,23 @@ std::string validate_config(const ScenarioConfig& config) {
   if (config.topo.nodes < 2) return "topo.nodes must be >= 2";
   if (config.topo.ba_links_per_node < 1) {
     return "topo.ba_links_per_node must be >= 1";
+  }
+  if (config.topo.model == topology::Model::kBarabasiAlbert) {
+    // A BA overlay is built with exactly m(m+1) + 2m(n-m-1) directed slots
+    // (the seed clique, then m links per joining peer), so one past the
+    // flow engine's ceiling is refused here, before any graph exists.
+    constexpr std::size_t kMaxSlots = flow::FlowNetwork::kMaxSlots;
+    const std::size_t m = config.topo.ba_links_per_node;
+    const std::size_t max_nodes =
+        m > kMaxSlots || m * (m + 1) > kMaxSlots
+            ? m
+            : m + 1 + (kMaxSlots - m * (m + 1)) / (2 * m);
+    if (config.topo.nodes > max_nodes) {
+      return "topo.nodes must be at most " + std::to_string(max_nodes) +
+             " for a BA overlay with ba_links_per_node=" + std::to_string(m) +
+             " (the flow engine runs at most " + std::to_string(kMaxSlots) +
+             " directed links)";
+    }
   }
   if (!std::isfinite(config.topo.hc_cutoff_exponent) ||
       config.topo.hc_cutoff_exponent < 1.0 ||

@@ -18,8 +18,9 @@ FlowNetwork::FlowNetwork(topology::Graph& graph,
     : graph_(graph), bandwidth_(bandwidth), content_(content), config_(config),
       rng_(rng), kinds_(graph.node_count(), PeerKind::kGood),
       issue_scale_(graph.node_count(), 1.0),
-      edge_state_(graph.edge_index()) {
+      minute_done_(graph.edge_index()), span_scratch_(1) {
   check_slot_ceiling();
+  span_scratch_.front().pool.emplace_back();  // reference 0: the zero vector
   ticks_per_minute_ =
       static_cast<std::uint64_t>(std::llround(kMinute / config_.tick_seconds));
   if (ticks_per_minute_ == 0) ticks_per_minute_ = 1;
@@ -150,9 +151,7 @@ double FlowNetwork::sent_last_minute(PeerId from, PeerId to) const noexcept {
 double FlowNetwork::sent_last_minute(
     PeerId from, PeerId to, topology::EdgeIndex::Slot slot) const noexcept {
   // kInvalidSlot (no such link) finds no state either.
-  if (const EdgeMinute* em = edge_state_.find_cold(slot)) {
-    return em->minute_done;
-  }
+  if (const double* done = minute_done_.find(slot)) return *done;
   // Link gone, but the endpoint monitors still hold the last minute. The
   // ghost list only ever holds this minute's cuts, so a scan is cheap.
   for (const GhostCount& g : ghost_minute_counts_) {
@@ -163,16 +162,14 @@ double FlowNetwork::sent_last_minute(
 
 double FlowNetwork::sent_last_minute(
     topology::EdgeIndex::Slot slot) const noexcept {
-  const EdgeMinute* em = edge_state_.find_cold(slot);
-  return em == nullptr ? 0.0 : em->minute_done;
+  const double* done = minute_done_.find(slot);
+  return done == nullptr ? 0.0 : *done;
 }
 
 double FlowNetwork::out_last_minute(PeerId from) const noexcept {
   double total = 0.0;
   for (const auto slot : graph_.out_slots(from)) {
-    if (const EdgeMinute* em = edge_state_.find_cold(slot)) {
-      total += em->minute_done;
-    }
+    if (const double* done = minute_done_.find(slot)) total += *done;
   }
   // Links cut during this minute's hooks: their counters moved to the
   // ghost list when the slot was released, never both places at once.
@@ -187,27 +184,22 @@ void FlowNetwork::disconnect(PeerId a, PeerId b) {
   // slot pair (which retires both directions' flow state).
   const auto slot = graph_.edge_slot(a, b);
   if (slot != topology::EdgeIndex::kInvalidSlot) {
-    if (const EdgeMinute* em = edge_state_.find_cold(slot);
-        em != nullptr && em->minute_done > 0.0) {
-      ghost_minute_counts_.push_back({a, b, em->minute_done});
+    if (const double* done = minute_done_.find(slot);
+        done != nullptr && *done > 0.0) {
+      ghost_minute_counts_.push_back({a, b, *done});
     }
     const auto rev = graph_.edge_index().reverse(slot);
-    if (const EdgeMinute* em = edge_state_.find_cold(rev);
-        em != nullptr && em->minute_done > 0.0) {
-      ghost_minute_counts_.push_back({b, a, em->minute_done});
+    if (const double* done = minute_done_.find(rev);
+        done != nullptr && *done > 0.0) {
+      ghost_minute_counts_.push_back({b, a, *done});
     }
   }
   if (graph_.remove_edge(a, b)) {
-    shard_plan_dirty_ = true;
     DDP_TRACE(tracer_, obs::EventType::kLinkDisconnected, now_, a, b);
   }
 }
 
 void FlowNetwork::on_edge_added(PeerId a, PeerId b) {
-  // Flow state is created lazily on first transmission, and any state a
-  // previous incarnation of this link held died with its slot generation —
-  // nothing to clean up beyond invalidating the shard plan.
-  shard_plan_dirty_ = true;
   DDP_TRACE(tracer_, obs::EventType::kEdgeAdded, now_, a, b);
 }
 
@@ -215,7 +207,6 @@ void FlowNetwork::on_peer_offline(PeerId p) {
   const std::vector<PeerId> nbrs(graph_.neighbors(p).begin(),
                                  graph_.neighbors(p).end());
   for (PeerId n : nbrs) disconnect(p, n);
-  shard_plan_dirty_ = true;
   DDP_TRACE(tracer_, obs::EventType::kPeerOffline, now_, p);
 }
 
@@ -297,15 +288,16 @@ void FlowNetwork::SpanLog::clear() noexcept {
 // not of any container's internal layout. Sums into a local vector over
 // the full kMaxTtl width and stores it once into arrivals_[to]; entries at
 // remaining TTL >= ttl are always +0.0, which leaves every sum unchanged.
-// Reads in-link vectors through their pool references; no phase-1 sweep
-// writes a pool.
+// Reads the receiver's run of pool references in the link plan; no
+// phase-1 sweep writes a pool. A link not yet ticked names the zero
+// vector, and adding it is exact: no in-flight volume is ever -0.0 (all
+// are sums and products of non-negative values, and rel >= 0), so every
+// sum here starts at +0.0, stays non-negative, and x + (+0.0) * rel is x.
 template <typename Sink>
 void FlowNetwork::phase1_peer(PeerId to, double rel, Sink& sink) {
   FlowVector a{};
-  for (const std::uint32_t in : graph_.in_slots(to)) {
-    const EdgeFlow* ef = edge_state_.find(in);
-    if (ef == nullptr) continue;
-    const FlowVector& cur = link_flow(*ef);
+  for (std::uint32_t i = plan_.offset[to]; i < plan_.offset[to + 1]; ++i) {
+    const FlowVector& cur = link_flow(plan_.in_ref[i]);
     for (std::size_t c = 0; c < kClasses; ++c) {
       for (std::size_t k = 0; k < kMaxTtl; ++k) a[c][k] += cur[c][k] * rel;
     }
@@ -332,8 +324,6 @@ template <typename Sink>
 std::array<double, kClasses> FlowNetwork::phase2_service(
     PeerId v, double cap_tick, double service_time, double rel,
     TickScratch& ts, Sink& sink) {
-  const auto nbrs = graph_.neighbors(v);
-
   double in_total = 0.0;
   for (const auto& cls : arrivals_[v]) {
     for (const double x : cls) in_total += x;
@@ -355,14 +345,15 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
       in_total > cap_tick) {
     // Max-min fair allocation of the service budget across in-links
     // (the load-balancing baseline [21]): lightly-loaded links are fully
-    // served; heavy links are capped at the waterfill share.
-    const auto vin = graph_.in_slots(v);
-    ts.edge_totals.assign(nbrs.size(), 0.0);
-    ts.edge_class_totals.assign(nbrs.size(), {});
-    for (std::size_t e = 0; e < nbrs.size(); ++e) {
-      const EdgeFlow* ef = edge_state_.find(vin[e]);
-      if (ef == nullptr) continue;
-      const FlowVector& cur = link_flow(*ef);
+    // served; heavy links are capped at the waterfill share. A link not
+    // yet ticked sums to +0.0 and is skipped below, like any link with
+    // nothing in flight.
+    const std::uint32_t* in_ref = plan_.in_ref.data() + plan_.offset[v];
+    const std::size_t deg = plan_.offset[v + 1] - plan_.offset[v];
+    ts.edge_totals.assign(deg, 0.0);
+    ts.edge_class_totals.assign(deg, {});
+    for (std::size_t e = 0; e < deg; ++e) {
+      const FlowVector& cur = link_flow(in_ref[e]);
       double total = 0.0;
       std::array<double, kClasses> cls_tot{};
       for (std::size_t c = 0; c < kClasses; ++c) {
@@ -376,13 +367,13 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
       ts.edge_class_totals[e] = cls_tot;
     }
     double budget = cap_tick;
-    ts.done.assign(nbrs.size(), 0);
-    std::size_t active = nbrs.size();
+    ts.done.assign(deg, 0);
+    std::size_t active = deg;
     double share = 0.0;
     for (int iter = 0; iter < 8 && active > 0; ++iter) {
       share = budget / static_cast<double>(active);
       bool changed = false;
-      for (std::size_t e = 0; e < nbrs.size(); ++e) {
+      for (std::size_t e = 0; e < deg; ++e) {
         if (ts.done[e] || ts.edge_totals[e] > share) continue;
         budget -= ts.edge_totals[e];
         ts.done[e] = 1;
@@ -392,9 +383,8 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
       if (!changed) break;
     }
     FlowVector fair_arrivals{};
-    for (std::size_t e = 0; e < nbrs.size(); ++e) {
-      const EdgeFlow* ef = edge_state_.find(vin[e]);
-      if (ef == nullptr || ts.edge_totals[e] <= 0.0) continue;
+    for (std::size_t e = 0; e < deg; ++e) {
+      if (ts.edge_totals[e] <= 0.0) continue;
       const double sc = ts.done[e] ? 1.0 : share / ts.edge_totals[e];
       sink.add_service_drop(
           ts.edge_totals[e] * (1.0 - sc),
@@ -403,7 +393,7 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
           ts.edge_class_totals[e]
                              [static_cast<std::size_t>(TrafficClass::kAttack)] *
               (1.0 - sc));
-      const FlowVector& cur = link_flow(*ef);
+      const FlowVector& cur = link_flow(in_ref[e]);
       for (std::size_t c = 0; c < kClasses; ++c) {
         for (std::size_t k = 0; k < kMaxTtl; ++k) {
           fair_arrivals[c][k] += cur[c][k] * rel * sc;
@@ -462,11 +452,12 @@ template <typename Sink>
 void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
                               const std::array<double, kClasses>& survive_c,
                               TickScratch& ts, Sink& sink) {
-  const auto nbrs = graph_.neighbors(v);
-  if (nbrs.empty()) return;
-  const auto deg = static_cast<double>(nbrs.size());
+  const OutLink* out = plan_.out.data() + plan_.offset[v];
+  const std::size_t links = plan_.offset[v + 1] - plan_.offset[v];
+  if (links == 0) return;
+  const auto deg = static_cast<double>(links);
   const auto& a = arrivals_[v];
-  ts.issued.assign(nbrs.size(), 0.0);
+  ts.issued.assign(links, 0.0);
   ts.forward = {};
   ts.issue_class = static_cast<std::size_t>(
       kinds_[v] == PeerKind::kGood ? TrafficClass::kGood
@@ -490,9 +481,8 @@ void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
                           issue_scale_[v];
     if (target > 0.0) {
       double attempted = 0.0;
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const double clamp = link_capacity_per_tick(v, nbrs[i]);
-        ts.issued[i] = std::min(target, clamp);
+      for (std::size_t i = 0; i < links; ++i) {
+        ts.issued[i] = std::min(target, out[i].cap);
         attempted += ts.issued[i];
       }
       sink.add_attack_issued(attempted);
@@ -534,11 +524,13 @@ void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
 }
 
 // ---- Phase 2c: bandwidth clamp at the sender, count. ----------------------
-// Emits each out-link's clamped vector into the span's pool and points the
-// link at it: every receiver already gathered its arrivals in phase 1.
-// Senders in PeerId order, out-links in adjacency order, so the traffic
-// accumulators sum deterministically. Touches only this sender's out-link
-// state and its span's pool.
+// Emits each out-link's clamped vector into the span's pool and writes its
+// reference at the link's receiver position: every receiver already
+// gathered its arrivals in phase 1. Senders in PeerId order, out-links in
+// adjacency order, so the traffic accumulators sum deterministically.
+// Writes only this sender's out-links, their references (each written by
+// its sender alone, in another span's range too, after the pass-1
+// barrier) and its span's pool.
 //
 // A link's vector is the forwarded one with its issuance slotted in, so it
 // is built into the pool, with its total and per-class sums, once per
@@ -575,19 +567,20 @@ void FlowNetwork::phase2_clamp(PeerId from, std::size_t ttl, TickScratch& ts,
     return lv;
   };
 
-  const auto nbrs = graph_.neighbors(from);
-  const auto slots = graph_.out_slots(from);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    EdgeFlow& ef = edge_state_.touch(slots[i]);
+  OutLink* out = plan_.out.data() + plan_.offset[from];
+  const std::size_t links = plan_.offset[from + 1] - plan_.offset[from];
+  for (std::size_t i = 0; i < links; ++i) {
+    OutLink& ol = out[i];
     const LinkVector& lv = link_vector(ts.issued[i]);
-    const double clamp = link_capacity_per_tick(from, nbrs[i]);
+    const double clamp = ol.cap;
     double total = lv.total;
     double attack_part = lv.cls_tot[kAttack];
     if (total > 0.0 && total > clamp) {
       const double scale = clamp / total;
       sink.add_clamp_drop(total - clamp, lv.cls_tot[kGood] * (1.0 - scale),
                           attack_part * (1.0 - scale));
-      ef.ref = ts.pool_span | static_cast<std::uint32_t>(ts.pool.size());
+      plan_.in_ref[ol.in_pos] =
+          ts.pool_span | static_cast<std::uint32_t>(ts.pool.size());
       FlowVector& scaled = ts.pool.emplace_back(ts.pool[lv.at]);
       for (auto& cls : scaled) {
         for (double& x : cls) x *= scale;
@@ -596,11 +589,11 @@ void FlowNetwork::phase2_clamp(PeerId from, std::size_t ttl, TickScratch& ts,
       for (const double x : scaled[kAttack]) attack_part += x;
       total = clamp;
     } else {
-      ef.ref = ts.pool_span | lv.at;
+      plan_.in_ref[ol.in_pos] = ts.pool_span | lv.at;
       if (total <= 0.0) continue;
     }
     sink.add_traffic(total, attack_part);
-    edge_state_.cold(slots[i]).minute_acc += total;
+    ol.minute_acc += total;
   }
 }
 
@@ -644,13 +637,15 @@ void FlowNetwork::sweep_spans(std::span<const util::IndexSpan> spans,
 
   // Pass 2: each peer writes only its own out-links' references and its
   // span's pool, and reads only its own arrivals, so service, emission and
-  // clamping run back to back. Every pool is refilled from empty: the
-  // passes above read the last tick's vectors for good. Inactive peers are
-  // isolated (Graph::set_active), so they have no out-links to clear.
+  // clamping run back to back. Every pool is refilled from empty, span 0's
+  // from the zero vector: the passes above read the last tick's vectors
+  // for good. Inactive peers are isolated (Graph::set_active), so they
+  // have no out-links to clear.
   run([&](std::size_t s) {
     auto sink = sink_for(s);
     TickScratch& ts = span_scratch_[s];
     ts.pool.clear();
+    if (s == 0) ts.pool.emplace_back();
     ts.pool_span = static_cast<std::uint32_t>(s) << kPoolIndexBits;
     for (std::size_t v = spans[s].begin; v < spans[s].end; ++v) {
       const auto p = static_cast<PeerId>(v);
@@ -702,8 +697,8 @@ void FlowNetwork::replay_span_logs(double& tick_util, std::size_t& util_nodes) {
 }
 
 void FlowNetwork::refresh_shard_plan() {
+  if (shard_plan_version_ == graph_.version()) return;
   const std::size_t n = graph_.node_count();
-  if (!shard_plan_dirty_ && shard_plan_nodes_ == n) return;
   // Weight each peer by 1 + degree: a span's cost is dominated by the
   // per-link work of its peers, and the +1 keeps isolated peers from
   // collapsing a span to zero weight.
@@ -713,8 +708,65 @@ void FlowNetwork::refresh_shard_plan() {
   }
   shard_spans_ = util::make_weighted_spans(
       shard_weights_, std::min<std::size_t>(pool_->size(), kMaxSpans));
-  shard_plan_dirty_ = false;
-  shard_plan_nodes_ = n;
+  shard_plan_version_ = graph_.version();
+}
+
+void FlowNetwork::layout_plan() {
+  const std::size_t n = graph_.node_count();
+  plan_.offset.resize(n + 1);
+  std::uint32_t links = 0;
+  for (PeerId p = 0; p < n; ++p) {
+    plan_.offset[p] = links;
+    links += static_cast<std::uint32_t>(graph_.degree(p));
+  }
+  plan_.offset[n] = links;
+  plan_.in_ref.assign(links, 0);
+  plan_.out.resize(links);
+  // Entries of dead slots are never read: only a slot with flow state is
+  // looked up, and every such slot is a link of the plan.
+  plan_.slot_in_pos.resize(graph_.edge_index().capacity());
+  for (PeerId p = 0; p < n; ++p) {
+    const auto in = graph_.in_slots(p);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      plan_.slot_in_pos[in[i]] =
+          plan_.offset[p] + static_cast<std::uint32_t>(i);
+    }
+  }
+  for (PeerId p = 0; p < n; ++p) {
+    const auto nbrs = graph_.neighbors(p);
+    const auto slots = graph_.out_slots(p);
+    OutLink* out = plan_.out.data() + plan_.offset[p];
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      out[i] = {plan_.slot_in_pos[slots[i]], slots[i],
+                link_capacity_per_tick(p, nbrs[i]), 0.0};
+    }
+  }
+}
+
+void FlowNetwork::rebuild_plan() {
+  const LinkPlan old = std::exchange(plan_, {});
+  layout_plan();
+  // A link with flow state existed, as this incarnation of its slot, when
+  // the old plan was laid out, so the old plan holds its reference and
+  // running minute: carry them. Every other link gets its state here, at
+  // the start of the first tick that carries it, and names the zero
+  // vector until its sender clamps it. Each slot is looked up before its
+  // own state is created: a recycled slot found after creation would be
+  // handed its previous incarnation's vector. No monitor read runs inside
+  // a tick, so to monitors the state appears once the link has been
+  // counted, and until then sent_last_minute falls back to the ghosts.
+  minute_done_.sync();
+  const topology::EdgeIndex& index = graph_.edge_index();
+  for (OutLink& ol : plan_.out) {
+    if (minute_done_.find(ol.slot) == nullptr) {
+      minute_done_.touch(ol.slot);
+      continue;
+    }
+    plan_.in_ref[ol.in_pos] = old.in_ref[old.slot_in_pos[ol.slot]];
+    ol.minute_acc =
+        old.out[old.slot_in_pos[index.reverse(ol.slot)]].minute_acc;
+  }
+  plan_version_ = graph_.version();
 }
 
 void FlowNetwork::step() {
@@ -724,7 +776,7 @@ void FlowNetwork::step() {
       config_.capacity_per_minute / static_cast<double>(ticks_per_minute_);
   const double service_time = kMinute / config_.capacity_per_minute;
   const double rel = config_.link_reliability;
-  edge_state_.sync();
+  if (plan_version_ != graph_.version()) rebuild_plan();
   arrivals_.resize(n);
   if (config_.discipline == ServiceDiscipline::kFairShare) {
     survive_scratch_.resize(n);
@@ -734,7 +786,6 @@ void FlowNetwork::step() {
   std::size_t util_nodes = 0;
   if (pool_ == nullptr) {
     const util::IndexSpan all{0, n};
-    span_scratch_.resize(1);
     sync_pools(1);
     clamp_drops_.clear();
     sweep_spans({&all, 1}, ttl, cap_tick, service_time, rel,
@@ -764,7 +815,7 @@ void FlowNetwork::step() {
 void FlowNetwork::check_slot_ceiling() const {
   if (graph_.edge_index().capacity() > kMaxSlots) {
     throw std::length_error(
-        "flow engine: the overlay has more than 2^23 directed links");
+        "flow engine: the overlay has more than 2^23 - 1 directed links");
   }
 }
 
@@ -789,14 +840,14 @@ void FlowNetwork::sync_pools(std::size_t spans) {
 }
 
 void FlowNetwork::rotate_minute() {
-  // Complete the per-link minute counters — one linear sweep over the
-  // *cold* array only (the hot flow vectors stay untouched); ghosts of
-  // torn-down links only cover the minute in which they were cut.
+  // Complete the per-link minute counters — one sweep over the plan's
+  // out-links, which this tick's step() brought up to date with the graph;
+  // ghosts of torn-down links only cover the minute in which they were cut.
   ghost_minute_counts_.clear();
-  edge_state_.for_each_cold([](std::uint32_t, EdgeMinute& em) {
-    em.minute_done = em.minute_acc;
-    em.minute_acc = 0.0;
-  });
+  for (OutLink& ol : plan_.out) {
+    minute_done_.touch(ol.slot) = ol.minute_acc;
+    ol.minute_acc = 0.0;
+  }
 
   MinuteReport r;
   r.minute = to_minutes(now_);
@@ -867,9 +918,6 @@ void FlowNetwork::rotate_minute() {
   }
 
   for (const auto& hook : minute_hooks_) hook(r.minute);
-  // Hooks cut links and drive churn; re-balance the spans for the minute
-  // ahead (cheap: one weighted prefix scan, and only when anything moved).
-  shard_plan_dirty_ = true;
 }
 
 double FlowNetwork::total_in_flight() const noexcept {
@@ -877,9 +925,8 @@ double FlowNetwork::total_in_flight() const noexcept {
   const std::size_t n = graph_.node_count();
   for (PeerId from = 0; from < n; ++from) {
     for (const auto slot : graph_.out_slots(from)) {
-      const EdgeFlow* ef = edge_state_.find(slot);
-      if (ef == nullptr) continue;
-      for (const auto& cls : link_flow(*ef)) {
+      if (minute_done_.find(slot) == nullptr) continue;
+      for (const auto& cls : slot_flow(slot)) {
         for (double v : cls) total += v;
       }
     }
@@ -949,22 +996,18 @@ void FlowNetwork::save(snapshot::Writer& w) const {
   // directions. The jobs setting does not influence this state: the pools
   // the references point into are not saved, only the vectors.
   std::size_t entries = 0;
-  edge_state_.for_each(
-      [&entries](std::uint32_t, const EdgeFlow&, const EdgeMinute&) {
-        ++entries;
-      });
+  minute_done_.for_each([&entries](std::uint32_t, double) { ++entries; });
   w.size(entries);
-  edge_state_.for_each(
-      [this, &w](std::uint32_t slot, const EdgeFlow& ef,
-                 const EdgeMinute& em) {
-        w.u32(slot);
-        for (const auto& cls : link_flow(ef)) {
-          for (const double v : cls) w.f64(v);
-        }
-        for (std::size_t i = 0; i < kClasses * kMaxTtl; ++i) w.f64(0.0);
-        w.f64(em.minute_acc);
-        w.f64(em.minute_done);
-      });
+  const topology::EdgeIndex& index = graph_.edge_index();
+  minute_done_.for_each([this, &w, &index](std::uint32_t slot, double done) {
+    w.u32(slot);
+    for (const auto& cls : slot_flow(slot)) {
+      for (const double v : cls) w.f64(v);
+    }
+    for (std::size_t i = 0; i < kClasses * kMaxTtl; ++i) w.f64(0.0);
+    w.f64(plan_.out[plan_.slot_in_pos[index.reverse(slot)]].minute_acc);
+    w.f64(done);
+  });
 
   snapshot::save_f64_vector(w, profile_.new_nodes);
   snapshot::save_f64_vector(w, profile_.messages);
@@ -1006,28 +1049,33 @@ void FlowNetwork::load(snapshot::Reader& r) {
   for (PeerKind& k : kinds_) k = static_cast<PeerKind>(r.u8());
   snapshot::load_f64_vector(r, issue_scale_, kMaxPeers);
 
-  // Every saved vector becomes its own entry of span 0's pool; the next
-  // pass 2 refills the pools of whatever spans the engine runs.
+  // The plan is laid out for the restored graph, and every saved vector
+  // becomes its own entry of span 0's pool, after the zero vector; the
+  // next pass 2 refills the pools of whatever spans the engine runs. No
+  // state is created for links the image holds none for, so a save right
+  // after this writes the same bytes; the next step() rebuilds the plan
+  // and creates it.
   const topology::EdgeIndex& index = graph_.edge_index();
   if (index.capacity() > kMaxSlots) {
     throw snapshot::SnapshotError(
-        "flow state: the overlay has more than 2^23 directed links");
+        "flow state: the overlay has more than 2^23 - 1 directed links");
   }
   const std::size_t ttl = std::min(config_.ttl, kMaxTtl);
-  edge_state_.clear();
-  edge_state_.sync();
-  if (span_scratch_.empty()) span_scratch_.resize(1);
+  minute_done_.clear();
+  minute_done_.sync();
+  layout_plan();
   std::vector<FlowVector>& pool = span_scratch_.front().pool;
   pool.clear();
   const std::size_t entries = r.size(index.capacity());
-  pool.reserve(entries);
+  pool.reserve(entries + 1);
+  pool.emplace_back();
   for (std::size_t i = 0; i < entries; ++i) {
     const std::uint32_t slot = r.u32();
     if (!index.live(slot)) {
       throw snapshot::SnapshotError("flow state references a dead edge slot");
     }
-    EdgeFlow& ef = edge_state_.touch(slot);
-    ef.ref = static_cast<std::uint32_t>(pool.size());
+    plan_.in_ref[plan_.slot_in_pos[slot]] =
+        static_cast<std::uint32_t>(pool.size());
     for (auto& cls : pool.emplace_back()) {
       for (std::size_t k = 0; k < kMaxTtl; ++k) {
         cls[k] = r.f64();
@@ -1045,9 +1093,8 @@ void FlowNetwork::load(snapshot::Reader& r) {
             "flow state holds volume in the always-empty nxt block");
       }
     }
-    EdgeMinute& em = edge_state_.cold(slot);
-    em.minute_acc = r.f64();
-    em.minute_done = r.f64();
+    plan_.out[plan_.slot_in_pos[index.reverse(slot)]].minute_acc = r.f64();
+    minute_done_.touch(slot) = r.f64();
   }
 
   snapshot::load_f64_vector(r, profile_.new_nodes, kMaxTtl);
@@ -1086,7 +1133,7 @@ void FlowNetwork::load(snapshot::Reader& r) {
   history_.resize(r.size(1u << 24));
   for (MinuteReport& m : history_) load_report(r, m);
   snapshot::load_rng(r, rng_);
-  shard_plan_dirty_ = true;
+  plan_version_ = kNoPlan;
 }
 
 }  // namespace ddp::flow

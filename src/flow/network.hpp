@@ -87,6 +87,15 @@ struct MinuteReport {
 
 class FlowNetwork {
  public:
+  /// Directed slots the engine runs on: 2^23 - 1, about 1.4 million peers
+  /// at the paper overlay's mean degree of 6. A pass pools at most two
+  /// vectors per out-link of its span's senders, and span 0's pool also
+  /// holds the zero vector, so every pool index stays below 2^24 (the
+  /// index bits of a reference). A loaded image pools one per slot. The
+  /// constructor and load() refuse a larger overlay; step() stops a run
+  /// whose overlay grows past it.
+  static constexpr std::size_t kMaxSlots = (std::size_t{1} << 23) - 1;
+
   /// Throws std::length_error when the graph has more than kMaxSlots
   /// directed slots.
   FlowNetwork(topology::Graph& graph, const topology::BandwidthMap& bandwidth,
@@ -144,8 +153,9 @@ class FlowNetwork {
   /// the link is discarded; monitors reset.
   void disconnect(PeerId a, PeerId b);
 
-  /// Notify the engine that the graph gained an edge (churn/rejoin); flow
-  /// state is created lazily, so this only validates bookkeeping.
+  /// Notify the engine that the graph gained an edge (churn/rejoin). Only
+  /// traces: the next step() sees the graph's version move and gives the
+  /// link its flow state, so an edge added without this call ticks alike.
   void on_edge_added(PeerId a, PeerId b);
 
   /// Remove a peer's flow state entirely (peer went offline).
@@ -198,39 +208,46 @@ class FlowNetwork {
   /// One link's in-transit volume by (traffic class, remaining TTL).
   using FlowVector = std::array<std::array<double, kMaxTtl>, kClasses>;
 
-  /// Hot per-link state: a reference to the link's in-flight vector in the
-  /// emission pool of the span that sent it. The top kPoolSpanBits name
+  /// A link's in-flight vector is named by a 32-bit reference into the
+  /// emission pool of the span that sent it: the top kPoolSpanBits name
   /// the span, the rest the vector's index in that span's pool. A good
-  /// sender's unclamped out-links all name one pooled vector. Phase 1
-  /// reads through the reference at the receiver; the sender's clamp
-  /// rewrites pool and reference later in the same tick, so no second
-  /// buffer is needed. Split from the minute counters so tick sweeps and
-  /// monitor sweeps each touch only the arrays they need.
-  struct EdgeFlow {
-    std::uint32_t ref = 0;
-  };
-  static_assert(sizeof(EdgeFlow) == 4);
+  /// sender's unclamped out-links all name one pooled vector. Reference 0
+  /// names the zero vector that heads span 0's pool, which a link carries
+  /// until its sender first clamps it.
   static constexpr unsigned kPoolSpanBits = 8;
   static constexpr unsigned kPoolIndexBits = 32 - kPoolSpanBits;
   static constexpr std::uint32_t kPoolIndexMask =
       (std::uint32_t{1} << kPoolIndexBits) - 1;
   /// Spans a reference can name; the shard plan never makes more.
   static constexpr std::size_t kMaxSpans = std::size_t{1} << kPoolSpanBits;
-  /// Directed slots the engine runs on. A pass pools at most two vectors
-  /// per out-link of its span's senders and a loaded image one per slot,
-  /// so 2^23 slots keep every pool index below 2^kPoolIndexBits: about
-  /// 1.4 million peers at the paper overlay's mean degree of 6. The
-  /// constructor and load() refuse a larger overlay; step() stops a run
-  /// whose overlay grows past it.
-  static constexpr std::size_t kMaxSlots = std::size_t{1}
-                                           << (kPoolIndexBits - 1);
-  /// Cold per-link state: the per-minute Out_query counters DD-POLICE
-  /// reads (16 B). The minute rotation and every defense counter sweep
-  /// walk only this array.
-  struct EdgeMinute {
+  static_assert(2 * kMaxSlots < (std::size_t{1} << kPoolIndexBits));
+
+  /// One out-link of the link plan, in sender order.
+  struct OutLink {
+    std::uint32_t in_pos = 0;  ///< the link's position in LinkPlan::in_ref
+    std::uint32_t slot = 0;    ///< its EdgeIndex slot
+    double cap = 0.0;          ///< link capacity per tick
     double minute_acc = 0.0;   ///< volume sent this (running) minute
-    double minute_done = 0.0;  ///< volume sent in the last completed minute
   };
+
+  /// The link plan: a CSR view of the overlay holding every piece of
+  /// per-link state the tick reads or writes. Peers are in id order and
+  /// links in adjacency order, so peer p's links sit at
+  /// [offset[p], offset[p + 1]) of both per-link arrays: its in-links in
+  /// in_ref (in_slots(p) order) and its out-links in out (out_slots(p)
+  /// order). The gather and the fair-share pass read a receiver's
+  /// references as one run; the sender's clamp writes each one at its
+  /// out-link's in_pos. A slot's out-position is its reverse's
+  /// in-position, since in_slots(p)[i] is the reverse of out_slots(p)[i].
+  /// step() rebuilds the plan whenever Graph::version() has moved.
+  struct LinkPlan {
+    std::vector<std::uint32_t> offset;       ///< per peer, plus the end
+    std::vector<std::uint32_t> in_ref;       ///< per in-link, receiver order
+    std::vector<OutLink> out;                ///< per out-link, sender order
+    std::vector<std::uint32_t> slot_in_pos;  ///< per slot: in_ref position
+  };
+  /// plan_version_ of an engine whose next step() must rebuild the plan.
+  static constexpr std::uint64_t kNoPlan = ~std::uint64_t{0};
 
   /// Per-span contribution log for the multi-span tick. Each span sweeps
   /// its contiguous peer range in canonical order and *records* every
@@ -275,8 +292,9 @@ class FlowNetwork {
     std::array<LinkVector, topology::kBandwidthClasses> links{};
     /// The link vectors this span's senders emitted in the last tick: per
     /// sender each distinct link vector, plus one scaled vector per
-    /// clamped out-link. Refilled by every pass 2; phase 1 and the fair
-    /// share pass read it through the links' references first.
+    /// clamped out-link; span 0's pool starts with the zero vector.
+    /// Refilled by every pass 2; phase 1 and the fair share pass read it
+    /// through the links' references first.
     std::vector<FlowVector> pool;
     std::uint32_t pool_span = 0;  ///< this span's bits of a reference
     std::vector<double> edge_totals;
@@ -285,9 +303,19 @@ class FlowNetwork {
   };
 
   /// A link's in-flight vector, read through its pool reference.
-  const FlowVector& link_flow(const EdgeFlow& ef) const noexcept {
-    return span_scratch_[ef.ref >> kPoolIndexBits].pool[ef.ref & kPoolIndexMask];
+  const FlowVector& link_flow(std::uint32_t ref) const noexcept {
+    return span_scratch_[ref >> kPoolIndexBits].pool[ref & kPoolIndexMask];
   }
+  /// The in-flight vector of a slot that has flow state.
+  const FlowVector& slot_flow(topology::EdgeIndex::Slot slot) const noexcept {
+    return link_flow(plan_.in_ref[plan_.slot_in_pos[slot]]);
+  }
+  /// Lay plan_ out for the graph as it is: offsets, positions, capacities,
+  /// every reference 0 and every accumulator 0.
+  void layout_plan();
+  /// Rebuild plan_ for a moved graph: carry each link that has flow state
+  /// over from the old plan, and create the state of every other link.
+  void rebuild_plan();
   /// Give each of `spans` pools room for half its even share of the
   /// directed slots, so pools reallocate only when the slot capacity
   /// grows, unless a pass emits more than that (see network.cpp).
@@ -342,12 +370,15 @@ class FlowNetwork {
 
   std::vector<PeerKind> kinds_;
   std::vector<double> issue_scale_;
-  /// Per-directed-link flow state, slot-indexed via the graph's EdgeIndex,
-  /// hot/cold split (pool references vs minute counters). Entries are
-  /// created lazily (first transmission touches the slot) and retire
-  /// automatically when the slot's generation moves on — edge teardown
-  /// needs no flow-side erase.
-  topology::SplitEdgeMap<EdgeFlow, EdgeMinute> edge_state_;
+  /// Per-slot flow state: its presence, by generation, and the link's
+  /// Out_query of the last completed minute. rebuild_plan() creates it for
+  /// every link just before the first tick that reads the link; it retires
+  /// when the slot's generation moves on, so teardown needs no erase.
+  topology::EdgeMap<double> minute_done_;
+  /// Everything else per link; see LinkPlan. plan_version_ is the
+  /// Graph::version() it was rebuilt for, or kNoPlan.
+  LinkPlan plan_;
+  std::uint64_t plan_version_ = kNoPlan;
 
   /// Span machinery: the worker pool (jobs > 1 only) and its plan of one
   /// degree-weighted contiguous peer span per worker, per-span logs and
@@ -361,8 +392,7 @@ class FlowNetwork {
   std::vector<TickScratch> span_scratch_;
   std::vector<std::array<double, kClasses>> survive_scratch_;
   std::vector<std::array<double, 3>> clamp_drops_;
-  bool shard_plan_dirty_ = true;
-  std::size_t shard_plan_nodes_ = 0;
+  std::uint64_t shard_plan_version_ = kNoPlan;
 
   /// Link capacity per tick by (sender class, receiver class): the
   /// bottleneck of the sender's upstream and the receiver's downstream,

@@ -2,8 +2,8 @@
 
 /// \file edge_index.hpp
 /// Dense directed-edge slot index over the overlay graph, plus the generic
-/// dense containers (`EdgeMap`, `SplitEdgeMap`, `PeerMap`) the engines key
-/// per-link and per-peer state off.
+/// dense containers (`EdgeMap`, `PeerMap`) the engines key per-link and
+/// per-peer state off.
 ///
 /// Every live directed edge owns a stable dense *slot* (a small integer).
 /// Slots of removed edges go on a free list and are recycled by later
@@ -72,11 +72,6 @@ class EdgeIndex {
   PeerId to(Slot slot) const noexcept { return to_[slot]; }
   Slot reverse(Slot slot) const noexcept { return rev_[slot]; }
   std::uint32_t generation(Slot slot) const noexcept { return gen_[slot]; }
-
-  /// The raw generation array (size == capacity()). Hot sweeps that test
-  /// many slots against an EdgeMap's own generations index this directly
-  /// instead of paying a bounds-checked call per slot.
-  const std::uint32_t* generations() const noexcept { return gen_.data(); }
 
   /// Structural self-check (tests, soak invariants): live/free partition
   /// adds up, reverses are mutual, free-list entries are dead and unique.
@@ -184,121 +179,6 @@ class EdgeMap {
  private:
   const EdgeIndex* index_;
   std::vector<T> values_;
-  std::vector<std::uint32_t> gens_;
-};
-
-/// EdgeMap with the value split into a *hot* and a *cold* half stored in
-/// separate parallel arrays under one shared generation array. The flow
-/// engine keys its 4-byte references to each link's in-flight vector
-/// (read and written every tick) as Hot and its 16-byte minute counters
-/// (read by monitors, swept once a minute) as Cold: per-tick phases
-/// stream the hot array without dragging minute state through cache, and
-/// the minute rotation plus every DD-POLICE counter sweep touch only the
-/// cold array.
-///
-/// Incarnation semantics are identical to EdgeMap (one generation guards
-/// both halves; a touch that detects a stale generation resets both).
-template <typename Hot, typename Cold>
-class SplitEdgeMap {
- public:
-  explicit SplitEdgeMap(const EdgeIndex& index) : index_(&index) {}
-
-  /// Hot value for the slot's current incarnation; resets both halves
-  /// when the slot was never written or belongs to a stale incarnation.
-  Hot& touch(EdgeIndex::Slot slot) {
-    if (slot >= gens_.size()) grow(slot);
-    const std::uint32_t gen = index_->generation(slot);
-    if (gens_[slot] != gen) {
-      hot_[slot] = Hot{};
-      cold_[slot] = Cold{};
-      gens_[slot] = gen;
-    }
-    return hot_[slot];
-  }
-
-  const Hot* find(EdgeIndex::Slot slot) const noexcept {
-    if (slot >= gens_.size() || !index_->live(slot)) return nullptr;
-    return gens_[slot] == index_->generation(slot) ? &hot_[slot] : nullptr;
-  }
-  Hot* find(EdgeIndex::Slot slot) noexcept {
-    return const_cast<Hot*>(std::as_const(*this).find(slot));
-  }
-
-  const Cold* find_cold(EdgeIndex::Slot slot) const noexcept {
-    if (slot >= gens_.size() || !index_->live(slot)) return nullptr;
-    return gens_[slot] == index_->generation(slot) ? &cold_[slot] : nullptr;
-  }
-  Cold* find_cold(EdgeIndex::Slot slot) noexcept {
-    return const_cast<Cold*>(std::as_const(*this).find_cold(slot));
-  }
-
-  /// Unchecked cold access for a slot already validated this tick by
-  /// touch()/find() — the phase-3 pattern: find the hot record, then bump
-  /// the minute counter without re-running the generation test.
-  Cold& cold(EdgeIndex::Slot slot) noexcept { return cold_[slot]; }
-  const Cold& cold(EdgeIndex::Slot slot) const noexcept { return cold_[slot]; }
-
-  void erase(EdgeIndex::Slot slot) noexcept {
-    if (slot < gens_.size()) gens_[slot] = EdgeIndex::kNeverGeneration;
-  }
-
-  /// Pre-grow to the index's capacity (same contract as EdgeMap::sync):
-  /// after this, no touch() below capacity() reallocates — which is also
-  /// what makes concurrent touches of *distinct* slots safe during the
-  /// sharded sweeps.
-  void sync() {
-    if (gens_.size() < index_->capacity()) {
-      grow(static_cast<EdgeIndex::Slot>(index_->capacity() - 1));
-    }
-  }
-
-  void clear() noexcept {
-    gens_.assign(gens_.size(), EdgeIndex::kNeverGeneration);
-  }
-
-  /// Visit every live, current entry in slot order: f(slot, hot, cold).
-  template <typename F>
-  void for_each(F&& f) {
-    for (EdgeIndex::Slot s = 0; s < gens_.size(); ++s) {
-      if (index_->live(s) && gens_[s] == index_->generation(s)) {
-        f(s, hot_[s], cold_[s]);
-      }
-    }
-  }
-  template <typename F>
-  void for_each(F&& f) const {
-    for (EdgeIndex::Slot s = 0; s < gens_.size(); ++s) {
-      if (index_->live(s) && gens_[s] == index_->generation(s)) {
-        f(s, hot_[s], cold_[s]);
-      }
-    }
-  }
-
-  /// Visit only the cold halves of live, current entries in slot order —
-  /// the minute-rotation sweep; never faults the hot arrays in.
-  template <typename F>
-  void for_each_cold(F&& f) {
-    const std::uint32_t* index_gens = index_->generations();
-    for (EdgeIndex::Slot s = 0; s < gens_.size(); ++s) {
-      if (gens_[s] == index_gens[s] && index_->live(s)) f(s, cold_[s]);
-    }
-  }
-
-  const EdgeIndex& index() const noexcept { return *index_; }
-
- private:
-  void grow(EdgeIndex::Slot max_slot) {
-    const std::size_t want =
-        std::max<std::size_t>(static_cast<std::size_t>(max_slot) + 1,
-                              index_->capacity());
-    gens_.resize(want, EdgeIndex::kNeverGeneration);
-    hot_.resize(want);
-    cold_.resize(want);
-  }
-
-  const EdgeIndex* index_;
-  std::vector<Hot> hot_;
-  std::vector<Cold> cold_;
   std::vector<std::uint32_t> gens_;
 };
 

@@ -32,6 +32,7 @@ PeerId Graph::add_node() {
   active_.push_back(1);
   ++active_count_;
   count_active_degree(0);
+  ++version_;
   return static_cast<PeerId>(adj_.size() - 1);
 }
 
@@ -47,6 +48,7 @@ void Graph::set_active(PeerId u, bool active) {
     ++active_count_;
     count_active_degree(adj_[u].size());
   }
+  ++version_;
 }
 
 bool Graph::add_edge(PeerId u, PeerId v) {
@@ -67,6 +69,7 @@ bool Graph::add_edge(PeerId u, PeerId v) {
   out_slots_[v].push_back(svu);
   in_slots_[v].push_back(suv);
   ++edge_count_;
+  ++version_;
   return true;
 }
 
@@ -101,6 +104,7 @@ bool Graph::remove_edge(PeerId u, PeerId v) {
   in_slots_[v][pv] = in_slots_[v].back();
   in_slots_[v].pop_back();
   --edge_count_;
+  ++version_;
   return true;
 }
 
@@ -292,6 +296,7 @@ void Graph::load(snapshot::Reader& r) {
     }
     if (active_[u]) count_active_degree(adj_[u].size());
   }
+  ++version_;
 }
 
 }  // namespace ddp::topology

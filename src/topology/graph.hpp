@@ -31,6 +31,11 @@ class Graph {
   std::size_t node_count() const noexcept { return adj_.size(); }
   std::size_t edge_count() const noexcept { return edge_count_; }
 
+  /// Moves on every change to the adjacency or the node table (an edge
+  /// added or removed, a node added, activated or deactivated) and on
+  /// load(). A view cached for one version holds until it moves.
+  std::uint64_t version() const noexcept { return version_; }
+
   /// Grow the node table (new nodes start active and isolated).
   PeerId add_node();
 
@@ -126,6 +131,7 @@ class Graph {
   std::vector<std::size_t> active_degrees_;
   std::size_t edge_count_ = 0;
   std::size_t active_count_ = 0;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace ddp::topology

@@ -229,6 +229,28 @@ TEST(Scenario, DeterministicForSameSeed) {
   EXPECT_EQ(a.decisions.size(), b.decisions.size());
 }
 
+// A BA overlay is built with m(m+1) + 2m(n-m-1) directed slots, so the
+// flow engine's ceiling of 2^23 - 1 fixes the largest overlay the
+// configuration may ask for, checked before any graph is generated.
+TEST(Scenario, RefusesBaOverlayPastTheFlowSlotCeiling) {
+  ScenarioConfig cfg = paper_scenario(1'500'000, 0, defense::Kind::kNone, 1);
+  const std::string err = validate_config(cfg);
+  EXPECT_NE(err.find("topo.nodes must be at most 1398103"), std::string::npos)
+      << err;
+  cfg.topo.nodes = 1'398'103;
+  EXPECT_EQ(validate_config(cfg), "");
+  cfg.topo.nodes = 1'398'104;
+  EXPECT_NE(validate_config(cfg), "");
+  // The ceiling moves with the links per joining peer.
+  cfg.topo.ba_links_per_node = 1;
+  cfg.topo.nodes = 1'500'000;
+  EXPECT_EQ(validate_config(cfg), "");
+  // Other models are sized by the engine itself when it is built.
+  cfg.topo.ba_links_per_node = 3;
+  cfg.topo.model = topology::Model::kErdosRenyi;
+  EXPECT_EQ(validate_config(cfg), "");
+}
+
 TEST(Extensions, DefenseComparisonShape) {
   Scale s = tiny_scale();
   s.total_minutes = 12.0;
